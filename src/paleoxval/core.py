@@ -2,8 +2,8 @@
 reconstruction operator.
 
 Everything here is a pure function of immutable inputs. Arrays stored on the
-value types are copied to float64 (or int64 for indices) and marked read-only,
-so instances are safe to share across threads.
+value types are float64 (or int64 for indices) and read-only, copied unless
+already owned and read-only, so instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ DEGENERATE_STD = 1e-12
 
 
 def _frozen_array(x, dtype=np.float64, ndim=1):
-    a = np.array(x, dtype=dtype)
+    # nothing can write to an owned read-only array, so sharing it is safe
+    owned_frozen = isinstance(x, np.ndarray) and x.base is None and not x.flags.writeable
+    a = x if owned_frozen and x.dtype == dtype else np.array(x, dtype=dtype)
     if a.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array, got shape {a.shape}")
     a.flags.writeable = False
@@ -208,21 +210,28 @@ class ReconstructionResult:
             raise LengthMismatch("prediction length must equal the block length")
 
 
-def standardize_columns(data: np.ndarray, calib_rows: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column-standardize an n x p array over the given calibration rows.
+def _standardize_calib(data: np.ndarray, split: HoldoutSplit, out: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-standardize an n x p array over the split's calibration rows.
 
-    Returns (standardized data, calibration means, calibration stds); stds
-    use denominator n_c - 1. Raises DegenerateColumn (with column indices as
-    ids) on any calibration std at or below DEGENERATE_STD.
+    Reads the two calibration segments around the block as views and centres
+    into ``out`` before summing squares, so large offsets cancel first.
+    Returns (out, means, stds), stds with denominator n_c - 1; raises
+    DegenerateColumn (column indices as ids) on any std <= DEGENERATE_STD.
     """
-    calib = data[calib_rows]
-    means = calib.mean(axis=0)
-    stds = calib.std(axis=0, ddof=1)
-    bad = stds <= DEGENERATE_STD
-    if np.any(bad):
-        raise DegenerateColumn([str(j) for j in np.flatnonzero(bad)])
-    return (data - means) / stds, means, stds
+    if data.shape[0] != split.n:
+        raise LengthMismatch(f"array has {data.shape[0]} rows, split covers {split.n}")
+    segments = slice(0, split.block_start), slice(split.block_start + split.n_v, None)
+    means = sum(data[rows].sum(axis=0) for rows in segments) / split.n_c
+    out = np.subtract(data, means, out=out)
+    sum_sq = sum(np.einsum("ij,ij->j", out[rows], out[rows]) for rows in segments)
+    # one calibration row (n_c = 1) leaves sum_sq = 0: every column is degenerate
+    stds = np.sqrt(sum_sq / max(split.n_c - 1, 1))
+    bad = np.flatnonzero(stds <= DEGENERATE_STD)
+    if len(bad):
+        raise DegenerateColumn([str(j) for j in bad])
+    out /= stds
+    return out, means, stds
 
 
 def standardize(X: ProxyMatrix, split: HoldoutSplit, *,
@@ -242,24 +251,18 @@ def standardize(X: ProxyMatrix, split: HoldoutSplit, *,
         DegenerateColumn. When True such columns are silently removed;
         raises only if nothing is left.
     """
-    calib = X.data[split.calib_rows]
-    stds = calib.std(axis=0, ddof=1)
-    bad = stds <= DEGENERATE_STD
     ids = X.column_ids
-    data = X.data
-    if np.any(bad):
-        if not drop_degenerate or np.all(bad):
-            raise DegenerateColumn([ids[j] for j in np.flatnonzero(bad)])
-        keep = ~bad
-        data = data[:, keep]
+    try:
+        scaled, means, stds = _standardize_calib(X.data, split)
+    except DegenerateColumn as exc:
+        keep = np.ones(X.p, dtype=bool)
+        keep[[int(j) for j in exc.column_ids]] = False
+        if not drop_degenerate or not np.any(keep):
+            raise DegenerateColumn([ids[j] for j in np.flatnonzero(~keep)]) from None
         ids = tuple(c for c, k in zip(ids, keep) if k)
-    scaled, means, stds = standardize_columns(data, split.calib_rows)
-    return StandardizedMatrix(
-        data=scaled,
-        col_means=means,
-        col_stds=stds,
-        column_ids=ids,
-    )
+        scaled, means, stds = _standardize_calib(X.data[:, keep], split)
+    scaled.flags.writeable = False
+    return StandardizedMatrix(data=scaled, col_means=means, col_stds=stds, column_ids=ids)
 
 
 def gram_matrix(Xs: StandardizedMatrix) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (HoldoutSplit, ProxyMatrix, ReconstructionResult, TimeSeries,
-                   WeightVector, gram_matrix, reconstruct, rmse, standardize)
+                   WeightVector, _frozen_array, gram_matrix, reconstruct, rmse, standardize)
 from .errors import BlockFailure, InvalidBlockLength, LengthMismatch, PaleoXvalError
 from .gcv import GcvResult, minimize_gcv
 from .noise import NoiseSpec, generate
@@ -37,13 +37,9 @@ class ExperimentReport:
     mean_rmse: float
 
     def __post_init__(self):
-        starts = np.array(self.block_starts, dtype=np.int64)
-        starts.flags.writeable = False
-        object.__setattr__(self, "block_starts", starts)
+        object.__setattr__(self, "block_starts", _frozen_array(self.block_starts, dtype=np.int64))
         for name in ("block_rmse", "per_block_lambda"):
-            a = np.array(getattr(self, name), dtype=np.float64)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
         if not (len(self.block_starts) == len(self.block_rmse) == len(self.per_block_lambda)):
             raise LengthMismatch("per-block arrays must be equally long")
 
@@ -64,9 +60,7 @@ class EnsembleReport:
     def __post_init__(self):
         object.__setattr__(self, "member_reports", tuple(self.member_reports))
         for name in ("mean_curve", "member_scatter"):
-            a = np.array(getattr(self, name), dtype=np.float64)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
     @property
     def m(self) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +30,13 @@ DEFAULT_NOISE_COLUMNS = 1138
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _require_int(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +62,8 @@ class NoiseSource:
                 raise ConfigError("ar1 noise requires 0 <= phi < 1")
         elif self.phi is not None:
             raise ConfigError(f"phi is only meaningful for ar1 noise, not {self.kind!r}")
-        if self.p is not None and self.p < 1:
-            raise ConfigError("p must be at least 1")
+        if self.p is not None:
+            _require_int("p", self.p, 1)
 
 
 @dataclass(frozen=True)
@@ -85,11 +93,13 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "noise_experiments", tuple(self.noise_experiments))
         object.__setattr__(self, "phi_list", tuple(float(x) for x in self.phi_list))
-        object.__setattr__(self, "p_ladder", tuple(int(x) for x in self.p_ladder))
-        if self.n_v < 2:
-            raise ConfigError("n_v must be at least 2")
-        if self.ensemble_size < 1:
-            raise ConfigError("ensemble_size must be at least 1")
+        object.__setattr__(self, "p_ladder", tuple(self.p_ladder))
+        for name, minimum in (("n_v", 2), ("ensemble_size", 1), ("seed", 0),
+                              ("psi_mc_columns", 1000), ("noise_columns", 1),
+                              ("limit_repeats", 1)):
+            _require_int(name, getattr(self, name), minimum)
+        for i, p in enumerate(self.p_ladder):
+            _require_int(f"p_ladder[{i}]", p, 1)
         if self.mode not in ("strict", "permissive"):
             raise ConfigError(f"mode must be 'strict' or 'permissive', got {self.mode!r}")
         if not self.phi_list:
@@ -97,12 +107,6 @@ class ExperimentConfig:
         for phi in self.phi_list:
             if not 0.0 < phi < 1.0:
                 raise ConfigError(f"phi_list entries must be in (0, 1), got {phi}")
-        if self.psi_mc_columns < 1000:
-            raise ConfigError("psi_mc_columns must be at least 1000")
-        if min(self.p_ladder, default=1) < 1 or self.noise_columns < 1:
-            raise ConfigError("column counts must be positive")
-        if self.limit_repeats < 1:
-            raise ConfigError("limit_repeats must be at least 1")
 
 
 def _noise_source_from_dict(obj: dict) -> NoiseSource:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (HoldoutSplit, ReconstructionResult, TimeSeries, WeightVector,
-                   rmse, standardize_columns)
+                   _frozen_array, _standardize_calib, rmse)
 from .crossval import ExperimentReport, report_from_results, reconstruct_with_gcv
 from .errors import BlockMismatch
 from .gcv import minimize_gcv
@@ -44,10 +44,8 @@ class PsiEstimate:
     half_split_rms_diff: float
 
     def __post_init__(self):
-        psi = np.array(self.psi, dtype=np.float64)
-        psi.flags.writeable = False
-        object.__setattr__(self, "psi", psi)
-        if psi.shape != (self.split.n, self.split.n):
+        object.__setattr__(self, "psi", _frozen_array(self.psi, ndim=2))
+        if self.psi.shape != (self.split.n, self.split.n):
             raise ValueError("psi must be n x n for the split's n")
 
 
@@ -74,8 +72,8 @@ class PsiEstimator:
     The raw columns depend only on (phi, n, P, seed); per-split work is just
     standardization and accumulation, so estimating Psi for all sliding
     blocks costs one generation plus one pass per split. Accumulation runs
-    over fixed-size column batches in a fixed order, keeping results
-    bit-identical to a column-at-a-time pass.
+    over fixed-size column batches in a fixed order, so results are bit-for-bit
+    reproducible; other batch sizes agree to rounding.
     """
 
     def __init__(self, phi: float, n: int, P: int, seed: int):
@@ -87,20 +85,20 @@ class PsiEstimator:
         self.seed = int(seed)
         self._raw = generate(NoiseSpec(kind="ar1", n=n, p=P, seed=seed, phi=phi)).data
 
-    def _accumulate(self, cols: np.ndarray, calib_rows: np.ndarray) -> np.ndarray:
+    def _accumulate(self, cols: np.ndarray, split: HoldoutSplit) -> np.ndarray:
+        # one reused batch buffer: memory stays bounded and the pool is never copied
         total = np.zeros((self.n, self.n))
+        buf = np.empty(self.n * min(PSI_BATCH_COLUMNS, cols.shape[1]))
         for start in range(0, cols.shape[1], PSI_BATCH_COLUMNS):
-            batch, _, _ = standardize_columns(cols[:, start:start + PSI_BATCH_COLUMNS],
-                                              calib_rows)
-            total += batch @ batch.T
+            batch = cols[:, start:start + PSI_BATCH_COLUMNS]
+            z, _, _ = _standardize_calib(batch, split, out=buf[:batch.size].reshape(batch.shape))
+            total += z @ z.T
         return total
 
     def estimate(self, split: HoldoutSplit) -> PsiEstimate:
-        if split.n != self.n:
-            raise ValueError(f"split covers {split.n} rows, estimator built for {self.n}")
         half = self.P // 2
-        first = self._accumulate(self._raw[:, :half], split.calib_rows)
-        second = self._accumulate(self._raw[:, half:], split.calib_rows)
+        first = self._accumulate(self._raw[:, :half], split)
+        second = self._accumulate(self._raw[:, half:], split)
         psi = (first + second) / self.P
         psi = (psi + psi.T) / 2.0
         diff = first / half - second / (self.P - half)

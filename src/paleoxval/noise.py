@@ -9,6 +9,7 @@ are filled.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +34,10 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {KINDS}")
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
-        if self.p < 1:
-            raise ValueError("p must be at least 1")
+        for name, minimum in (("n", 2), ("p", 1), ("seed", 0)):
+            x = getattr(self, name)
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < minimum:
+                raise ValueError(f"{name} must be an integer >= {minimum}, got {x!r}")
         if self.kind == "ar1":
             if self.phi is None or not 0.0 <= self.phi < 1.0:
                 raise ValueError("ar1 noise requires 0 <= phi < 1")

@@ -182,6 +182,21 @@ class TestOverridesAndErrors:
         assert main(["crossval", "--config", str(bad)]) == 1
         assert "JSON" in capsys.readouterr().err
 
+    def test_negative_seed_override_is_an_error(self, small_config, capsys):
+        assert main(["crossval", "--config", str(small_config), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be at least 0")
+
+    def test_fractional_config_seed_is_an_error(self, tmp_path, y60, capsys):
+        target = pio.save_target(y60, tmp_path / "t.csv")
+        config = write_config(tmp_path / "c.json", target, seed=1.5)
+        assert main(["crossval", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be an integer")
+
+    def test_single_calibration_row_is_an_error(self, small_config, capsys):
+        # n_v = n - 1 leaves one calibration row, whose sample std is undefined
+        assert main(["crossval", "--config", str(small_config), "--nv", "59"]) == 1
+        assert "zero-variance column" in capsys.readouterr().err
+
     def test_nv_and_seed_overrides(self, small_config, tmp_path):
         out = tmp_path / "o1"
         assert main(["crossval", "--config", str(small_config),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 import paleoxval as px
-from paleoxval.core import ridge_predict, solve_shifted, standardize_columns
+from paleoxval.core import ridge_predict, solve_shifted
 from paleoxval.errors import (DegenerateColumn, LengthMismatch, SingularSystem)
 
 
@@ -65,11 +65,11 @@ class TestTypes:
 
 class TestStandardize:
     def test_arithmetic_column_all_calib(self):
-        # mean 2, sample std 1 over the whole column
-        scaled, mean, sd = standardize_columns(np.array([[1.0], [2.0], [3.0]]),
-                                               np.array([0, 1, 2]))
-        np.testing.assert_allclose(scaled[:, 0], [-1.0, 0.0, 1.0], atol=1e-15)
-        assert mean[0] == 2.0 and sd[0] == 1.0
+        # calibration rows {0,1,2} hold 1, 2, 3: mean 2, sample std 1
+        X = px.ProxyMatrix(np.array([[1.0], [2.0], [3.0], [9.0], [4.0]]), ("x",))
+        out = px.standardize(X, make_split(5, 3, 2))
+        np.testing.assert_allclose(out.data[:, 0], [-1.0, 0.0, 1.0, 7.0, 2.0], atol=1e-15)
+        assert out.col_means[0] == 2.0 and out.col_stds[0] == 1.0
 
     def test_constant_column_raises(self):
         X = px.ProxyMatrix(np.array([[5.0], [5.0], [5.0], [5.0]]), ("const",))
@@ -100,6 +100,62 @@ class TestStandardize:
         calib = out.data[split.calib_rows]
         assert np.all(np.abs(calib.mean(axis=0)) < 1e-10)
         assert np.all(np.abs(calib.std(axis=0, ddof=1) - 1.0) < 1e-10)
+
+    @pytest.mark.parametrize("kind", ["brownian", "offset"])
+    @pytest.mark.parametrize("start,n_v", [(0, 10), (15, 10), (30, 10),
+                                           (0, 2), (19, 2), (38, 2)])
+    def test_standardize_and_gram_match_loop_oracles(self, kind, start, n_v):
+        rng = np.random.default_rng(17)
+        n, p = 40, 6
+        if kind == "brownian":
+            data = np.cumsum(rng.standard_normal((n, p)), axis=0)
+        else:
+            # mean 1e6, std 1, on a 2^-10 grid: every calibration sum is exact
+            # in any order, so the comparison sees the variance formula (a
+            # one-pass sum x^2 - n mean^2 fails it), not the summation order
+            data = 1e6 + np.round(rng.standard_normal((n, p)) * 2**10) / 2**10
+        X = px.ProxyMatrix(data, tuple(f"c{j}" for j in range(p)))
+        split = make_split(n, start, n_v)
+        Xs = px.standardize(X, split)
+        ref = oracles.standardize_by_loop(data, split.calib_rows)
+        # both matrices have unit scale; atol covers entries near zero
+        np.testing.assert_allclose(Xs.data, ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(px.gram_matrix(Xs), oracles.gram_by_accumulation(ref),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_single_calibration_row_is_degenerate(self, start):
+        # n_v = n - 1 leaves n_c = 1, where the sample std is undefined
+        X = px.ProxyMatrix(np.arange(12.0).reshape(6, 2), ("a", "b"))
+        with pytest.raises(DegenerateColumn) as err:
+            px.standardize(X, make_split(6, start, 5))
+        assert err.value.column_ids == ("a", "b")
+
+    @pytest.mark.parametrize("start", [0, 4, 8])
+    def test_column_flat_only_over_calibration_rows(self, start):
+        # "step" is constant outside the holdout block and varies inside it,
+        # so only a reduction over exactly the calibration rows finds it
+        # degenerate; the kept columns then check both segments' statistics
+        n, n_v = 12, 4
+        rng = np.random.default_rng(2)
+        step = np.full(n, 3.0)
+        step[start:start + n_v] = rng.standard_normal(n_v)
+        data = np.column_stack([rng.standard_normal(n), step, rng.standard_normal(n)])
+        X = px.ProxyMatrix(data, ("a", "step", "b"))
+        split = make_split(n, start, n_v)
+        with pytest.raises(DegenerateColumn) as err:
+            px.standardize(X, split)
+        assert err.value.column_ids == ("step",)
+        out = px.standardize(X, split, drop_degenerate=True)
+        assert out.column_ids == ("a", "b")
+        np.testing.assert_allclose(out.data, oracles.standardize_by_loop(data[:, [0, 2]],
+                                                                         split.calib_rows),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_row_count_must_match_split(self):
+        X = px.ProxyMatrix(np.arange(10.0).reshape(5, 2), ("a", "b"))
+        with pytest.raises(LengthMismatch):
+            px.standardize(X, make_split(6, 2, 2))
 
     def test_drop_degenerate(self):
         data = np.column_stack([np.arange(4.0), np.full(4, 7.0)])

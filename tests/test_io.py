@@ -161,6 +161,17 @@ class TestConfig:
         {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "phi_list": [1.5]},
         {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "bogus": 1},
         {"target": "t.csv", "proxy_source": {"file": "a", "noise": {"kind": "white"}}},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "seed": -1},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "seed": 1.5},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "seed": True},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "seed": "7"},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "n_v": 12.0},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "ensemble_size": False},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "psi_mc_columns": 2e3},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "noise_columns": 0},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "p_ladder": [100, 1.5]},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "limit_repeats": 2.5},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white", "p": 1.5}}},
     ])
     def test_invalid_configs(self, tmp_path, body):
         f = tmp_path / "c.json"

@@ -3,7 +3,8 @@ import pytest
 
 import oracles
 import paleoxval as px
-from paleoxval.errors import BlockMismatch
+from paleoxval.errors import BlockMismatch, LengthMismatch
+from paleoxval import limit
 from paleoxval.limit import PsiEstimator
 
 
@@ -64,6 +65,31 @@ class TestEstimatePsi:
         b = px.estimate_psi(0.9, split, 20_000, seed=2)
         rms = np.sqrt(np.mean((a.psi - b.psi) ** 2))
         assert rms < 3 * a.half_split_rms_diff
+
+    @pytest.mark.parametrize("start", [0, 5, 9])
+    def test_batches_match_loop_oracle(self, monkeypatch, start):
+        # P = 40 in batches of 7 crosses batch boundaries in both halves
+        n, P, phi, seed = 12, 40, 0.8, 5
+        split = px.HoldoutSplit.make(n, start, 3)
+        default = PsiEstimator(phi, n, P, seed).estimate(split)
+        monkeypatch.setattr(limit, "PSI_BATCH_COLUMNS", 7)
+        batched = PsiEstimator(phi, n, P, seed).estimate(split)
+        pool = oracles.standardize_by_loop(
+            px.generate(px.NoiseSpec(kind="ar1", n=n, p=P, seed=seed, phi=phi)).data,
+            split.calib_rows)
+        halves = [sum(np.outer(c, c) for c in pool[:, cols].T)
+                  for cols in (slice(0, P // 2), slice(P // 2, P))]
+        psi = (halves[0] + halves[1]) / P
+        rms = np.sqrt(np.mean((halves[0] / (P // 2) - halves[1] / (P - P // 2)) ** 2))
+        np.testing.assert_allclose(batched.psi, (psi + psi.T) / 2, rtol=1e-12, atol=1e-12)
+        assert batched.half_split_rms_diff == pytest.approx(rms, rel=1e-12)
+        np.testing.assert_allclose(batched.psi, default.psi, rtol=1e-13, atol=1e-13)
+        assert batched.half_split_rms_diff == pytest.approx(default.half_split_rms_diff,
+                                                            rel=1e-13)
+
+    def test_split_must_match_pool_rows(self):
+        with pytest.raises(LengthMismatch):
+            PsiEstimator(0.5, 12, 40, seed=1).estimate(px.HoldoutSplit.make(13, 4, 3))
 
     def test_estimator_matches_one_shot(self):
         split = px.HoldoutSplit.make(12, 4, 3)

@@ -20,6 +20,11 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             px.NoiseSpec(kind="white", n=1, p=2, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None])
+    def test_seed_must_be_non_negative_int(self, seed):
+        with pytest.raises(ValueError):
+            px.NoiseSpec(kind="white", n=10, p=2, seed=seed)
+
     def test_labels(self):
         assert px.NoiseSpec(kind="ar1", n=5, p=1, seed=0, phi=0.99).label == "ar1_0.99"
         assert px.NoiseSpec(kind="white", n=5, p=1, seed=0).label == "white"
