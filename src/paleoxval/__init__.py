@@ -4,11 +4,11 @@ proxy matrices, pseudoproxy noise nulls, and the large-p kriging limit.
 
 from ._version import __version__
 from .core import (HoldoutSplit, ProxyMatrix, ReconstructionResult,
-                   StandardizedMatrix, TimeSeries, WeightVector, center_apply,
+                   ShiftedSystem, StandardizedMatrix, TimeSeries, WeightVector,
                    gram_matrix, reconstruct, rmse, standardize)
 from .crossval import (EnsembleReport, ExperimentReport, make_blocks, run_block,
                        run_ensemble, run_experiment)
-from .gcv import GcvResult, gcv_score, hat_apply, minimize_gcv
+from .gcv import GcvResult, gcv_scores, minimize_gcv
 from .limit import (KrigingSpec, PsiEstimate, PsiEstimator, estimate_psi,
                     kriging_curve, limit_curve, limit_reconstruction,
                     rms_difference, rms_difference_values, semivariogram,
@@ -18,9 +18,9 @@ from .noise import NoiseSpec, ar1_covariance, generate, smooth_target
 __all__ = [
     "__version__",
     "TimeSeries", "ProxyMatrix", "HoldoutSplit", "StandardizedMatrix",
-    "WeightVector", "ReconstructionResult",
-    "standardize", "gram_matrix", "center_apply", "reconstruct", "rmse",
-    "GcvResult", "hat_apply", "gcv_score", "minimize_gcv",
+    "WeightVector", "ReconstructionResult", "ShiftedSystem",
+    "standardize", "gram_matrix", "reconstruct", "rmse",
+    "GcvResult", "gcv_scores", "minimize_gcv",
     "NoiseSpec", "generate", "ar1_covariance", "smooth_target",
     "ExperimentReport", "EnsembleReport", "make_blocks",
     "run_block", "run_experiment", "run_ensemble",

@@ -1,5 +1,5 @@
 """Shared value types, per-calibration standardization, and the ridge
-reconstruction operator.
+reconstruction operator on one factored calibration system.
 
 Everything here is a pure function of immutable inputs. Arrays stored on the
 value types are float64 (or int64 for indices) and read-only, copied unless
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateColumn, LengthMismatch, SingularSystem
 
@@ -275,59 +274,50 @@ def gram_matrix(Xs: StandardizedMatrix) -> np.ndarray:
     return (S + S.T) / 2.0
 
 
-def center_apply(w: WeightVector, v: np.ndarray) -> np.ndarray:
-    """Apply the centering operator I - 1 w^T, i.e. v - (w^T v) 1."""
-    v = np.asarray(v, dtype=np.float64)
-    if len(w) != len(v):
-        raise LengthMismatch(f"{len(w)} weights vs {len(v)} values")
-    return v - (w.w @ v)
+class ShiftedSystem:
+    """One calibration problem (S_cc, w, y_c), factored once.
 
-
-def solve_shifted(S_cc: np.ndarray, lam: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (S_cc + lam I) z = rhs through a Cholesky factorization.
-
-    The shifted matrix is positive definite for every lam > 0 when S_cc is
-    PSD; the factorization is still guarded and failure surfaces as
-    SingularSystem rather than a bare LinAlgError.
+    The package's only eigendecomposition, S_cc = Q diag(sig) Q^T, serves
+    every shift: the GCV search scores V(lam) from it, and ``reconstruct``
+    applies (S_cc + lam I)^-1 through it. Stored are the spectral coordinates
+    c = w^T y_c, u = Q^T (y_c - c 1) and wq_1q = (Q^T w) * (Q^T 1). Roundoff-
+    negative eigenvalues of a PSD input are clipped to zero; a clearly
+    negative one raises SingularSystem, since S_cc + lam I may then be
+    singular for some lam > 0.
     """
-    shifted = S_cc + lam * np.eye(S_cc.shape[0])
-    try:
-        cho = scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
-        return scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularSystem(f"shifted calibration system unsolvable: {exc}") from exc
+
+    def __init__(self, S_cc: np.ndarray, w: WeightVector, y_c: np.ndarray):
+        y_c = np.asarray(y_c, dtype=np.float64)
+        S_cc = np.asarray(S_cc, dtype=np.float64)
+        self.n_c = len(y_c)
+        if S_cc.shape != (self.n_c, self.n_c) or len(w) != self.n_c:
+            raise LengthMismatch(f"S_cc {S_cc.shape}, {len(w)} weights, {self.n_c} values")
+        try:
+            sig, self.Q = np.linalg.eigh(S_cc)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"S_cc could not be diagonalized: {exc}") from exc
+        floor = -1e-8 * max(1.0, float(np.abs(sig).max()))
+        if sig[0] < floor:
+            raise SingularSystem(f"S_cc is not PSD (eigenvalue {sig[0]:.3e})")
+        self.sig = np.maximum(sig, 0.0)
+        self.c = float(w.w @ y_c)
+        self.u = self.Q.T @ (y_c - self.c)
+        self.wq_1q = (self.Q.T @ w.w) * (self.Q.T @ np.ones(self.n_c))
+        self.w_sum = float(w.w.sum())
 
 
-def ridge_predict(S: np.ndarray, lam: float, w: WeightVector, y_c: np.ndarray,
-                  calib_rows: np.ndarray, valid_rows: np.ndarray) -> np.ndarray:
-    """Ridge prediction onto arbitrary target rows.
+def reconstruct(system: ShiftedSystem, S_vc: np.ndarray, lam: float) -> np.ndarray:
+    """Apply S_vc (S_cc + lam I)^-1 (I - 1 w^T) + 1 w^T to the system's y_c.
 
-    Computes S_vc (S_cc + lam I)^-1 (y_c - (w^T y_c) 1) + (w^T y_c) 1 for the
-    given row index sets. ``reconstruct`` is the HoldoutSplit-facing wrapper;
-    this form also serves diagnostics that predict back onto the calibration
-    rows themselves.
-    """
-    S_cc = S[np.ix_(calib_rows, calib_rows)]
-    S_vc = S[np.ix_(valid_rows, calib_rows)]
-    c = float(w.w @ y_c)
-    z = solve_shifted(S_cc, lam, y_c - c)
-    return S_vc @ z + c
-
-
-def reconstruct(S: np.ndarray, lam: float, w: WeightVector, y_c: np.ndarray,
-                split: HoldoutSplit) -> np.ndarray:
-    """Reconstruct the validation block from calibration values.
-
-    Applies the operator S_vc (S_cc + lam I)^-1 (I - 1 w^T) + 1 w^T to y_c,
-    where submatrices are indexed by the split. Linear in y_c; with the
-    all-zero weight vector the intercept term drops out entirely.
+    S_vc holds the rows to predict against the calibration columns; with
+    S_vc = S_cc this is the calibration-period hat operator H(lam). Linear in
+    y_c; with the all-zero weight vector the intercept term drops out.
     """
     if lam <= 0:
         raise ValueError("ridge parameter must be positive")
-    if len(y_c) != split.n_c:
-        raise LengthMismatch("y_c must have one entry per calibration row")
-    return ridge_predict(S, lam, w, np.asarray(y_c, dtype=np.float64),
-                         split.calib_rows, split.valid_rows)
+    if S_vc.shape[-1] != system.n_c:
+        raise LengthMismatch(f"S_vc has {S_vc.shape[-1]} columns, system has {system.n_c}")
+    return S_vc @ (system.Q @ (system.u / (system.sig + lam))) + system.c
 
 
 def rmse(y_hat: np.ndarray, y_true: np.ndarray) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (HoldoutSplit, ProxyMatrix, ReconstructionResult, TimeSeries,
+from .core import (HoldoutSplit, ProxyMatrix, ReconstructionResult, ShiftedSystem, TimeSeries,
                    WeightVector, _frozen_array, gram_matrix, reconstruct, rmse, standardize)
 from .errors import BlockFailure, InvalidBlockLength, LengthMismatch, PaleoXvalError
 from .gcv import GcvResult, minimize_gcv
@@ -96,20 +96,21 @@ def reconstruct_with_gcv(S: np.ndarray, y: TimeSeries, split: HoldoutSplit,
                          w: WeightVector | None = None) -> tuple[ReconstructionResult, GcvResult]:
     """GCV-select lambda on the calibration restriction of S, then predict.
 
-    Shared tail of the proxy pipeline and the probability-limit pipeline:
-    both differ only in where S comes from.
+    Shared tail of the proxy, probability-limit and kriging pipelines: they
+    differ only in where S comes from and in w. S_cc is factored once; the
+    GCV search and the prediction share that factorization.
     """
     if split.n != y.n:
         raise LengthMismatch(f"split covers {split.n} rows, series has {y.n}")
     if w is None:
         w = WeightVector.uniform(split.n_c)
-    y_c = y.values[split.calib_rows]
-    S_cc = S[np.ix_(split.calib_rows, split.calib_rows)]
-    sel = minimize_gcv(S_cc, w, y_c)
+    system = ShiftedSystem(S[np.ix_(split.calib_rows, split.calib_rows)], w,
+                           y.values[split.calib_rows])
+    sel = minimize_gcv(system)
     if sel.flat:
         log.warning("flat GCV objective at block %d; using lambda = %.3e",
                     split.block_start, sel.lambda_min)
-    y_hat = reconstruct(S, sel.lambda_min, w, y_c, split)
+    y_hat = reconstruct(system, S[np.ix_(split.valid_rows, split.calib_rows)], sel.lambda_min)
     score = rmse(y_hat, y.values[split.valid_rows])
     result = ReconstructionResult(y_hat_v=y_hat, lam=sel.lambda_min, split=split, rmse=score)
     return result, sel

@@ -6,13 +6,18 @@ class PaleoXvalError(Exception):
 
 
 class DegenerateColumn(PaleoXvalError):
-    """A proxy column has (near-)zero variance over the calibration rows."""
+    """A proxy column has (near-)zero variance over the calibration rows.
+
+    ``column_ids`` lists every offending column; the message names the first
+    ten, so one error line stays short however many columns are flat.
+    """
 
     def __init__(self, column_ids):
         self.column_ids = tuple(column_ids)
-        super().__init__(
-            f"zero-variance column(s) over calibration rows: {', '.join(self.column_ids)}"
-        )
+        more = len(self.column_ids) - 10
+        super().__init__("zero-variance column(s) over calibration rows: "
+                         + ", ".join(self.column_ids[:10])
+                         + (f" ... and {more} more" if more > 0 else ""))
 
 
 class LengthMismatch(PaleoXvalError):

@@ -9,9 +9,11 @@ restriction of the reconstruction operator including its intercept term. For
 the all-zero weight vector the intercept drops out and H reduces to
 S_cc (S_cc + lam I)^-1, which is the form used for kriging nugget selection.
 
-``gcv_score`` evaluates V through a direct factorize-and-solve;
-``minimize_gcv`` uses a single symmetric eigendecomposition so each candidate
-lam costs O(n_c). The two paths are algebraically identical.
+V is scored only through a ``core.ShiftedSystem``: the eigendecomposition of
+S_cc it holds is the one the prediction later reuses, and it turns every
+candidate lam into O(n_c) sums. ``gcv_scores`` evaluates a whole vector of
+candidates at once; ``minimize_gcv`` scores its coarse grid in one such call
+and refines the bracketed minimum by golden section.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .core import WeightVector
-from .errors import DegenerateTrace, SingularSystem
+from .core import ShiftedSystem
+from .errors import DegenerateTrace
 
 SEARCH_DOMAIN = (1e-8, 1e8)
 COARSE_GRID_POINTS = 25
@@ -58,78 +59,27 @@ class GcvResult:
             raise ValueError("score must be finite")
 
 
-def _shifted_cho(S_cc: np.ndarray, lam: float):
-    shifted = S_cc + lam * np.eye(S_cc.shape[0])
-    try:
-        return scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularSystem(f"S_cc + {lam} I is not positive definite: {exc}") from exc
+def gcv_scores(system: ShiftedSystem, lams) -> np.ndarray:
+    """V(lam) for every lam in ``lams``, from the system's eigendecomposition.
 
-
-def hat_apply(S_cc: np.ndarray, lam: float, w: WeightVector, y_c: np.ndarray) -> np.ndarray:
-    """Apply the calibration-period hat operator H(lam) to y_c."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    y_c = np.asarray(y_c, dtype=np.float64)
-    c = float(w.w @ y_c)
-    cho = _shifted_cho(S_cc, lam)
-    z = scipy.linalg.cho_solve(cho, y_c - c, check_finite=False)
-    return S_cc @ z + c
-
-
-def gcv_score(S_cc: np.ndarray, lam: float, w: WeightVector, y_c: np.ndarray) -> float:
-    """GCV score V(lam) for one candidate ridge parameter."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    y_c = np.asarray(y_c, dtype=np.float64)
-    n_c = len(y_c)
-    c = float(w.w @ y_c)
-    centered = y_c - c
-    cho = _shifted_cho(S_cc, lam)
-    # (I - H) y_c = (I - A)(y_c - c 1) with A = S_cc (S_cc + lam I)^-1
-    resid = centered - S_cc @ scipy.linalg.cho_solve(cho, centered, check_finite=False)
-    trace_a = float(np.trace(scipy.linalg.cho_solve(cho, S_cc, check_finite=False)))
-    a_ones = S_cc @ scipy.linalg.cho_solve(cho, np.ones(n_c), check_finite=False)
-    trace_ih = n_c - trace_a + float(w.w @ a_ones) - float(w.w.sum())
-    if trace_ih < TRACE_FLOOR:
-        raise DegenerateTrace(f"tr(I - H) = {trace_ih:.3e} at lam = {lam:.3e}")
-    return n_c * float(resid @ resid) / trace_ih**2
-
-
-class GcvEvaluator:
-    """Repeated V(lam) evaluation for fixed (S_cc, w, y_c).
-
-    Diagonalizes S_cc once; with eigenvalues sig and shrinkage factors
-    f_i = sig_i / (sig_i + lam), the residual norm and trace reduce to
-    O(n_c) sums per candidate lam.
+    With shrinkage factors f_i = sig_i / (sig_i + lam), the residual norm is
+    sum (1 - f_i)^2 u_i^2 and tr(I - H) = n_c - sum f_i + sum f_i (Q^T w)_i
+    (Q^T 1)_i - sum w: O(n_c) per candidate.
     """
-
-    def __init__(self, S_cc: np.ndarray, w: WeightVector, y_c: np.ndarray):
-        y_c = np.asarray(y_c, dtype=np.float64)
-        self.n_c = len(y_c)
-        sig, Q = np.linalg.eigh(np.asarray(S_cc, dtype=np.float64))
-        # Tolerate roundoff-negative eigenvalues of a PSD input.
-        floor = -1e-8 * max(1.0, float(np.abs(sig).max()))
-        if sig[0] < floor:
-            raise ValueError(f"S_cc is not PSD (eigenvalue {sig[0]:.3e})")
-        self.sig = np.maximum(sig, 0.0)
-        c = float(w.w @ y_c)
-        self.u_sq = (Q.T @ (y_c - c)) ** 2
-        self.wq_1q = (Q.T @ w.w) * (Q.T @ np.ones(self.n_c))
-        self.w_sum = float(w.w.sum())
-
-    def __call__(self, lam: float) -> float:
-        shrink = self.sig / (self.sig + lam)        # f_i
-        damp = lam / (self.sig + lam)               # 1 - f_i, formed directly
-        resid_sq = float(damp**2 @ self.u_sq)
-        trace_ih = self.n_c - float(shrink.sum()) + float(shrink @ self.wq_1q) - self.w_sum
-        if trace_ih < TRACE_FLOOR:
-            raise DegenerateTrace(f"tr(I - H) = {trace_ih:.3e} at lam = {lam:.3e}")
-        return self.n_c * resid_sq / trace_ih**2
+    lams = np.asarray(lams, dtype=np.float64)[:, None]
+    sig = system.sig
+    shrink = sig / (sig + lams)                 # f_i
+    damp = lams / (sig + lams)                  # 1 - f_i, formed directly
+    resid_sq = damp**2 @ system.u**2
+    trace_ih = system.n_c - shrink.sum(axis=1) + shrink @ system.wq_1q - system.w_sum
+    low = np.flatnonzero(trace_ih < TRACE_FLOOR)
+    if len(low):
+        i = low[0]
+        raise DegenerateTrace(f"tr(I - H) = {trace_ih[i]:.3e} at lam = {lams[i, 0]:.3e}")
+    return system.n_c * resid_sq / trace_ih**2
 
 
-def minimize_gcv(S_cc: np.ndarray, w: WeightVector, y_c: np.ndarray, *,
-                 domain: tuple[float, float] = SEARCH_DOMAIN,
+def minimize_gcv(system: ShiftedSystem, *, domain: tuple[float, float] = SEARCH_DOMAIN,
                  grid_points: int = COARSE_GRID_POINTS,
                  trace: list | None = None) -> GcvResult:
     """Find the GCV-minimizing ridge parameter.
@@ -141,17 +91,15 @@ def minimize_gcv(S_cc: np.ndarray, w: WeightVector, y_c: np.ndarray, *,
 
     ``trace``, if given, collects every (lam, score) pair evaluated.
     """
-    evaluator = GcvEvaluator(S_cc, w, y_c)
-    evaluated: list[tuple[float, float]] = []
-
-    def f(lam: float) -> float:
-        v = evaluator(lam)
-        evaluated.append((lam, v))
-        return v
-
     lo, hi = domain
     grid = np.geomspace(lo, hi, grid_points)
-    scores = np.array([f(lam) for lam in grid])
+    scores = gcv_scores(system, grid)
+    evaluated = [(float(lam), float(v)) for lam, v in zip(grid, scores)]
+
+    def f(lam: float) -> float:
+        v = float(gcv_scores(system, [lam])[0])
+        evaluated.append((lam, v))
+        return v
 
     def finish(lam, score, bracket, *, flat=False, at_boundary=False):
         if trace is not None:

@@ -92,7 +92,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "noise_experiments", tuple(self.noise_experiments))
-        object.__setattr__(self, "phi_list", tuple(float(x) for x in self.phi_list))
+        object.__setattr__(self, "phi_list", tuple(self.phi_list))
         object.__setattr__(self, "p_ladder", tuple(self.p_ladder))
         for name, minimum in (("n_v", 2), ("ensemble_size", 1), ("seed", 0),
                               ("psi_mc_columns", 1000), ("noise_columns", 1),
@@ -100,13 +100,17 @@ class ExperimentConfig:
             _require_int(name, getattr(self, name), minimum)
         for i, p in enumerate(self.p_ladder):
             _require_int(f"p_ladder[{i}]", p, 1)
+        for name in ("drop_degenerate", "center_target"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.mode not in ("strict", "permissive"):
             raise ConfigError(f"mode must be 'strict' or 'permissive', got {self.mode!r}")
         if not self.phi_list:
             raise ConfigError("phi_list must not be empty")
         for phi in self.phi_list:
-            if not 0.0 < phi < 1.0:
-                raise ConfigError(f"phi_list entries must be in (0, 1), got {phi}")
+            if isinstance(phi, bool) or not isinstance(phi, numbers.Real) or not 0 < phi < 1:
+                raise ConfigError(f"phi_list entries must be numbers in (0, 1), got {phi!r}")
+        object.__setattr__(self, "phi_list", tuple(float(x) for x in self.phi_list))
 
 
 def _noise_source_from_dict(obj: dict) -> NoiseSource:

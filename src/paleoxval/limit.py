@@ -18,11 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (HoldoutSplit, ReconstructionResult, TimeSeries, WeightVector,
-                   _frozen_array, _standardize_calib, rmse)
+from .core import (HoldoutSplit, ReconstructionResult, ShiftedSystem, TimeSeries,
+                   WeightVector, _frozen_array, _standardize_calib, reconstruct, rmse)
 from .crossval import ExperimentReport, report_from_results, reconstruct_with_gcv
 from .errors import BlockMismatch
-from .gcv import minimize_gcv
 from .noise import NoiseSpec, ar1_covariance, generate
 
 PSI_BATCH_COLUMNS = 8192
@@ -51,7 +50,11 @@ class PsiEstimate:
 
 @dataclass(frozen=True)
 class KrigingSpec:
-    """Nugget policy for simple kriging: GCV-selected or fixed."""
+    """Nugget policy for simple kriging: GCV-selected or fixed.
+
+    A fixed nugget must be positive: it is the shift lam of the shifted
+    system, whose domain is lam > 0. ``nugget`` is ignored for source="gcv".
+    """
 
     phi: float
     nugget: float = 0.0
@@ -64,6 +67,8 @@ class KrigingSpec:
             raise ValueError("nugget must be nonnegative")
         if self.source not in ("gcv", "fixed"):
             raise ValueError(f"unknown nugget source {self.source!r}")
+        if self.source == "fixed" and not self.nugget > 0.0:
+            raise ValueError("a fixed nugget must be positive")
 
 
 class PsiEstimator:
@@ -139,9 +144,10 @@ def simple_kriging(phi: float, y: TimeSeries, split: HoldoutSplit,
     """Predict the holdout block by simple kriging under AR(1) covariance.
 
     y_hat_v = Phi_vc (Phi_cc + nugget I)^-1 y_c with Phi = (phi^|i-j|): no
-    standardization, no intercept, zero prior mean. With source="gcv" the
-    nugget is the GCV minimizer for the intercept-free hat operator
-    Phi_cc (Phi_cc + lam I)^-1.
+    standardization, no intercept, zero prior mean. This is the
+    reconstruction operator with S = Phi and the all-zero weight vector, so
+    with source="gcv" it runs ``reconstruct_with_gcv`` and the nugget is the
+    GCV minimizer for the hat operator Phi_cc (Phi_cc + lam I)^-1.
     """
     if spec is None:
         spec = KrigingSpec(phi=phi)
@@ -150,16 +156,15 @@ def simple_kriging(phi: float, y: TimeSeries, split: HoldoutSplit,
     if split.n != y.n:
         raise ValueError(f"split covers {split.n} rows, series has {y.n}")
     Phi = ar1_covariance(y.n, phi)
-    cc = np.ix_(split.calib_rows, split.calib_rows)
-    vc = np.ix_(split.valid_rows, split.calib_rows)
-    y_c = y.values[split.calib_rows]
+    w = WeightVector.zero(split.n_c)
     if spec.source == "gcv":
-        nugget = minimize_gcv(Phi[cc], WeightVector.zero(split.n_c), y_c).lambda_min
-    else:
-        nugget = spec.nugget
-    y_hat = Phi[vc] @ np.linalg.solve(Phi[cc] + nugget * np.eye(split.n_c), y_c)
+        result, _ = reconstruct_with_gcv(Phi, y, split, w)
+        return result
+    system = ShiftedSystem(Phi[np.ix_(split.calib_rows, split.calib_rows)], w,
+                           y.values[split.calib_rows])
+    y_hat = reconstruct(system, Phi[np.ix_(split.valid_rows, split.calib_rows)], spec.nugget)
     return ReconstructionResult(
-        y_hat_v=y_hat, lam=float(nugget), split=split,
+        y_hat_v=y_hat, lam=float(spec.nugget), split=split,
         rmse=rmse(y_hat, y.values[split.valid_rows]),
     )
 

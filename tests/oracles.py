@@ -22,6 +22,22 @@ def reconstruction_matrix(S: np.ndarray, lam: float, w: np.ndarray,
     return S_vc @ inv @ centering_matrix(w) + np.outer(np.ones(len(valid)), w)
 
 
+def lift_calibration_null(S: np.ndarray, calib: np.ndarray) -> np.ndarray:
+    """Copy of S with alpha 11^T / n_c added to S_cc, alpha = tr(S_cc) / n_c.
+
+    Calibration-period standardization makes S_cc 1 = 0, so near lam = 1e-8
+    the explicit inverse sees a condition number near 1e9. The lift moves
+    that null eigenvalue to alpha, leaving the oracle at condition ~1e3, and
+    changes neither the reconstruction operator nor the hat matrix when w is
+    uniform: both see y_c only through (I - 1 w^T) y_c, which is orthogonal
+    to 1.
+    """
+    S = np.array(S, dtype=float)
+    cc = np.ix_(calib, calib)
+    S[cc] += np.trace(S[cc]) / len(calib) ** 2
+    return S
+
+
 def hat_matrix(S_cc: np.ndarray, lam: float, w: np.ndarray) -> np.ndarray:
     n = S_cc.shape[0]
     inv = np.linalg.inv(S_cc + lam * np.eye(n))

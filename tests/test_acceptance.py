@@ -64,17 +64,18 @@ def test_a2_operator_oracle_equivalence(capsys):
             w = px.WeightVector.zero(split.n_c)
         y_c = rng.standard_normal(split.n_c)
 
+        S_cc = S[np.ix_(split.calib_rows, split.calib_rows)]
+        system = px.ShiftedSystem(S_cc, w, y_c)
         R = oracles.reconstruction_matrix(S, lam, w.w, split.calib_rows, split.valid_rows)
-        got = px.reconstruct(S, lam, w, y_c, split)
+        got = px.reconstruct(system, S[np.ix_(split.valid_rows, split.calib_rows)], lam)
         np.testing.assert_allclose(got, R @ y_c, rtol=1e-10, atol=1e-12)
 
-        S_cc = S[np.ix_(split.calib_rows, split.calib_rows)]
         H = oracles.hat_matrix(S_cc, lam, w.w)
-        np.testing.assert_allclose(px.hat_apply(S_cc, lam, w, y_c), H @ y_c,
+        np.testing.assert_allclose(px.reconstruct(system, S_cc, lam), H @ y_c,
                                    rtol=1e-10, atol=1e-12)
 
         v_want = oracles.gcv_value(S_cc, lam, w.w, y_c)
-        v_got = px.gcv_score(S_cc, lam, w, y_c)
+        v_got = float(px.gcv_scores(system, [lam])[0])
         rel = abs(v_got - v_want) / max(v_want, 1e-300)
         worst = max(worst, rel)
         assert rel <= 1e-10
@@ -129,10 +130,10 @@ def test_a5_kriging_equivalence(capsys, target, splits):
     worst = 0.0
     for split in splits:
         krig = px.simple_kriging(phi, target, split)
-        rec = px.reconstruct(Phi, krig.lam, px.WeightVector.zero(split.n_c),
-                             target.values[split.calib_rows], split)
-        worst = max(worst, float(np.max(np.abs(krig.y_hat_v - rec))))
-        assert np.allclose(krig.y_hat_v, rec, rtol=0, atol=1e-8)
+        direct = oracles.kriging_by_inverse(Phi, krig.lam, target.values[split.calib_rows],
+                                            split.calib_rows, split.valid_rows)
+        worst = max(worst, float(np.max(np.abs(krig.y_hat_v - direct))))
+        assert np.allclose(krig.y_hat_v, direct, rtol=0, atol=1e-8)
     ok(capsys, "A5", f"operator route equals direct kriging on all 120 blocks "
        f"(worst abs diff {worst:.2e})")
 
@@ -145,7 +146,7 @@ def test_a6_gcv_optimizer_against_dense_grid(capsys):
         S_cc = oracles.gram_by_accumulation(rng.standard_normal((n, int(rng.integers(2, 7)))))
         y_c = rng.standard_normal(n) + rng.uniform(0, 2) * np.sin(np.linspace(0, 3, n))
         w = px.WeightVector.uniform(n)
-        res = minimize_gcv(S_cc, w, y_c)
+        res = minimize_gcv(px.ShiftedSystem(S_cc, w, y_c))
         # lambda is compared against every grid point tying the grid minimum:
         # under a flat bottom the grid argmin itself is an arbitrary tie-break
         cands, v_grid = oracles.dense_grid_gcv_ties(S_cc, w.w, y_c)

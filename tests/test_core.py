@@ -5,12 +5,17 @@ from hypothesis import strategies as st
 
 import oracles
 import paleoxval as px
-from paleoxval.core import ridge_predict, solve_shifted
 from paleoxval.errors import (DegenerateColumn, LengthMismatch, SingularSystem)
 
 
 def make_split(n, start, n_v):
     return px.HoldoutSplit.make(n, start, n_v)
+
+
+def reconstruct_block(S, lam, w, y_c, split):
+    """The production route: factor S_cc once, then predict the block rows."""
+    system = px.ShiftedSystem(S[np.ix_(split.calib_rows, split.calib_rows)], w, y_c)
+    return px.reconstruct(system, S[np.ix_(split.valid_rows, split.calib_rows)], lam)
 
 
 class TestTypes:
@@ -131,6 +136,17 @@ class TestStandardize:
             px.standardize(X, make_split(6, start, 5))
         assert err.value.column_ids == ("a", "b")
 
+    def test_all_columns_degenerate_message_is_short(self):
+        # p = 1138 columns with one calibration row: every id is kept on the
+        # exception, but the message names only the first ten
+        ids = tuple(f"proxy_{j:04d}" for j in range(1138))
+        X = px.ProxyMatrix(np.random.default_rng(3).standard_normal((40, 1138)), ids)
+        with pytest.raises(DegenerateColumn) as err:
+            px.standardize(X, make_split(40, 0, 39))
+        assert err.value.column_ids == ids
+        assert str(err.value) == ("zero-variance column(s) over calibration rows: "
+                                  + ", ".join(ids[:10]) + " ... and 1128 more")
+
     @pytest.mark.parametrize("start", [0, 4, 8])
     def test_column_flat_only_over_calibration_rows(self, start):
         # "step" is constant outside the holdout block and varies inside it,
@@ -205,25 +221,6 @@ class TestGramMatrix:
         assert abs(got - (split.n_c - 1) / split.n_c) < 1e-12
 
 
-class TestCenterApply:
-    def test_kills_constants(self):
-        out = px.center_apply(px.WeightVector.uniform(4), np.full(4, 3.7))
-        np.testing.assert_allclose(out, np.zeros(4), atol=1e-15)
-
-    def test_subtracts_mean(self):
-        out = px.center_apply(px.WeightVector.uniform(3), np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(out, [-1.0, 0.0, 1.0], atol=1e-15)
-
-    def test_weighted_example(self):
-        # w^T v = 0.5*4 = 2
-        out = px.center_apply(px.WeightVector([0.5, 0.25, 0.25]), np.array([4.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out, [2.0, -2.0, -2.0], atol=1e-15)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            px.center_apply(px.WeightVector.uniform(3), np.ones(4))
-
-
 class TestReconstruct:
     def test_decoupled_validation_returns_weighted_mean(self):
         split = make_split(5, 3, 2)
@@ -232,7 +229,7 @@ class TestReconstruct:
         S[3:, 3:] = np.eye(2)
         y_c = np.array([0.4, -1.0, 2.2])
         w = px.WeightVector.uniform(3)
-        out = px.reconstruct(S, 0.7, w, y_c, split)
+        out = reconstruct_block(S, 0.7, w, y_c, split)
         np.testing.assert_allclose(out, np.full(2, y_c.mean()), atol=1e-14)
 
     def test_huge_lambda_shrinks_to_intercept(self):
@@ -241,13 +238,13 @@ class TestReconstruct:
         split = make_split(6, 0, 2)
         y_c = rng.standard_normal(4)
         w = px.WeightVector.uniform(4)
-        out = px.reconstruct(S, 1e12, w, y_c, split)
+        out = reconstruct_block(S, 1e12, w, y_c, split)
         np.testing.assert_allclose(out, np.full(2, y_c.mean()), atol=1e-6)
 
     def test_small_system_hand_value(self):
         # (S_cc + 0.1 I) z = y_c solves to z = (5/3, -5/3); S_vc z = -5/12
         S = np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
-        out = px.reconstruct(S, 0.1, px.WeightVector.uniform(2),
+        out = reconstruct_block(S, 0.1, px.WeightVector.uniform(2),
                              np.array([1.0, -1.0]), make_split(3, 2, 1))
         np.testing.assert_allclose(out, [-5.0 / 12.0], rtol=1e-14)
 
@@ -263,7 +260,7 @@ class TestReconstruct:
             w = px.WeightVector(rng.dirichlet(np.ones(split.n_c)))
             y_c = rng.standard_normal(split.n_c)
             R = oracles.reconstruction_matrix(S, lam, w.w, split.calib_rows, split.valid_rows)
-            got = px.reconstruct(S, lam, w, y_c, split)
+            got = reconstruct_block(S, lam, w, y_c, split)
             np.testing.assert_allclose(got, R @ y_c, rtol=1e-10, atol=1e-12)
 
     @given(st.floats(-3, 3), st.floats(-5, 5), st.integers(0, 2**32))
@@ -273,8 +270,8 @@ class TestReconstruct:
         S = oracles.gram_by_accumulation(rng.standard_normal((7, 4)))
         y_c = rng.standard_normal(4)
         w = px.WeightVector.uniform(4)
-        base = px.reconstruct(S, 0.3, w, y_c, split)
-        shifted = px.reconstruct(S, 0.3, w, a * y_c + b, split)
+        base = reconstruct_block(S, 0.3, w, y_c, split)
+        shifted = reconstruct_block(S, 0.3, w, a * y_c + b, split)
         np.testing.assert_allclose(shifted, a * base + b, rtol=1e-9, atol=1e-9)
 
     def test_linear_in_y(self):
@@ -283,8 +280,8 @@ class TestReconstruct:
         S = oracles.gram_by_accumulation(rng.standard_normal((6, 3)))
         w = px.WeightVector.uniform(4)
         coeffs = rng.standard_normal(4)
-        combined = px.reconstruct(S, 0.5, w, coeffs, split)
-        by_basis = sum(coeffs[i] * px.reconstruct(S, 0.5, w, np.eye(4)[i], split)
+        combined = reconstruct_block(S, 0.5, w, coeffs, split)
+        by_basis = sum(coeffs[i] * reconstruct_block(S, 0.5, w, np.eye(4)[i], split)
                        for i in range(4))
         np.testing.assert_allclose(combined, by_basis, atol=1e-10)
 
@@ -293,7 +290,7 @@ class TestReconstruct:
         split = make_split(5, 3, 2)
         S = oracles.gram_by_accumulation(rng.standard_normal((5, 3)))
         y_c = rng.standard_normal(3)
-        got = px.reconstruct(S, 0.2, px.WeightVector.zero(3), y_c, split)
+        got = reconstruct_block(S, 0.2, px.WeightVector.zero(3), y_c, split)
         want = oracles.reconstruction_matrix(S, 0.2, np.zeros(3),
                                              split.calib_rows, split.valid_rows) @ y_c
         np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -302,19 +299,30 @@ class TestReconstruct:
         split = make_split(4, 2, 1)
         S_bad = np.diag([1.0, -5.0, 1.0, 1.0])   # negative entry on a calib row
         with pytest.raises(SingularSystem):
-            px.reconstruct(S_bad, 0.1, px.WeightVector.uniform(3), np.ones(3), split)
+            reconstruct_block(S_bad, 0.1, px.WeightVector.uniform(3), np.ones(3), split)
         with pytest.raises(ValueError):
-            px.reconstruct(np.eye(4), 0.0, px.WeightVector.uniform(3), np.ones(3), split)
+            reconstruct_block(np.eye(4), 0.0, px.WeightVector.uniform(3), np.ones(3), split)
+
+    def test_length_mismatch(self):
+        w = px.WeightVector.uniform(3)
+        with pytest.raises(LengthMismatch):
+            px.ShiftedSystem(np.eye(3), w, np.ones(4))
+        with pytest.raises(LengthMismatch):
+            px.ShiftedSystem(np.eye(4), w, np.ones(4))
+        with pytest.raises(LengthMismatch):
+            px.reconstruct(px.ShiftedSystem(np.eye(3), w, np.ones(3)), np.ones((2, 4)), 0.1)
 
     def test_ridge_predict_onto_calibration_matches_hat(self):
+        # predicting back onto the calibration rows of a non-contiguous row
+        # set is the hat operator
         rng = np.random.default_rng(8)
         S = oracles.gram_by_accumulation(rng.standard_normal((6, 4)))
         calib = np.array([0, 1, 3, 5])
         y_c = rng.standard_normal(4)
         w = px.WeightVector.uniform(4)
-        back = ridge_predict(S, 0.4, w, y_c, calib, calib)
-        np.testing.assert_allclose(back, px.hat_apply(S[np.ix_(calib, calib)], 0.4, w, y_c),
-                                   atol=1e-10)
+        S_cc = S[np.ix_(calib, calib)]
+        back = px.reconstruct(px.ShiftedSystem(S_cc, w, y_c), S_cc, 0.4)
+        np.testing.assert_allclose(back, oracles.hat_matrix(S_cc, 0.4, w.w) @ y_c, atol=1e-10)
 
 
 class TestRmse:
@@ -337,5 +345,7 @@ class TestRmse:
 
 
 def test_solve_shifted_raises_singular():
+    # an indefinite S_cc: S_cc + lam I is singular at lam = 9
     with pytest.raises(SingularSystem):
-        solve_shifted(np.array([[1.0, 0.0], [0.0, -9.0]]), 0.1, np.ones(2))
+        px.ShiftedSystem(np.array([[1.0, 0.0], [0.0, -9.0]]), px.WeightVector.uniform(2),
+                         np.ones(2))

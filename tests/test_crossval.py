@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +9,7 @@ import oracles
 import paleoxval as px
 from paleoxval.crossval import report_from_results
 from paleoxval.errors import BlockFailure, InvalidBlockLength
-from paleoxval.gcv import minimize_gcv
+from paleoxval.gcv import SEARCH_DOMAIN, minimize_gcv
 
 
 class TestMakeBlocks:
@@ -75,28 +77,34 @@ class TestRunBlock:
 
     def test_matches_end_to_end_oracle(self, y60):
         # brute-force recomputation of one block: loop standardization, loop
-        # Gram accumulation, explicit operator assembly at the library's lam
-        split = px.HoldoutSplit.make(60, 20, 12)
-        X = px.generate(px.NoiseSpec(kind="ar1", n=60, p=6, seed=77, phi=0.8))
-        result = px.run_block(X, y60, split)
+        # Gram accumulation, explicit operator assembly at the library's lam;
+        # AR(1) at p = 80 > n_c on block 8 selects the lower edge of the domain
+        w = px.WeightVector.uniform(48).w
+        lams = []
+        kinds = (("white", None), ("ar1", 0.8), ("brownian", None))
+        for (kind, phi), p, start in itertools.product(kinds, (6, 80), (8, 20)):
+            split = px.HoldoutSplit.make(60, start, 12)
+            X = px.generate(px.NoiseSpec(kind=kind, n=60, p=p, seed=77, phi=phi))
+            result = px.run_block(X, y60, split)
+            lams.append(result.lam)
 
-        Xs = oracles.standardize_by_loop(X.data, split.calib_rows)
-        S = oracles.gram_by_accumulation(Xs)
-        R = oracles.reconstruction_matrix(S, result.lam, px.WeightVector.uniform(split.n_c).w,
-                                          split.calib_rows, split.valid_rows)
-        want = R @ y60.values[split.calib_rows]
-        np.testing.assert_allclose(result.y_hat_v, want, rtol=1e-8, atol=1e-10)
-        assert abs(result.rmse - oracles.rmse_by_loop(result.y_hat_v,
-                                                      y60.values[split.valid_rows])) < 1e-14
+            Xs = oracles.standardize_by_loop(X.data, split.calib_rows)
+            S = oracles.lift_calibration_null(oracles.gram_by_accumulation(Xs), split.calib_rows)
+            R = oracles.reconstruction_matrix(S, result.lam, w, split.calib_rows, split.valid_rows)
+            want = R @ y60.values[split.calib_rows]
+            np.testing.assert_allclose(result.y_hat_v, want, rtol=1e-8, atol=1e-10)
+            assert abs(result.rmse - oracles.rmse_by_loop(result.y_hat_v,
+                                                          y60.values[split.valid_rows])) < 1e-14
+        assert SEARCH_DOMAIN[0] in lams
 
     def test_lambda_comes_from_gcv_on_calibration_gram(self, y60):
         split = px.HoldoutSplit.make(60, 0, 12)
         X = px.generate(px.NoiseSpec(kind="white", n=60, p=10, seed=3))
         result = px.run_block(X, y60, split)
         S = px.gram_matrix(px.standardize(X, split))
-        sel = minimize_gcv(S[np.ix_(split.calib_rows, split.calib_rows)],
-                           px.WeightVector.uniform(split.n_c),
-                           y60.values[split.calib_rows])
+        sel = minimize_gcv(px.ShiftedSystem(S[np.ix_(split.calib_rows, split.calib_rows)],
+                                            px.WeightVector.uniform(split.n_c),
+                                            y60.values[split.calib_rows]))
         assert result.lam == sel.lambda_min
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import oracles
 import paleoxval as px
 from paleoxval.errors import DegenerateTrace
-from paleoxval.gcv import SEARCH_DOMAIN, GcvEvaluator, minimize_gcv
+from paleoxval.gcv import SEARCH_DOMAIN, minimize_gcv
 
 E4 = px.WeightVector.uniform(4)
 
@@ -20,20 +20,33 @@ def random_instance(seed, n_max=8):
     return S_cc, px.WeightVector.uniform(n), y_c
 
 
+def hat_apply(S_cc, lam, w, y_c):
+    """H(lam) y_c through the production route: reconstruct with S_vc = S_cc."""
+    return px.reconstruct(px.ShiftedSystem(S_cc, w, y_c), S_cc, lam)
+
+
+def gcv_score(S_cc, lam, w, y_c):
+    return float(px.gcv_scores(px.ShiftedSystem(S_cc, w, y_c), [lam])[0])
+
+
+def search(S_cc, w, y_c, **kwargs):
+    return minimize_gcv(px.ShiftedSystem(S_cc, w, y_c), **kwargs)
+
+
 class TestHatApply:
     def test_huge_lambda_shrinks_to_intercept(self):
         rng = np.random.default_rng(0)
         S = oracles.gram_by_accumulation(rng.standard_normal((5, 3)))
         y = rng.standard_normal(5)
         w = px.WeightVector.uniform(5)
-        np.testing.assert_allclose(px.hat_apply(S, 1e12, w, y),
+        np.testing.assert_allclose(hat_apply(S, 1e12, w, y),
                                    np.full(5, y.mean()), atol=1e-6)
 
     def test_identity_gram_closed_form(self):
         # H = (1/(1+lam))(I - 1 e^T) + 1 e^T on a centered y
         lam = 0.5
         y = np.array([1.0, -1.0])
-        out = px.hat_apply(np.eye(2), lam, px.WeightVector.uniform(2), y)
+        out = hat_apply(np.eye(2), lam, px.WeightVector.uniform(2), y)
         np.testing.assert_allclose(out, [1 / (1 + lam), -1 / (1 + lam)], rtol=1e-14)
 
     def test_matches_assembly_oracle(self):
@@ -42,7 +55,7 @@ class TestHatApply:
         y = rng.standard_normal(3)
         w = px.WeightVector(rng.dirichlet(np.ones(3)))
         H = oracles.hat_matrix(S, 0.7, w.w)
-        np.testing.assert_allclose(px.hat_apply(S, 0.7, w, y), H @ y, rtol=1e-12)
+        np.testing.assert_allclose(hat_apply(S, 0.7, w, y), H @ y, rtol=1e-12)
 
 
 class TestGcvScore:
@@ -51,12 +64,12 @@ class TestGcvScore:
         y = np.array([1.0, -1.0, 2.0, -2.0])
         expected = 4 * 10.0 / 9.0
         for lam in (1e-3, 1.0, 1e5):
-            assert abs(px.gcv_score(np.eye(4), lam, E4, y) - expected) < 1e-9 * expected
+            assert abs(gcv_score(np.eye(4), lam, E4, y) - expected) < 1e-9 * expected
 
     def test_constant_target_scores_zero(self):
         y = np.full(5, 3.3)
         for lam in (1e-6, 1.0, 1e6):
-            v = px.gcv_score(np.eye(5) * 0.7, lam, px.WeightVector.uniform(5), y)
+            v = gcv_score(np.eye(5) * 0.7, lam, px.WeightVector.uniform(5), y)
             assert v < 1e-28
 
     def test_matches_assembly_oracle(self):
@@ -66,7 +79,7 @@ class TestGcvScore:
         w = px.WeightVector.uniform(6)
         for lam in (1e-3, 0.3, 50.0):
             want = oracles.gcv_value(S, lam, w.w, y)
-            assert abs(px.gcv_score(S, lam, w, y) - want) <= 1e-10 * want
+            assert abs(gcv_score(S, lam, w, y) - want) <= 1e-10 * want
 
     def test_zero_weight_matches_oracle(self):
         rng = np.random.default_rng(3)
@@ -75,27 +88,35 @@ class TestGcvScore:
         w0 = px.WeightVector.zero(5)
         for lam in (1e-2, 1.0):
             want = oracles.gcv_value(S, lam, np.zeros(5), y)
-            assert abs(px.gcv_score(S, lam, w0, y) - want) <= 1e-10 * want
+            assert abs(gcv_score(S, lam, w0, y) - want) <= 1e-10 * want
 
     def test_degenerate_trace_raises(self):
         # enormous eigenvalues push tr(I - H) to zero at tiny lam
         with pytest.raises(DegenerateTrace):
-            px.gcv_score(1e12 * np.eye(4), 1e-8, E4, np.array([1.0, -1.0, 2.0, 0.0]))
+            gcv_score(1e12 * np.eye(4), 1e-8, E4, np.array([1.0, -1.0, 2.0, 0.0]))
 
     @given(st.integers(0, 2**32))
     def test_nonnegative_and_finite_across_domain(self, seed):
         S_cc, w, y_c = random_instance(seed)
-        ev = GcvEvaluator(S_cc, w, y_c)
-        for lam in np.geomspace(*SEARCH_DOMAIN, 40):
-            v = ev(lam)
-            assert np.isfinite(v) and v >= 0.0
+        v = px.gcv_scores(px.ShiftedSystem(S_cc, w, y_c), np.geomspace(*SEARCH_DOMAIN, 40))
+        assert np.all(np.isfinite(v)) and np.all(v >= 0.0)
+
+    def test_vector_and_single_scores_agree(self):
+        # minimize_gcv scores its grid in one call and refines one lam at a time
+        S_cc, w, y_c = random_instance(7)
+        system = px.ShiftedSystem(S_cc, w, y_c)
+        lams = np.geomspace(*SEARCH_DOMAIN, 25)
+        one_by_one = [px.gcv_scores(system, [lam])[0] for lam in lams]
+        np.testing.assert_allclose(px.gcv_scores(system, lams), one_by_one, rtol=1e-14)
 
     def test_evaluator_agrees_with_score(self):
+        # the vectorised scores against the dense-assembly oracle, one lam at a time
         S_cc, w, y_c = random_instance(123)
-        ev = GcvEvaluator(S_cc, w, y_c)
-        for lam in np.geomspace(1e-6, 1e6, 13):
-            direct = px.gcv_score(S_cc, lam, w, y_c)
-            assert abs(ev(lam) - direct) <= 1e-9 * direct
+        lams = np.geomspace(1e-6, 1e6, 13)
+        scores = px.gcv_scores(px.ShiftedSystem(S_cc, w, y_c), lams)
+        for lam, v in zip(lams, scores):
+            direct = oracles.gcv_value(S_cc, lam, w.w, y_c)
+            assert abs(v - direct) <= 1e-9 * direct
 
 
 class TestMinimizeGcv:
@@ -103,7 +124,7 @@ class TestMinimizeGcv:
         hits = 0
         for seed in range(8):
             S_cc, w, y_c = random_instance(seed)
-            res = minimize_gcv(S_cc, w, y_c)
+            res = search(S_cc, w, y_c)
             lam_star, v_star = oracles.dense_grid_gcv_min(S_cc, w.w, y_c)
             assert abs(res.lambda_min - lam_star) <= 0.01 * lam_star
             assert res.score <= v_star * (1 + 1e-3)
@@ -115,25 +136,25 @@ class TestMinimizeGcv:
         rng = np.random.default_rng(2)
         S_cc = oracles.gram_by_accumulation(rng.standard_normal((6, 4)))
         y_c = rng.standard_normal(6)
-        res = minimize_gcv(S_cc, px.WeightVector.uniform(6), y_c)
+        res = search(S_cc, px.WeightVector.uniform(6), y_c)
         assert res.at_boundary
         assert res.lambda_min == SEARCH_DOMAIN[1]
 
     def test_flat_objective_flag(self):
-        res = minimize_gcv(np.eye(4) * 0.3, E4, np.full(4, 2.0))
+        res = search(np.eye(4) * 0.3, E4, np.full(4, 2.0))
         assert res.flat
         assert res.lambda_min == SEARCH_DOMAIN[1]
         assert res.bracket == SEARCH_DOMAIN
 
     def test_deterministic(self):
         S_cc, w, y_c = random_instance(77)
-        assert minimize_gcv(S_cc, w, y_c) == minimize_gcv(S_cc, w, y_c)
+        assert search(S_cc, w, y_c) == search(S_cc, w, y_c)
 
     def test_result_is_min_over_own_evaluations(self):
         for seed in (5, 21, 100):
             S_cc, w, y_c = random_instance(seed)
             tr = []
-            res = minimize_gcv(S_cc, w, y_c, trace=tr)
+            res = search(S_cc, w, y_c, trace=tr)
             assert len(tr) == res.n_evals
             assert all(res.score <= v for _, v in tr)
             lo, hi = res.bracket
@@ -142,12 +163,13 @@ class TestMinimizeGcv:
     def test_scaling_target_by_power_of_two(self):
         # V scales exactly by a^2 for a = 4, so the search path is identical
         S_cc, w, y_c = random_instance(8)
-        res1 = minimize_gcv(S_cc, w, y_c)
-        res4 = minimize_gcv(S_cc, w, 4.0 * y_c)
+        res1 = search(S_cc, w, y_c)
+        res4 = search(S_cc, w, 4.0 * y_c)
         assert res4.lambda_min == res1.lambda_min
         assert res4.score == 16.0 * res1.score
 
     def test_agrees_with_run_through_gcv_score(self):
         S_cc, w, y_c = random_instance(42)
-        res = minimize_gcv(S_cc, w, y_c)
-        assert abs(px.gcv_score(S_cc, res.lambda_min, w, y_c) - res.score) <= 1e-8 * res.score
+        res = search(S_cc, w, y_c)
+        want = oracles.gcv_value(S_cc, res.lambda_min, w.w, y_c)
+        assert abs(want - res.score) <= 1e-8 * res.score

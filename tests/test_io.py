@@ -172,6 +172,12 @@ class TestConfig:
         {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "p_ladder": [100, 1.5]},
         {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "limit_repeats": 2.5},
         {"target": "t.csv", "proxy_source": {"noise": {"kind": "white", "p": 1.5}}},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "center_target": "false"},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "drop_degenerate": "no"},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "drop_degenerate": 1},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "phi_list": ["0.5"]},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "phi_list": [True]},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "phi_list": 0.5},
     ])
     def test_invalid_configs(self, tmp_path, body):
         f = tmp_path / "c.json"

@@ -159,14 +159,18 @@ class TestSimpleKriging:
         assert np.array_equal(a.y_hat_v, b.y_hat_v)
 
     def test_operator_route_reproduces_kriging(self, y60, splits60):
-        # intercept-free, unstandardized limit pipeline with exact Phi equals
-        # the direct kriging formula on every block
+        # the intercept-free, unstandardized operator route with exact Phi
+        # equals the direct kriging formula on every block
         Phi = px.ar1_covariance(60, 0.99)
         for split in splits60[::6]:
             krig = px.simple_kriging(0.99, y60, split)
-            rec = px.reconstruct(Phi, krig.lam, px.WeightVector.zero(split.n_c),
-                                 y60.values[split.calib_rows], split)
-            np.testing.assert_allclose(krig.y_hat_v, rec, rtol=0, atol=1e-8)
+            direct = oracles.kriging_by_inverse(Phi, krig.lam, y60.values[split.calib_rows],
+                                                split.calib_rows, split.valid_rows)
+            np.testing.assert_allclose(krig.y_hat_v, direct, rtol=0, atol=1e-8)
+
+    def test_fixed_zero_nugget_rejected(self):
+        with pytest.raises(ValueError):
+            px.KrigingSpec(phi=0.9, nugget=0.0, source="fixed")
 
     def test_phi_mismatch_rejected(self, y60):
         split = px.HoldoutSplit.make(60, 0, 12)
