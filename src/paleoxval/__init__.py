@@ -7,12 +7,11 @@ from .core import (HoldoutSplit, ProxyMatrix, ReconstructionResult,
                    ShiftedSystem, StandardizedMatrix, TimeSeries, WeightVector,
                    gram_matrix, reconstruct, rmse, standardize)
 from .crossval import (EnsembleReport, ExperimentReport, make_blocks, run_block,
-                       run_ensemble, run_experiment)
+                       run_curve, run_ensemble, run_experiment)
 from .gcv import GcvResult, gcv_scores, minimize_gcv
 from .limit import (KrigingSpec, PsiEstimate, PsiEstimator, estimate_psi,
-                    kriging_curve, limit_curve, limit_reconstruction,
-                    rms_difference, rms_difference_values, semivariogram,
-                    simple_kriging)
+                    kriging_curve, limit_curve, rms_difference,
+                    rms_difference_values, semivariogram, simple_kriging)
 from .noise import NoiseSpec, ar1_covariance, generate, smooth_target
 
 __all__ = [
@@ -23,8 +22,8 @@ __all__ = [
     "GcvResult", "gcv_scores", "minimize_gcv",
     "NoiseSpec", "generate", "ar1_covariance", "smooth_target",
     "ExperimentReport", "EnsembleReport", "make_blocks",
-    "run_block", "run_experiment", "run_ensemble",
+    "run_block", "run_curve", "run_experiment", "run_ensemble",
     "PsiEstimate", "PsiEstimator", "KrigingSpec", "estimate_psi",
-    "limit_reconstruction", "limit_curve", "simple_kriging", "kriging_curve",
+    "limit_curve", "simple_kriging", "kriging_curve",
     "semivariogram", "rms_difference", "rms_difference_values",
 ]

@@ -136,8 +136,9 @@ def cmd_figure2(config: io.ExperimentConfig) -> int:
                                      seed=config.seed + SEED_STRIDE * (2 + i), phi=phi),
                            y, splits, m, mode=config.mode)
         lim_rep, lim_res = limit_curve(phi, y, splits, P=config.psi_mc_columns,
-                                       seed=config.seed + SEED_STRIDE * (100 + i))
-        krig_rep, krig_res = kriging_curve(phi, y, splits)
+                                       seed=config.seed + SEED_STRIDE * (100 + i),
+                                       mode=config.mode)
+        krig_rep, krig_res = kriging_curve(phi, y, splits, mode=config.mode)
         per_phi.append((phi, ens, lim_rep, krig_rep))
         outputs += io.write_report(ens, out_dir, years=y.years)
         outputs += io.write_report(lim_rep, out_dir, years=y.years)
@@ -208,7 +209,7 @@ def cmd_limit(config: io.ExperimentConfig) -> int:
     print(f"{'phi':>6s} {'p':>8s} {'median RMS diff to limit':>26s} {'mean member scatter':>20s}")
     for i, phi in enumerate(config.phi_list):
         lim_rep, _ = limit_curve(phi, y, splits, P=config.psi_mc_columns,
-                                 seed=config.seed + SEED_STRIDE * (100 + i))
+                                 seed=config.seed + SEED_STRIDE * (100 + i), mode=config.mode)
         outputs += io.write_report(lim_rep, out_dir, years=y.years)
         for k, p in enumerate(config.p_ladder):
             ens = run_ensemble(

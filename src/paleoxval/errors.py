@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules; errors with fields unpickle intact."""
 
 
 class PaleoXvalError(Exception):
@@ -18,6 +18,9 @@ class DegenerateColumn(PaleoXvalError):
         super().__init__("zero-variance column(s) over calibration rows: "
                          + ", ".join(self.column_ids[:10])
                          + (f" ... and {more} more" if more > 0 else ""))
+
+    def __reduce__(self):
+        return type(self), (self.column_ids,)
 
 
 class LengthMismatch(PaleoXvalError):
@@ -48,6 +51,9 @@ class BlockFailure(PaleoXvalError):
         self.cause = cause
         super().__init__(f"block at start {block_start} failed: {cause}")
 
+    def __reduce__(self):
+        return type(self), (self.block_start, self.cause)
+
 
 class ParseError(PaleoXvalError):
     """A CSV file is malformed."""
@@ -55,7 +61,11 @@ class ParseError(PaleoXvalError):
     def __init__(self, path, line_no, message):
         self.path = str(path)
         self.line_no = line_no
+        self.message = message
         super().__init__(f"{path}:{line_no}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.path, self.line_no, self.message)
 
 
 class NonAnnualYears(PaleoXvalError):

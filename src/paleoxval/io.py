@@ -58,8 +58,9 @@ class NoiseSource:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown noise kind {self.kind!r}; expected one of {KINDS}")
         if self.kind == "ar1":
-            if self.phi is None or not 0.0 <= self.phi < 1.0:
-                raise ConfigError("ar1 noise requires 0 <= phi < 1")
+            if (isinstance(self.phi, bool) or not isinstance(self.phi, numbers.Real)
+                    or not 0.0 <= self.phi < 1.0):
+                raise ConfigError(f"ar1 noise requires a number 0 <= phi < 1, got {self.phi!r}")
         elif self.phi is not None:
             raise ConfigError(f"phi is only meaningful for ar1 noise, not {self.kind!r}")
         if self.p is not None:
@@ -147,11 +148,7 @@ def config_from_dict(obj: dict, base_dir: Path | None = None) -> ExperimentConfi
         raise ConfigError("config needs a 'proxy_source' ({'file': ...} or {'noise': ...})")
     if not isinstance(source_obj, dict) or len(source_obj) != 1:
         raise ConfigError("proxy_source must be exactly one of {'file': ...} or {'noise': ...}")
-    if "file" in source_obj:
-        source: FileSource | NoiseSource = FileSource(path=resolve(source_obj["file"]))
-    elif "noise" in source_obj:
-        source = _noise_source_from_dict(source_obj["noise"])
-    else:
+    if not {"file", "noise"} & set(source_obj):
         raise ConfigError("proxy_source must be {'file': ...} or {'noise': ...}")
 
     known = {"target", "proxy_source", "noise_experiments", "n_v", "ensemble_size",
@@ -166,6 +163,8 @@ def config_from_dict(obj: dict, base_dir: Path | None = None) -> ExperimentConfi
                                   "limit_repeats", "mode", "drop_degenerate",
                                   "center_target") if k in obj}
     try:
+        source = (FileSource(path=resolve(source_obj["file"])) if "file" in source_obj
+                  else _noise_source_from_dict(source_obj["noise"]))
         return ExperimentConfig(
             target_path=resolve(obj["target"]),
             proxy_source=source,

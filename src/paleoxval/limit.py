@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import (HoldoutSplit, ReconstructionResult, ShiftedSystem, TimeSeries,
                    WeightVector, _frozen_array, _standardize_calib, reconstruct, rmse)
-from .crossval import ExperimentReport, report_from_results, reconstruct_with_gcv
+from .crossval import ExperimentReport, reconstruct_with_gcv, run_curve
 from .errors import BlockMismatch
 from .noise import NoiseSpec, ar1_covariance, generate
 
@@ -123,20 +123,17 @@ def estimate_psi(phi: float, split: HoldoutSplit, P: int, seed: int) -> PsiEstim
     return PsiEstimator(phi, split.n, P, seed).estimate(split)
 
 
-def limit_reconstruction(psi: PsiEstimate, y: TimeSeries) -> ReconstructionResult:
-    """Reconstruction driven by Psi instead of a finite-p Gram matrix."""
-    result, _ = reconstruct_with_gcv(psi.psi, y, psi.split)
-    return result
-
-
 def limit_curve(phi: float, y: TimeSeries, splits: Sequence[HoldoutSplit],
-                P: int, seed: int) -> tuple[ExperimentReport, list[ReconstructionResult]]:
+                P: int, seed: int, *, mode: str = "strict",
+                ) -> tuple[ExperimentReport, list[ReconstructionResult]]:
     """Limit reconstruction over every split, sharing one raw column pool."""
     if P < 1000:
         raise ValueError("P below 1000 gives a uselessly noisy Psi; raise it")
     estimator = PsiEstimator(phi, y.n, P, seed)
-    results = [limit_reconstruction(estimator.estimate(split), y) for split in splits]
-    return report_from_results(f"limit_ar1_{phi:g}", results), results
+
+    def block(split: HoldoutSplit) -> ReconstructionResult:
+        return reconstruct_with_gcv(estimator.estimate(split).psi, y, split)[0]
+    return run_curve(f"limit_ar1_{phi:g}", block, splits, mode=mode)
 
 
 def simple_kriging(phi: float, y: TimeSeries, split: HoldoutSplit,
@@ -170,11 +167,11 @@ def simple_kriging(phi: float, y: TimeSeries, split: HoldoutSplit,
 
 
 def kriging_curve(phi: float, y: TimeSeries, splits: Sequence[HoldoutSplit],
-                  spec: KrigingSpec | None = None,
+                  spec: KrigingSpec | None = None, *, mode: str = "strict",
                   ) -> tuple[ExperimentReport, list[ReconstructionResult]]:
     """simple_kriging over every split (nugget re-selected per split)."""
-    results = [simple_kriging(phi, y, split, spec) for split in splits]
-    return report_from_results(f"kriging_ar1_{phi:g}", results), results
+    return run_curve(f"kriging_ar1_{phi:g}", lambda split: simple_kriging(phi, y, split, spec),
+                     splits, mode=mode)
 
 
 def semivariogram(tau, phi: float, nugget: float):

@@ -13,8 +13,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.signal import lfilter
 
 from .core import ProxyMatrix, TimeSeries
 
@@ -74,7 +72,9 @@ def generate(spec: NoiseSpec) -> ProxyMatrix:
         data = z
     elif spec.kind == "ar1":
         z[1:] *= math.sqrt(1.0 - spec.phi**2)
-        data = lfilter([1.0], [1.0, -spec.phi], z, axis=0)
+        for t in range(1, spec.n):
+            z[t] += spec.phi * z[t - 1]
+        data = z
     else:
         data = np.cumsum(z, axis=0)
     ids = tuple(f"{spec.label}_{j:05d}" for j in range(spec.p))
@@ -90,7 +90,8 @@ def ar1_covariance(n: int, phi: float) -> np.ndarray:
         raise ValueError("n must be positive")
     if not 0.0 <= phi < 1.0:
         raise ValueError("phi must be in [0, 1)")
-    return scipy.linalg.toeplitz(phi ** np.arange(n, dtype=np.float64))
+    lags = np.arange(n)
+    return (phi ** lags.astype(np.float64))[np.abs(lags[:, None] - lags[None, :])]
 
 
 def smooth_target(n: int, seed: int, *, phi: float = 0.95, window: int = 11,

@@ -198,6 +198,13 @@ class TestOverridesAndErrors:
         assert main(["crossval", "--config", str(config)]) == 1
         assert capsys.readouterr().err.startswith("error: center_target must be true or false")
 
+    def test_string_phi_in_config_is_an_error(self, tmp_path, y60, capsys):
+        target = pio.save_target(y60, tmp_path / "t.csv")
+        config = write_config(tmp_path / "c.json", target,
+                              proxy_source={"noise": {"kind": "ar1", "phi": "0.9"}})
+        assert main(["crossval", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("error: ar1 noise requires a number")
+
     def test_single_calibration_row_is_an_error(self, small_config, capsys):
         # n_v = n - 1 leaves one calibration row, whose sample std is undefined
         assert main(["crossval", "--config", str(small_config), "--nv", "59"]) == 1

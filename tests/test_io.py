@@ -178,6 +178,11 @@ class TestConfig:
         {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "phi_list": ["0.5"]},
         {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "phi_list": [True]},
         {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "phi_list": 0.5},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "ar1", "phi": "0.9"}}},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "ar1", "phi": False}}},
+        {"target": "t.csv", "proxy_source": {"file": 7}},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}},
+         "noise_experiments": [{"kind": "ar1", "phi": "0.9"}]},
     ])
     def test_invalid_configs(self, tmp_path, body):
         f = tmp_path / "c.json"

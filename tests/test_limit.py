@@ -5,7 +5,13 @@ import oracles
 import paleoxval as px
 from paleoxval.errors import BlockMismatch, LengthMismatch
 from paleoxval import limit
+from paleoxval.crossval import reconstruct_with_gcv
 from paleoxval.limit import PsiEstimator
+
+
+def limit_reconstruction(psi, y):
+    """Reconstruction driven by Psi instead of a finite-p Gram matrix."""
+    return reconstruct_with_gcv(psi.psi, y, psi.split)[0]
 
 
 @pytest.fixture(scope="module")
@@ -104,15 +110,15 @@ class TestLimitReconstruction:
         split = px.HoldoutSplit.make(60, 30, 12)
         est = px.PsiEstimate(psi=np.eye(60), n_columns=10_000, phi=0.0, split=split,
                              half_split_rms_diff=0.0)
-        out = px.limit_reconstruction(est, y60)
+        out = limit_reconstruction(est, y60)
         c = y60.values[split.calib_rows].mean()
         np.testing.assert_allclose(out.y_hat_v, np.full(12, c), atol=1e-12)
 
     def test_repeatable(self, y60):
         split = px.HoldoutSplit.make(60, 10, 12)
         est = px.estimate_psi(0.9, split, 5000, seed=12)
-        a = px.limit_reconstruction(est, y60)
-        b = px.limit_reconstruction(est, y60)
+        a = limit_reconstruction(est, y60)
+        b = limit_reconstruction(est, y60)
         assert np.array_equal(a.y_hat_v, b.y_hat_v)
         assert a.lam == b.lam and a.rmse == b.rmse
 
@@ -123,7 +129,7 @@ class TestLimitReconstruction:
         X = px.generate(px.NoiseSpec(kind="ar1", n=60, p=100_000, seed=250, phi=0.99))
         for split in splits60[::12]:
             direct = px.run_block(X, y60, split)
-            lim = px.limit_reconstruction(estimator.estimate(split), y60)
+            lim = limit_reconstruction(estimator.estimate(split), y60)
             assert abs(direct.rmse - lim.rmse) < 0.05 * lim.rmse
 
 
@@ -256,7 +262,7 @@ class TestCurves:
         report, results = px.limit_curve(0.9, y60, some, P=2000, seed=5)
         assert report.n_blocks == 4
         est = PsiEstimator(0.9, 60, 2000, seed=5)
-        direct = px.limit_reconstruction(est.estimate(some[2]), y60)
+        direct = limit_reconstruction(est.estimate(some[2]), y60)
         assert report.block_rmse[2] == direct.rmse
         assert np.array_equal(results[2].y_hat_v, direct.y_hat_v)
 

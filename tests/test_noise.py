@@ -71,6 +71,16 @@ class TestGenerate:
                 x[t] = 0.8 * x[t - 1] + s * z[t, j]
             np.testing.assert_allclose(X[:, j], x, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("phi", [0.0, 0.5, 0.99])
+    def test_ar1_bit_identical_to_lfilter(self, phi):
+        # the row recursion replaced scipy.signal.lfilter; same arithmetic, same bits
+        signal = pytest.importorskip("scipy.signal")
+        z = px.noise.column_normals(3, 149, 50)
+        z[1:] *= np.sqrt(1 - phi**2)
+        want = signal.lfilter([1.0], [1.0, -phi], z, axis=0)
+        got = px.generate(px.NoiseSpec(kind="ar1", n=149, p=50, seed=3, phi=phi)).data
+        assert np.array_equal(got, want)
+
     def test_brownian_variance_grows_linearly(self):
         X = px.generate(px.NoiseSpec(kind="brownian", n=100, p=5000, seed=5))
         var_t = X.data.var(axis=1)
@@ -114,6 +124,12 @@ class TestAr1Covariance:
             band = np.diagonal(C, offset=k)
             assert np.all(band == band[0])
         assert np.array_equal(C, C.T)
+
+    @pytest.mark.parametrize("n, phi", [(1, 0.5), (7, 0.0), (149, 0.99)])
+    def test_bit_identical_to_scipy_toeplitz(self, n, phi):
+        linalg = pytest.importorskip("scipy.linalg")
+        want = linalg.toeplitz(phi ** np.arange(n, dtype=np.float64))
+        assert np.array_equal(px.ar1_covariance(n, phi), want)
 
     def test_positive_definite_at_high_phi(self):
         eigs = np.linalg.eigvalsh(px.ar1_covariance(50, 0.99))

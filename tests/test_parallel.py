@@ -1,0 +1,236 @@
+"""The block runner's process pool: outputs, log lines and errors must not
+depend on the worker count, typed errors must cross the process boundary,
+and no worker may outlive a run. The pool has one process per CPU in
+``os.sched_getaffinity``, so the tests set the worker count through it."""
+
+import logging
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import paleoxval as px
+from paleoxval import crossval, errors
+from paleoxval import io as pio
+from paleoxval.cli import main
+from conftest import write_config
+
+SRC = str(Path(px.__file__).resolve().parents[1])
+
+# constructor arguments for the error classes that carry their own fields
+ERROR_ARGS = {
+    errors.DegenerateColumn: ([f"col{j}" for j in range(12)],),
+    errors.BlockFailure: (17, errors.SingularSystem("indefinite S_cc")),
+    errors.ParseError: ("proxies.csv", 4, "expected 3 fields"),
+}
+
+
+def all_error_classes():
+    out, todo = [], [errors.PaleoXvalError]
+    while todo:
+        cls = todo.pop()
+        out.append(cls)
+        todo += cls.__subclasses__()
+    return out
+
+
+def fields(exc) -> dict:
+    return {k: (type(v), str(v)) if isinstance(v, Exception) else v
+            for k, v in vars(exc).items()}
+
+
+def run_python(code: str, timeout: float = 120, env: dict | None = None) -> str:
+    env = {**os.environ, **(env or {}),
+           "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(k) makes the block runner see k usable CPUs, hence run k workers."""
+    return lambda k: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)),
+                                         raising=False)
+
+
+def one_degenerate_block(n: int, start: int, n_v: int, p: int = 5, seed: int = 3):
+    """AR(1) proxies whose first column is zero outside block ``start``, so
+    exactly the split starting there sees a flat calibration column."""
+    X = px.generate(px.NoiseSpec(kind="ar1", n=n, p=p, seed=seed, phi=0.8))
+    data = X.data.copy()
+    data[:, 0] = 0.0
+    data[start:start + n_v, 0] = np.arange(1.0, n_v + 1)
+    return px.ProxyMatrix(data, X.column_ids)
+
+
+class TestErrorsPickle:
+    @pytest.mark.parametrize("cls", all_error_classes(), ids=lambda c: c.__name__)
+    def test_round_trip(self, cls):
+        exc = cls(*ERROR_ARGS.get(cls, ("something went wrong",)))
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc)
+        assert fields(back) == fields(exc)
+
+    def test_fielded_classes_are_covered(self):
+        fielded = {cls for cls in all_error_classes()
+                   if cls.__init__ is not errors.PaleoXvalError.__init__}
+        assert fielded == set(ERROR_ARGS)
+
+
+class TestRunCurve:
+    def test_strict_failure_is_the_same_for_any_worker_count(self, tmp_path):
+        np.save(tmp_path / "x.npy", one_degenerate_block(60, 30, 12).data)
+        # in a child interpreter, so a pool that never returns fails the test
+        out = run_python(
+            "import os, numpy as np, paleoxval as px\n"
+            f"data = np.load({str(tmp_path / 'x.npy')!r})\n"
+            "X = px.ProxyMatrix(data, [f'c{j}' for j in range(data.shape[1])])\n"
+            "y = px.smooth_target(60, seed=21)\n"
+            "for w in (1, 2):\n"
+            "    os.sched_getaffinity = lambda pid: set(range(w))\n"
+            "    try:\n"
+            "        px.run_experiment(X, y, px.make_blocks(60, 12))\n"
+            "    except px.errors.BlockFailure as exc:\n"
+            "        print(w, exc.block_start, type(exc.cause).__name__, exc)\n")
+        lines = out.strip().splitlines()
+        assert len(lines) == 2
+        assert lines[0].split(" ", 1)[1] == lines[1].split(" ", 1)[1]
+        assert lines[0].split()[1:3] == ["30", "DegenerateColumn"]
+
+    def test_permissive_drops_and_logs_in_block_order(self, y60, splits60, caplog, cpus):
+        X = one_degenerate_block(60, 20, 12)
+        reports, logs = [], []
+        for w in (1, 2):
+            cpus(w)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="paleoxval"):
+                reports.append(px.run_experiment(X, y60, splits60, mode="permissive"))
+            logs.append([r.getMessage() for r in caplog.records])
+            assert multiprocessing.active_children() == []
+        assert logs[0] == logs[1] and len(logs[0]) == 1
+        assert logs[0][0].startswith("dropping block 20 (experiment)")
+        assert np.array_equal(reports[0].block_rmse, reports[1].block_rmse, equal_nan=True)
+        assert np.isnan(reports[1].block_rmse[20]) and np.isfinite(reports[1].mean_rmse)
+
+    def test_flat_gcv_lines_reach_the_parent_once_in_block_order(self):
+        # the workers log inside reconstruct_with_gcv; the parent must replay
+        # each line once, and no worker may print its own copy
+        out = run_python(
+            "import logging, os, sys, numpy as np, paleoxval as px\n"
+            "logging.basicConfig(stream=sys.stdout, format='%(name)s %(message)s')\n"
+            "y = px.TimeSeries(years=1900 + np.arange(60), values=np.full(60, 0.3))\n"
+            "X = px.generate(px.NoiseSpec(kind='white', n=60, p=8, seed=4))\n"
+            "for w in (1, 3):\n"
+            "    os.sched_getaffinity = lambda pid: set(range(w))\n"
+            "    px.run_experiment(X, y, px.make_blocks(60, 12))\n"
+            "    print('end', w, flush=True)\n")
+        one, three = out.split("end 1\n")
+        assert three.endswith("end 3\n") and one == three[:-len("end 3\n")]
+        lines = one.splitlines()
+        assert [m.split()[0] for m in lines] == ["paleoxval.crossval"] * 49
+        assert [m.split()[6] for m in lines] == [f"{start};" for start in range(49)]
+
+    @pytest.mark.parametrize("curve", ["limit", "kriging"])
+    def test_limit_and_kriging_results_identical(self, y60, splits60, curve, cpus):
+        def run(w):
+            cpus(w)
+            if curve == "limit":
+                return px.limit_curve(0.9, y60, splits60, P=2000, seed=5)
+            return px.kriging_curve(0.9, y60, splits60)
+        (rep1, res1), (rep2, res2) = run(1), run(2)
+        assert np.array_equal(rep1.block_rmse, rep2.block_rmse)
+        assert np.array_equal(rep1.per_block_lambda, rep2.per_block_lambda)
+        for a, b, split in zip(res1, res2, splits60):
+            assert np.array_equal(a.y_hat_v, b.y_hat_v)
+            assert b.split is split and not b.y_hat_v.flags.writeable
+
+    def test_fixed_nugget_kriging_curve(self, y60, splits60, cpus):
+        cpus(2)
+        spec = px.KrigingSpec(phi=0.9, nugget=0.1, source="fixed")
+        report, results = px.kriging_curve(0.9, y60, splits60[:4], spec)
+        assert np.array_equal(report.per_block_lambda, np.full(4, 0.1))
+        for split, result in zip(splits60[:4], results):
+            assert np.array_equal(result.y_hat_v,
+                                  px.simple_kriging(0.9, y60, split, spec).y_hat_v)
+
+    def test_pool_size_is_capped(self, y60, splits60, cpus, monkeypatch):
+        sizes, real = [], crossval.ProcessPoolExecutor
+        monkeypatch.setattr(crossval, "ProcessPoolExecutor",
+                            lambda n, *args: sizes.append(n) or real(n, *args))
+        for k, splits in ((64, splits60), (3, splits60[:2]), (1, splits60)):
+            cpus(k)
+            px.kriging_curve(0.9, y60, splits)
+        assert sizes == [crossval.MAX_WORKERS, 2]
+
+
+def test_worker_start_pins_openblas_to_one_thread():
+    out = run_python(
+        "import ctypes, numpy\n"
+        "from paleoxval import crossval\n"
+        "paths = [l.split()[-1] for l in open('/proc/self/maps') if 'openblas' in l]\n"
+        "lib = ctypes.CDLL(paths[0]) if paths else None\n"
+        "names = ('openblas_get_num_threads', 'openblas_get_num_threads64_',\n"
+        "         'scipy_openblas_get_num_threads', 'scipy_openblas_get_num_threads64_')\n"
+        "get = next((getattr(lib, n) for n in names if hasattr(lib, n)), None)\n"
+        "if get is None:\n"
+        "    print('no openblas')\n"
+        "else:\n"
+        "    before = get()\n"
+        "    crossval._adopt(None)\n"
+        "    print(before, get())\n",
+        env={"OPENBLAS_NUM_THREADS": "2"})
+    if out.strip() == "no openblas":
+        pytest.skip("numpy is not linked against OpenBLAS")
+    assert out.split() == ["2", "1"]
+
+
+def run_cli(argv: list[str], caplog) -> list[str]:
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="paleoxval"):
+        assert main(argv) == 0
+    assert multiprocessing.active_children() == []
+    return [r.getMessage() for r in caplog.records]
+
+
+def output_bytes(out_dir: Path) -> dict[str, bytes]:
+    files = sorted(p for p in out_dir.iterdir() if p.suffix in (".csv", ".svg"))
+    return {p.name: p.read_bytes() for p in files}
+
+
+class TestCliWorkers:
+    @pytest.mark.parametrize("command", ["crossval", "figure2", "limit"])
+    def test_outputs_and_logs_identical(self, tmp_path, y60, caplog, cpus, command):
+        target = pio.save_target(y60, tmp_path / "t.csv")
+        overrides = {"mode": "permissive"}
+        if command == "crossval":
+            proxies = pio.save_proxies(one_degenerate_block(60, 20, 12), y60.years,
+                                       tmp_path / "p.csv")
+            overrides.update(proxy_source={"file": str(proxies)},
+                             noise_experiments=[{"kind": "ar1", "phi": 0.9}])
+        config = write_config(tmp_path / "c.json", target, **overrides)
+        outs, logs = [], []
+        for w in (1, 2):
+            cpus(w)
+            out = tmp_path / f"out{w}"
+            logs.append(run_cli([command, "--config", str(config), "--out", str(out)], caplog))
+            outs.append(output_bytes(out))
+        assert outs[0] == outs[1] and outs[0]
+        assert logs[0] == logs[1]
+        if command == "crossval":
+            assert [m.split(" (")[0] for m in logs[0]] == ["dropping block 20"]
+        if command == "figure2":
+            assert "figure2.svg" in outs[0]
+
+
+def test_cli_import_needs_no_scipy():
+    out = run_python("import sys, paleoxval.cli\n"
+                     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.strip() == "[]"
