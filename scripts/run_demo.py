@@ -39,7 +39,6 @@ def main() -> int:
         "ensemble_size": 100 if args.full else 8,
         "seed": args.seed,
         "phi_list": [0.99],
-        "psi_mc_columns": 100_000 if args.full else 5_000,
         "noise_columns": 1138 if args.full else 120,
         "p_ladder": [100, 1000, 10_000] if args.full else [30, 300],
         "limit_repeats": 10 if args.full else 5,

@@ -9,9 +9,8 @@ from .core import (HoldoutSplit, ProxyMatrix, ReconstructionResult,
 from .crossval import (EnsembleReport, ExperimentReport, make_blocks, run_block,
                        run_curve, run_ensemble, run_experiment)
 from .gcv import GcvResult, gcv_scores, minimize_gcv
-from .limit import (KrigingSpec, PsiEstimate, PsiEstimator, estimate_psi,
-                    kriging_curve, limit_curve, rms_difference,
-                    rms_difference_values, semivariogram, simple_kriging)
+from .limit import (KrigingSpec, PsiColumns, kriging_curve, limit_curve, psi_columns,
+                    rms_difference, rms_difference_values, simple_kriging)
 from .noise import NoiseSpec, ar1_covariance, generate, smooth_target
 
 __all__ = [
@@ -23,7 +22,7 @@ __all__ = [
     "NoiseSpec", "generate", "ar1_covariance", "smooth_target",
     "ExperimentReport", "EnsembleReport", "make_blocks",
     "run_block", "run_curve", "run_experiment", "run_ensemble",
-    "PsiEstimate", "PsiEstimator", "KrigingSpec", "estimate_psi",
+    "psi_columns", "PsiColumns", "KrigingSpec",
     "limit_curve", "simple_kriging", "kriging_curve",
-    "semivariogram", "rms_difference", "rms_difference_values",
+    "rms_difference", "rms_difference_values",
 ]

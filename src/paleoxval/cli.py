@@ -135,9 +135,7 @@ def cmd_figure2(config: io.ExperimentConfig) -> int:
         ens = run_ensemble(NoiseSpec(kind="ar1", n=y.n, p=config.noise_columns,
                                      seed=config.seed + SEED_STRIDE * (2 + i), phi=phi),
                            y, splits, m, mode=config.mode)
-        lim_rep, lim_res = limit_curve(phi, y, splits, P=config.psi_mc_columns,
-                                       seed=config.seed + SEED_STRIDE * (100 + i),
-                                       mode=config.mode)
+        lim_rep, lim_res = limit_curve(phi, y, splits, mode=config.mode)
         krig_rep, krig_res = kriging_curve(phi, y, splits, mode=config.mode)
         per_phi.append((phi, ens, lim_rep, krig_rep))
         outputs += io.write_report(ens, out_dir, years=y.years)
@@ -208,8 +206,7 @@ def cmd_limit(config: io.ExperimentConfig) -> int:
     scatter_cols = [[int(s) for s in starts], [int(y.years[s]) for s in starts]]
     print(f"{'phi':>6s} {'p':>8s} {'median RMS diff to limit':>26s} {'mean member scatter':>20s}")
     for i, phi in enumerate(config.phi_list):
-        lim_rep, _ = limit_curve(phi, y, splits, P=config.psi_mc_columns,
-                                 seed=config.seed + SEED_STRIDE * (100 + i), mode=config.mode)
+        lim_rep, _ = limit_curve(phi, y, splits, mode=config.mode)
         outputs += io.write_report(lim_rep, out_dir, years=y.years)
         for k, p in enumerate(config.p_ladder):
             ens = run_ensemble(
@@ -257,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--nv", type=int, help="override holdout block length")
         cmd.add_argument("--ensemble", type=int, help="override ensemble size")
         cmd.add_argument("--phi", type=float, help="override phi_list with one value")
-        cmd.add_argument("--mc-columns", type=int, help="override psi_mc_columns")
+        cmd.add_argument("--mc-columns", type=int,
+                         help="deprecated and ignored: Psi is computed exactly")
         cmd.add_argument("--drop-degenerate", action="store_true",
                          help="drop zero-variance proxy columns instead of failing")
         cmd.add_argument("--center-target", action="store_true",
@@ -292,6 +290,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _apply_overrides(io.load_config(args.config), args)
+        if config.psi_mc_columns is not None:
+            log.warning("psi_mc_columns (--mc-columns) is deprecated and ignored: "
+                        "Psi is computed exactly")
         return COMMANDS[args.command](config)
     except (PaleoXvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

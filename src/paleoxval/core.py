@@ -277,23 +277,25 @@ def gram_matrix(Xs: StandardizedMatrix) -> np.ndarray:
 class ShiftedSystem:
     """One calibration problem (S_cc, w, y_c), factored once.
 
-    The package's only eigendecomposition, S_cc = Q diag(sig) Q^T, serves
-    every shift: the GCV search scores V(lam) from it, and ``reconstruct``
-    applies (S_cc + lam I)^-1 through it. Stored are the spectral coordinates
-    c = w^T y_c, u = Q^T (y_c - c 1) and wq_1q = (Q^T w) * (Q^T 1). Roundoff-
-    negative eigenvalues of a PSD input are clipped to zero; a clearly
-    negative one raises SingularSystem, since S_cc + lam I may then be
-    singular for some lam > 0.
+    One eigendecomposition, S_cc = Q diag(sig) Q^T, serves every shift: the
+    GCV search scores V(lam) from it, and ``reconstruct`` applies
+    (S_cc + lam I)^-1 through it; ``eig = (sig, Q)`` passes a known one, as
+    exact Psi has. Stored are the spectral coordinates c = w^T y_c,
+    u = Q^T (y_c - c 1) and wq_1q = (Q^T w) * (Q^T 1). Roundoff-negative
+    eigenvalues of a PSD input are clipped to zero; a clearly negative one
+    raises SingularSystem, since S_cc + lam I may then be singular for some
+    lam > 0.
     """
 
-    def __init__(self, S_cc: np.ndarray, w: WeightVector, y_c: np.ndarray):
+    def __init__(self, S_cc: np.ndarray, w: WeightVector, y_c: np.ndarray,
+                 eig: tuple[np.ndarray, np.ndarray] | None = None):
         y_c = np.asarray(y_c, dtype=np.float64)
         S_cc = np.asarray(S_cc, dtype=np.float64)
         self.n_c = len(y_c)
         if S_cc.shape != (self.n_c, self.n_c) or len(w) != self.n_c:
             raise LengthMismatch(f"S_cc {S_cc.shape}, {len(w)} weights, {self.n_c} values")
         try:
-            sig, self.Q = np.linalg.eigh(S_cc)
+            sig, self.Q = np.linalg.eigh(S_cc) if eig is None else eig
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"S_cc could not be diagonalized: {exc}") from exc
         floor = -1e-8 * max(1.0, float(np.abs(sig).max()))

@@ -13,6 +13,8 @@ import ctypes
 import logging
 import multiprocessing
 import os
+import pickle
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -28,7 +30,7 @@ from .noise import NoiseSpec, generate
 log = logging.getLogger(__name__)
 
 # Starting and joining a pool costs ~8 ms per process (2-vCPU host, parent
-# holding a 119 MB Psi pool), against ~0.2-0.5 s of block work per curve.
+# holding 119 MB of arrays), against ~0.2-0.5 s of block work per curve.
 MAX_WORKERS = 8
 
 
@@ -102,25 +104,28 @@ def report_from_results(label: str, results: list[ReconstructionResult]) -> Expe
     )
 
 
-def reconstruct_with_gcv(S: np.ndarray, y: TimeSeries, split: HoldoutSplit,
-                         w: WeightVector | None = None) -> tuple[ReconstructionResult, GcvResult]:
-    """GCV-select lambda on the calibration restriction of S, then predict.
+def reconstruct_with_gcv(S_c: np.ndarray, y: TimeSeries, split: HoldoutSplit,
+                         w: WeightVector | None = None, *,
+                         eig: tuple[np.ndarray, np.ndarray] | None = None,
+                         ) -> tuple[ReconstructionResult, GcvResult]:
+    """GCV-select lambda on S_cc, then predict.
 
+    S_c = S[:, split.calib_rows], the only part of S the operator reads.
     Shared tail of the proxy, probability-limit and kriging pipelines: they
-    differ only in where S comes from and in w. S_cc is factored once; the
-    GCV search and the prediction share that factorization.
+    differ only in where S comes from and in w. S_cc is factored once (or
+    ``eig`` is its known eigendecomposition); the GCV search and the
+    prediction share it.
     """
     if split.n != y.n:
         raise LengthMismatch(f"split covers {split.n} rows, series has {y.n}")
     if w is None:
         w = WeightVector.uniform(split.n_c)
-    system = ShiftedSystem(S[np.ix_(split.calib_rows, split.calib_rows)], w,
-                           y.values[split.calib_rows])
+    system = ShiftedSystem(S_c[split.calib_rows], w, y.values[split.calib_rows], eig)
     sel = minimize_gcv(system)
     if sel.flat:
         log.warning("flat GCV objective at block %d; using lambda = %.3e",
                     split.block_start, sel.lambda_min)
-    y_hat = reconstruct(system, S[np.ix_(split.valid_rows, split.calib_rows)], sel.lambda_min)
+    y_hat = reconstruct(system, S_c[split.valid_rows], sel.lambda_min)
     score = rmse(y_hat, y.values[split.valid_rows])
     result = ReconstructionResult(y_hat_v=y_hat, lam=sel.lambda_min, split=split, rmse=score)
     return result, sel
@@ -133,7 +138,7 @@ def run_block(X: ProxyMatrix, y: TimeSeries, split: HoldoutSplit, *,
         raise LengthMismatch(f"proxy matrix has {X.n} rows, series has {y.n}")
     Xs = standardize(X, split, drop_degenerate=drop_degenerate)
     S = gram_matrix(Xs)
-    result, _ = reconstruct_with_gcv(S, y, split)
+    result, _ = reconstruct_with_gcv(S[:, split.calib_rows], y, split)
     return result
 
 
@@ -184,6 +189,12 @@ def _run_range(lo: int, hi: int, task: tuple | None = None) -> list[tuple]:
             result, error = block(split), None
         except Exception as exc:
             result, error = None, exc
+            try:    # in a pool worker, an error the parent cannot rebuild breaks the pool
+                if task is None:
+                    pickle.loads(pickle.dumps(exc))
+            except Exception:
+                error = RuntimeError(f"{type(exc).__module__}.{type(exc).__qualname__}: {exc}\n"
+                                     "worker traceback:\n" + "".join(traceback.format_exception(exc)))
         out.append((result, error, _HELD[:]))
         _HELD.clear()
         # the parent raises here, so later outcomes would never be read

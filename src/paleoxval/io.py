@@ -72,7 +72,8 @@ class ExperimentConfig:
     """Resolved settings for one batch run.
 
     Defaults reproduce the reference experimental design: 30-year holdout
-    blocks and 100-member ensembles.
+    blocks and 100-member ensembles. ``psi_mc_columns`` sized the Monte Carlo
+    Psi that exact Psi replaced; it is still validated, then ignored.
     """
 
     target_path: str
@@ -83,7 +84,7 @@ class ExperimentConfig:
     ensemble_size: int = 100
     seed: int = 12345
     phi_list: tuple[float, ...] = (0.99,)
-    psi_mc_columns: int = 100_000
+    psi_mc_columns: int | None = None
     noise_columns: int = DEFAULT_NOISE_COLUMNS
     p_ladder: tuple[int, ...] = (100, 1000, 10000)
     limit_repeats: int = 10
@@ -96,9 +97,10 @@ class ExperimentConfig:
         object.__setattr__(self, "phi_list", tuple(self.phi_list))
         object.__setattr__(self, "p_ladder", tuple(self.p_ladder))
         for name, minimum in (("n_v", 2), ("ensemble_size", 1), ("seed", 0),
-                              ("psi_mc_columns", 1000), ("noise_columns", 1),
-                              ("limit_repeats", 1)):
+                              ("noise_columns", 1), ("limit_repeats", 1)):
             _require_int(name, getattr(self, name), minimum)
+        if self.psi_mc_columns is not None:
+            _require_int("psi_mc_columns", self.psi_mc_columns, 1000)
         for i, p in enumerate(self.p_ladder):
             _require_int(f"p_ladder[{i}]", p, 1)
         for name in ("drop_degenerate", "center_target"):
@@ -182,7 +184,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         source: dict = {"file": config.proxy_source.path}
     else:
         source = {"noise": _noise_source_to_dict(config.proxy_source)}
-    return {
+    out = {
         "target": config.target_path,
         "proxy_source": source,
         "noise_experiments": [_noise_source_to_dict(e) for e in config.noise_experiments],
@@ -190,7 +192,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "ensemble_size": config.ensemble_size,
         "seed": config.seed,
         "phi_list": list(config.phi_list),
-        "psi_mc_columns": config.psi_mc_columns,
         "noise_columns": config.noise_columns,
         "p_ladder": list(config.p_ladder),
         "limit_repeats": config.limit_repeats,
@@ -199,6 +200,9 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "center_target": config.center_target,
         "output_dir": config.output_dir,
     }
+    if config.psi_mc_columns is not None:
+        out["psi_mc_columns"] = config.psi_mc_columns
+    return out
 
 
 def load_config(path) -> ExperimentConfig:

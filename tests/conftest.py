@@ -45,7 +45,6 @@ def write_config(path: Path, target: Path, **overrides) -> Path:
         "ensemble_size": 2,
         "seed": 7,
         "phi_list": [0.99],
-        "psi_mc_columns": 2000,
         "noise_columns": 40,
         "p_ladder": [20, 100],
         "limit_repeats": 3,

@@ -128,3 +128,39 @@ def lag1_autocorr(data: np.ndarray) -> float:
     num = np.sum(data[:-1] * data[1:]) / (data.shape[1] * (data.shape[0] - 1))
     den = np.sum(data * data) / data.size
     return float(num / den)
+
+
+def psi_monte_carlo(x: np.ndarray, split) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo Psi from a pool x of P noise columns: the mean of z z^T
+    over the columns standardized over the calibration rows, and the
+    difference of its two half-sample means, whose RMS shrinks like
+    1/sqrt(P) and calibrates the mean's error."""
+    calib = x[split.calib_rows]
+    z = (x - calib.mean(axis=0)) / calib.std(axis=0, ddof=1)
+    P, half = x.shape[1], x.shape[1] // 2
+    first, second = z[:, :half] @ z[:, :half].T, z[:, half:] @ z[:, half:].T
+    return (first + second) / P, first / half - second / (P - half)
+
+
+def psi_by_quad_vec(Phi: np.ndarray, calib: np.ndarray) -> np.ndarray:
+    """Full n x n Psi = (n_c - 1) M L E[g g^T / g^T R g] L^T M^T, with
+    M = I - 1 e_c^T / n_c, R = L^T M^T D_c M L and L = chol(Phi), by scipy's
+    adaptive quadrature of int_0^inf det(I + 2tR)^-1/2 (I + 2tR)^-1 dt, in
+    u = log t up to t = e^30, where the explicit inverse is still accurate.
+    Finite only for n_c >= 4; the cut tail is below 1e-13 there."""
+    from scipy.integrate import quad_vec
+
+    n, n_c = len(Phi), len(calib)
+    M = np.eye(n)
+    M[:, calib] -= 1.0 / n_c
+    D = np.zeros((n, n))
+    D[calib, calib] = 1.0
+    L = np.linalg.cholesky(Phi)
+    R = L.T @ M.T @ D @ M @ L
+
+    def integrand(u):
+        A = np.eye(n) + 2.0 * np.exp(u) * R
+        return np.exp(u - 0.5 * np.linalg.slogdet(A)[1]) * np.linalg.inv(A)
+
+    E, _ = quad_vec(integrand, -50.0, 30.0, epsabs=1e-15, epsrel=1e-13, limit=4000)
+    return (n_c - 1) * M @ L @ E @ L.T @ M.T

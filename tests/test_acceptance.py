@@ -101,7 +101,7 @@ def test_a3_figure1_ordering(capsys, target, splits):
 
 
 def test_a4_probability_limit_convergence(capsys, target, splits):
-    limit_rep, _ = px.limit_curve(0.99, target, splits, P=100_000, seed=40_000_000)
+    limit_rep, _ = px.limit_curve(0.99, target, splits)
 
     scatters, median_diffs = {}, {}
     for k, p in enumerate((100, 1000, 10_000)):

@@ -220,6 +220,27 @@ class TestOverridesAndErrors:
         assert manifest["config"]["seed"] == 99
         assert manifest["config"]["n_v"] == 15
 
+    @pytest.mark.parametrize("route", ["config", "flag"])
+    def test_mc_columns_is_ignored_with_one_deprecation_line(self, small_config, tmp_path,
+                                                             caplog, route):
+        argv = ["figure2", "--config", str(small_config)]
+        assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+        if route == "config":
+            write_config(small_config, tmp_path / "target.csv", psi_mc_columns=5000)
+        else:
+            argv += ["--mc-columns", "5000"]
+        caplog.clear()
+        assert main(argv + ["--out", str(tmp_path / "set")]) == 0
+        deprecated = [r for r in caplog.records if "deprecated" in r.getMessage()]
+        assert len(deprecated) == 1 and "psi_mc_columns" in deprecated[0].getMessage()
+        assert read_csv_bytes(tmp_path / "set") == read_csv_bytes(tmp_path / "plain")
+        manifest = json.loads((tmp_path / "set" / "manifest.json").read_text())
+        assert manifest["config"]["psi_mc_columns"] == 5000
+
+    def test_mc_columns_is_still_validated(self, small_config, capsys):
+        assert main(["figure2", "--config", str(small_config), "--mc-columns", "999"]) == 1
+        assert capsys.readouterr().err.startswith("error: psi_mc_columns must be at least 1000")
+
     def test_center_target_override(self, tmp_path):
         y = px.smooth_target(40, seed=3)
         shifted = px.TimeSeries(years=y.years, values=y.values + 5.0)

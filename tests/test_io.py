@@ -137,7 +137,7 @@ class TestConfig:
         config = pio.load_config(f)
         assert config.n_v == 30
         assert config.ensemble_size == 100
-        assert config.psi_mc_columns == 100_000
+        assert config.psi_mc_columns is None     # deprecated: exact Psi needs no columns
         assert config.phi_list == (0.99,)
         assert config.mode == "strict"
 
@@ -187,6 +187,19 @@ class TestConfig:
     def test_invalid_configs(self, tmp_path, body):
         f = tmp_path / "c.json"
         f.write_text(json.dumps(body))
+        with pytest.raises(ConfigError):
+            pio.load_config(f)
+
+    def test_deprecated_mc_columns_key_is_kept(self, tmp_path):
+        body = {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}}
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps(body))
+        assert "psi_mc_columns" not in pio.config_to_dict(pio.load_config(f))
+        f.write_text(json.dumps({**body, "psi_mc_columns": 100_000}))
+        config = pio.load_config(f)
+        assert config.psi_mc_columns == 100_000
+        assert pio.config_to_dict(config)["psi_mc_columns"] == 100_000
+        f.write_text(json.dumps({**body, "psi_mc_columns": 999}))
         with pytest.raises(ConfigError):
             pio.load_config(f)
 

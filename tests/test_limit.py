@@ -1,135 +1,159 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 import oracles
 import paleoxval as px
-from paleoxval.errors import BlockMismatch, LengthMismatch
-from paleoxval import limit
 from paleoxval.crossval import reconstruct_with_gcv
-from paleoxval.limit import PsiEstimator
+from paleoxval.errors import BlockMismatch, DegenerateColumn, LengthMismatch, SingularSystem
 
 
-def limit_reconstruction(psi, y):
-    """Reconstruction driven by Psi instead of a finite-p Gram matrix."""
-    return reconstruct_with_gcv(psi.psi, y, psi.split)[0]
+def exact_psi(phi, split):
+    return px.psi_columns(px.ar1_covariance(split.n, phi), split)
+
+
+def limit_reconstruction(phi, y, split):
+    """Reconstruction driven by the exact Psi instead of a finite-p Gram matrix."""
+    psi = exact_psi(phi, split)
+    return reconstruct_with_gcv(psi.columns, y, split, eig=psi.eig)[0]
+
+
+@lru_cache(maxsize=None)
+def ar1_pool(phi, n, P, seed):
+    return px.generate(px.NoiseSpec(kind="ar1", n=n, p=P, seed=seed, phi=phi)).data
+
+
+def rms(a):
+    return float(np.sqrt(np.mean(np.square(a))))
 
 
 @pytest.fixture(scope="module")
 def psi_white_20():
     split = px.HoldoutSplit.make(20, 8, 5)
-    return split, px.estimate_psi(0.0, split, P=100_000, seed=3)
+    return split, exact_psi(0.0, split)
 
 
 class TestEstimatePsi:
     def test_requires_enough_columns(self):
-        split = px.HoldoutSplit.make(10, 4, 3)
-        with pytest.raises(ValueError):
-            px.estimate_psi(0.5, split, P=999, seed=0)
+        # one calibration row leaves Psi[:, calib] one column and s undefined
+        with pytest.raises(DegenerateColumn):
+            exact_psi(0.5, px.HoldoutSplit.make(10, 0, 9))
 
     def test_white_noise_expectations(self, psi_white_20):
         # exact small-sample moments of standardized white noise:
         #   calib-calib off-diagonal: -1/n_c        (forced by sum constraints)
         #   valid-calib:              0
-        #   valid-valid off-diagonal: (1/n_c)(n_c - 1)/(n_c - 3)
-        split, est = psi_white_20
+        split, psi = psi_white_20
         n_c = split.n_c
-        psi = est.psi
-        cc = psi[np.ix_(split.calib_rows, split.calib_rows)]
+        cc = psi.columns[split.calib_rows]
         off_cc = cc[~np.eye(n_c, dtype=bool)]
-        assert np.max(np.abs(off_cc - (-1.0 / n_c))) < 0.02
-        vc = psi[np.ix_(split.valid_rows, split.calib_rows)]
-        assert np.max(np.abs(vc)) < 0.02
-        vv = psi[np.ix_(split.valid_rows, split.valid_rows)]
-        off_vv = vv[~np.eye(split.n_v, dtype=bool)]
-        expected_vv = (1.0 / n_c) * (n_c - 1) / (n_c - 3)
-        assert abs(off_vv.mean() - expected_vv) < 0.01
+        assert np.max(np.abs(off_cc - (-1.0 / n_c))) < 1e-12
+        assert np.max(np.abs(psi.columns[split.valid_rows])) < 1e-12
 
     def test_psd_and_symmetric(self, psi_white_20):
-        _, est = psi_white_20
-        assert np.array_equal(est.psi, est.psi.T)
-        eigs = np.linalg.eigvalsh(est.psi)
-        assert eigs.min() > -1e-8
+        split, _ = psi_white_20
+        for phi in (0.0, 0.9):
+            psi = exact_psi(phi, split)
+            cc = psi.columns[split.calib_rows]
+            assert np.array_equal(cc, cc.T)
+            sig, Q = psi.eig
+            assert sig.min() >= 0.0
+            np.testing.assert_allclose(Q @ np.diag(sig) @ Q.T, cc, rtol=0, atol=1e-13)
 
     def test_calibration_diagonal_is_exact(self, psi_white_20):
-        # every standardized column contributes exactly n_c - 1 over calib rows
-        split, est = psi_white_20
-        got = np.diag(est.psi)[split.calib_rows].sum() / split.n_c
-        assert abs(got - (split.n_c - 1) / split.n_c) < 1e-10
+        # every standardized column has sum of squares n_c - 1 over calib rows
+        split, psi = psi_white_20
+        diag = np.diag(psi.columns[split.calib_rows])
+        assert np.max(np.abs(diag - (split.n_c - 1) / split.n_c)) < 1e-12
+        ar1 = exact_psi(0.9, split)
+        assert abs(np.trace(ar1.columns[split.calib_rows]) - (split.n_c - 1)) < 1e-12
 
     def test_half_split_diff_shrinks_like_sqrt_p(self):
+        # the Monte Carlo oracle's diagnostic, which the agreement tests rely on
         split = px.HoldoutSplit.make(15, 5, 4)
-        r_p = np.mean([px.estimate_psi(0.9, split, 2000, seed=s).half_split_rms_diff
-                       for s in range(10)])
-        r_2p = np.mean([px.estimate_psi(0.9, split, 4000, seed=s).half_split_rms_diff
-                        for s in range(10)])
+        r_p, r_2p = (np.mean([rms(oracles.psi_monte_carlo(ar1_pool(0.9, 15, P, s), split)[1])
+                              for s in range(10)]) for P in (2000, 4000))
         ratio = r_p / r_2p
         assert np.sqrt(2) * 0.7 < ratio < np.sqrt(2) * 1.3
 
     def test_two_seeds_agree_within_diagnostic(self):
         split = px.HoldoutSplit.make(20, 8, 5)
-        a = px.estimate_psi(0.9, split, 20_000, seed=1)
-        b = px.estimate_psi(0.9, split, 20_000, seed=2)
-        rms = np.sqrt(np.mean((a.psi - b.psi) ** 2))
-        assert rms < 3 * a.half_split_rms_diff
+        a, diff = oracles.psi_monte_carlo(ar1_pool(0.9, 20, 20_000, 1), split)
+        b, _ = oracles.psi_monte_carlo(ar1_pool(0.9, 20, 20_000, 2), split)
+        assert rms(a - b) < 3 * rms(diff)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.5, 0.99])
+    @pytest.mark.parametrize("n_c", [2, 3, 4])
+    @pytest.mark.parametrize("start", [0, 1], ids=["edge", "interior"])
+    def test_matches_monte_carlo(self, phi, n_c, start):
+        # n = 10 throughout, so one pool per phi serves every split
+        split = px.HoldoutSplit.make(10, start, 10 - n_c)
+        c = split.calib_rows
+        got = exact_psi(phi, split).columns
+        mc, diff = oracles.psi_monte_carlo(ar1_pool(phi, 10, 40_000, 61), split)
+        assert rms(got - mc[:, c]) < 3 * rms(diff[:, c])
+        if n_c == 2:
+            # z_c is +-(1, -1) / sqrt(2), so Psi_cc is exact in every sample;
+            # Psi_vc has no mean (a Cauchy-like ratio): its check above holds
+            # only because the heavy tail inflates the diagnostic as well
+            np.testing.assert_allclose(got[c], mc[np.ix_(c, c)], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("start", [0, 5, 9])
-    def test_batches_match_loop_oracle(self, monkeypatch, start):
-        # P = 40 in batches of 7 crosses batch boundaries in both halves
-        n, P, phi, seed = 12, 40, 0.8, 5
-        split = px.HoldoutSplit.make(n, start, 3)
-        default = PsiEstimator(phi, n, P, seed).estimate(split)
-        monkeypatch.setattr(limit, "PSI_BATCH_COLUMNS", 7)
-        batched = PsiEstimator(phi, n, P, seed).estimate(split)
-        pool = oracles.standardize_by_loop(
-            px.generate(px.NoiseSpec(kind="ar1", n=n, p=P, seed=seed, phi=phi)).data,
-            split.calib_rows)
-        halves = [sum(np.outer(c, c) for c in pool[:, cols].T)
-                  for cols in (slice(0, P // 2), slice(P // 2, P))]
-        psi = (halves[0] + halves[1]) / P
-        rms = np.sqrt(np.mean((halves[0] / (P // 2) - halves[1] / (P - P // 2)) ** 2))
-        np.testing.assert_allclose(batched.psi, (psi + psi.T) / 2, rtol=1e-12, atol=1e-12)
-        assert batched.half_split_rms_diff == pytest.approx(rms, rel=1e-12)
-        np.testing.assert_allclose(batched.psi, default.psi, rtol=1e-13, atol=1e-13)
-        assert batched.half_split_rms_diff == pytest.approx(default.half_split_rms_diff,
-                                                            rel=1e-13)
+    def test_matches_dense_oracle(self, start):
+        pytest.importorskip("scipy")
+        split = px.HoldoutSplit.make(12, start, 3)
+        Phi = px.ar1_covariance(12, 0.8)
+        want = oracles.psi_by_quad_vec(Phi, split.calib_rows)[:, split.calib_rows]
+        np.testing.assert_allclose(px.psi_columns(Phi, split).columns, want,
+                                   rtol=0, atol=1e-12)
 
-    def test_split_must_match_pool_rows(self):
+    def test_quad_error_estimate_at_reference_design(self):
+        Phi = px.ar1_covariance(149, 0.99)
+        worst = max(px.psi_columns(Phi, split).quad_error
+                    for split in px.make_blocks(149, 30))
+        assert worst < 1e-9
+
+    def test_constant_series_covariance_raises(self):
+        # x = c 1 has zero calibration variance, so s and Psi are undefined
+        with pytest.raises(SingularSystem):
+            px.psi_columns(np.ones((12, 12)), px.HoldoutSplit.make(12, 4, 3))
+
+    def test_split_must_match_covariance_rows(self):
         with pytest.raises(LengthMismatch):
-            PsiEstimator(0.5, 12, 40, seed=1).estimate(px.HoldoutSplit.make(13, 4, 3))
-
-    def test_estimator_matches_one_shot(self):
-        split = px.HoldoutSplit.make(12, 4, 3)
-        shared = PsiEstimator(0.8, 12, 2000, seed=9).estimate(split)
-        one_shot = px.estimate_psi(0.8, split, 2000, seed=9)
-        assert np.array_equal(shared.psi, one_shot.psi)
-        assert shared.half_split_rms_diff == one_shot.half_split_rms_diff
+            px.psi_columns(px.ar1_covariance(12, 0.5), px.HoldoutSplit.make(13, 4, 3))
 
 
 class TestLimitReconstruction:
     def test_decoupled_identity_psi_gives_calibration_mean(self, y60):
         split = px.HoldoutSplit.make(60, 30, 12)
-        est = px.PsiEstimate(psi=np.eye(60), n_columns=10_000, phi=0.0, split=split,
-                             half_split_rms_diff=0.0)
-        out = limit_reconstruction(est, y60)
+        out = reconstruct_with_gcv(np.eye(60)[:, split.calib_rows], y60, split)[0]
         c = y60.values[split.calib_rows].mean()
         np.testing.assert_allclose(out.y_hat_v, np.full(12, c), atol=1e-12)
 
     def test_repeatable(self, y60):
         split = px.HoldoutSplit.make(60, 10, 12)
-        est = px.estimate_psi(0.9, split, 5000, seed=12)
-        a = limit_reconstruction(est, y60)
-        b = limit_reconstruction(est, y60)
+        a = limit_reconstruction(0.9, y60, split)
+        b = limit_reconstruction(0.9, y60, split)
         assert np.array_equal(a.y_hat_v, b.y_hat_v)
         assert a.lam == b.lam and a.rmse == b.rmse
+
+    def test_known_eig_matches_eigh(self, y60, splits60):
+        # Psi's own eigendecomposition stands in for eigh of Psi_cc
+        for split in splits60[::8]:
+            psi = exact_psi(0.99, split)
+            given = reconstruct_with_gcv(psi.columns, y60, split, eig=psi.eig)[0]
+            fresh = reconstruct_with_gcv(psi.columns, y60, split)[0]
+            assert given.lam == pytest.approx(fresh.lam, rel=1e-6)
+            np.testing.assert_allclose(given.y_hat_v, fresh.y_hat_v, rtol=0, atol=1e-9)
 
     def test_close_to_large_p_run(self, y60, splits60):
         # a p = 1e5 noise reconstruction should sit within 5% of the limit
         # on each sampled block
-        estimator = PsiEstimator(0.99, 60, 100_000, seed=51)
         X = px.generate(px.NoiseSpec(kind="ar1", n=60, p=100_000, seed=250, phi=0.99))
         for split in splits60[::12]:
             direct = px.run_block(X, y60, split)
-            lim = limit_reconstruction(estimator.estimate(split), y60)
+            lim = limit_reconstruction(0.99, y60, split)
             assert abs(direct.rmse - lim.rmse) < 0.05 * lim.rmse
 
 
@@ -184,39 +208,6 @@ class TestSimpleKriging:
             px.simple_kriging(0.9, y60, split, px.KrigingSpec(phi=0.8))
 
 
-class TestSemivariogram:
-    def test_nugget_at_origin(self):
-        assert px.semivariogram(0.0, 0.9, 0.3) == pytest.approx(0.3)
-
-    def test_sill_at_infinity(self):
-        assert px.semivariogram(1e6, 0.9, 0.3) == pytest.approx(1.3)
-
-    def test_decorrelation_scale(self):
-        # phi = exp(-1/99.5) has e-folding lag 99.5 years
-        phi = np.exp(-1.0 / 99.5)
-        got = px.semivariogram(99.5, phi, 0.2)
-        assert got == pytest.approx(0.2 + 1.0 - np.exp(-1.0), rel=1e-12)
-
-    def test_consistent_with_ar1_covariance(self):
-        phi, nugget = 0.97, 0.05
-        C = px.ar1_covariance(8, phi)
-        for tau in range(8):
-            # partial sill is 1: 1 - gamma(tau) + nugget recovers phi^tau
-            recovered = 1.0 - px.semivariogram(float(tau), phi, nugget) + nugget
-            assert recovered == C[0, tau]
-
-    def test_vectorized(self):
-        taus = np.array([0.0, 1.0, 2.0])
-        out = px.semivariogram(taus, 0.5, 0.1)
-        np.testing.assert_allclose(out, 0.1 + 1.0 - 0.5**taus)
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            px.semivariogram(-1.0, 0.5, 0.1)
-        with pytest.raises(ValueError):
-            px.semivariogram(1.0, 0.5, -0.1)
-
-
 class TestRmsDifference:
     def _report(self, values, starts=None, label="r"):
         values = np.asarray(values, dtype=float)
@@ -259,10 +250,9 @@ class TestRmsDifference:
 class TestCurves:
     def test_limit_curve_matches_per_split_estimates(self, y60, splits60):
         some = splits60[:4]
-        report, results = px.limit_curve(0.9, y60, some, P=2000, seed=5)
+        report, results = px.limit_curve(0.9, y60, some)
         assert report.n_blocks == 4
-        est = PsiEstimator(0.9, 60, 2000, seed=5)
-        direct = limit_reconstruction(est.estimate(some[2]), y60)
+        direct = limit_reconstruction(0.9, y60, some[2])
         assert report.block_rmse[2] == direct.rmse
         assert np.array_equal(results[2].y_hat_v, direct.y_hat_v)
 
@@ -274,7 +264,7 @@ class TestCurves:
     def test_convergence_toward_limit_in_p(self, y60, splits60):
         # medians over 5 seeds of the curve-level RMS distance to the limit
         # shrink as p grows
-        limit_rep, _ = px.limit_curve(0.99, y60, splits60, P=50_000, seed=500)
+        limit_rep, _ = px.limit_curve(0.99, y60, splits60)
         medians = []
         for p, base in ((30, 700), (300, 800)):
             diffs = []

@@ -30,6 +30,13 @@ ERROR_ARGS = {
 }
 
 
+class Unrebuildable(Exception):
+    """Its args do not fit its constructor, so pickle cannot rebuild it."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}{b}")
+
+
 def all_error_classes():
     out, todo = [], [errors.PaleoXvalError]
     while todo:
@@ -143,7 +150,7 @@ class TestRunCurve:
         def run(w):
             cpus(w)
             if curve == "limit":
-                return px.limit_curve(0.9, y60, splits60, P=2000, seed=5)
+                return px.limit_curve(0.9, y60, splits60)
             return px.kriging_curve(0.9, y60, splits60)
         (rep1, res1), (rep2, res2) = run(1), run(2)
         assert np.array_equal(rep1.block_rmse, rep2.block_rmse)
@@ -151,6 +158,22 @@ class TestRunCurve:
         for a, b, split in zip(res1, res2, splits60):
             assert np.array_equal(a.y_hat_v, b.y_hat_v)
             assert b.split is split and not b.y_hat_v.flags.writeable
+
+    def test_unpicklable_block_error_reaches_the_parent(self, y60, splits60, cpus):
+        def block(split):
+            if split.block_start == 30:
+                raise Unrebuildable("bad ", "block")
+            return px.simple_kriging(0.9, y60, split)
+        cpus(1)
+        with pytest.raises(Unrebuildable, match="bad block"):
+            px.run_curve("x", block, splits60)
+        cpus(2)
+        with pytest.raises(RuntimeError) as exc:
+            px.run_curve("x", block, splits60)
+        message = str(exc.value)
+        assert f"{__name__}.Unrebuildable: bad block" in message
+        assert "worker traceback" in message and 'raise Unrebuildable("bad ", "block")' in message
+        assert multiprocessing.active_children() == []
 
     def test_fixed_nugget_kriging_curve(self, y60, splits60, cpus):
         cpus(2)
