@@ -119,7 +119,8 @@ class TestEstimatePsi:
         with pytest.raises(SingularSystem):
             px.psi_columns(np.ones((12, 12)), px.HoldoutSplit.make(12, 4, 3))
 
-    def test_split_must_match_covariance_rows(self):
+    def test_split_must_match_pool_rows(self):
+        # the covariance Phi is the per-curve input shared by every block
         with pytest.raises(LengthMismatch):
             px.psi_columns(px.ar1_covariance(12, 0.5), px.HoldoutSplit.make(13, 4, 3))
 
