@@ -9,6 +9,7 @@ can be reproduced by pointing --config at the manifest itself.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import numbers
@@ -217,13 +218,14 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(obj, base_dir=path.parent)
 
 
-def _read_rows(path) -> list[tuple[int, list[str]]]:
-    path = Path(path)
-    with open(path, newline="") as fh:
-        rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
-    if len(rows) < 2:
-        raise ParseError(path, len(rows), "expected a header and at least one data row")
-    return rows
+def _open_rows(path, fh):
+    """Header line number, stripped header fields and an iterator over the
+    (line, row) pairs of the data rows (one or more); blank lines skipped."""
+    rows = ((i + 1, row) for i, row in enumerate(csv.reader(fh)) if row)
+    head = list(itertools.islice(rows, 2))
+    if len(head) < 2:
+        raise ParseError(Path(path), len(head), "expected a header and at least one data row")
+    return head[0][0], [h.strip() for h in head[0][1]], itertools.chain(head[1:], rows)
 
 
 def _parse_year(path, line_no, text: str) -> int:
@@ -251,18 +253,18 @@ def _check_annual(path, years: list[int]):
 
 def load_target(path) -> TimeSeries:
     """Read a target series CSV with header ``year,value``."""
-    rows = _read_rows(path)
-    header = [h.strip() for h in rows[0][1]]
-    if header != ["year", "value"]:
-        raise ParseError(path, rows[0][0], f"expected header 'year,value', got {header}")
-    years, values = [], []
-    for line_no, row in rows[1:]:
-        if len(row) != 2:
-            raise ParseError(path, line_no, f"expected 2 fields, got {len(row)}")
-        years.append(_parse_year(path, line_no, row[0]))
-        values.append(_parse_value(path, line_no, row[1]))
+    with open(path, newline="") as fh:
+        header_line, header, rows = _open_rows(path, fh)
+        if header != ["year", "value"]:
+            raise ParseError(path, header_line, f"expected header 'year,value', got {header}")
+        years, values = [], []
+        for line_no, row in rows:
+            if len(row) != 2:
+                raise ParseError(path, line_no, f"expected 2 fields, got {len(row)}")
+            years.append(_parse_year(path, line_no, row[0]))
+            values.append(_parse_value(path, line_no, row[1]))
     if len(years) < 2:
-        raise ParseError(path, rows[-1][0], "need at least 2 data rows")
+        raise ParseError(path, line_no, "need at least 2 data rows")
     _check_annual(path, years)
     return TimeSeries(years=np.array(years), values=np.array(values))
 
@@ -270,27 +272,34 @@ def load_target(path) -> TimeSeries:
 def load_proxies(path, expected_years=None) -> ProxyMatrix:
     """Read a proxy matrix CSV: first column ``year``, one column per proxy.
 
-    When expected_years is given (the target's years), the file's years must
-    match them exactly.
+    Rows are converted as they are read, so at most one row of text is held
+    at a time. When expected_years is given (the target's years), the file's
+    years must match them exactly.
     """
-    rows = _read_rows(path)
-    header = [h.strip() for h in rows[0][1]]
-    if len(header) < 2 or header[0] != "year":
-        raise ParseError(path, rows[0][0],
-                         "expected header 'year,<id>,...' with at least one proxy column")
-    ids = tuple(header[1:])
-    years = []
-    data = np.empty((len(rows) - 1, len(ids)))
-    for r, (line_no, row) in enumerate(rows[1:]):
-        if len(row) != len(header):
-            raise ParseError(path, line_no, f"expected {len(header)} fields, got {len(row)}")
-        years.append(_parse_year(path, line_no, row[0]))
-        for j, text in enumerate(row[1:]):
-            data[r, j] = _parse_value(path, line_no, text)
+    with open(path, newline="") as fh:
+        header_line, header, rows = _open_rows(path, fh)
+        if len(header) < 2 or header[0] != "year":
+            raise ParseError(path, header_line,
+                             "expected header 'year,<id>,...' with at least one proxy column")
+        years, data = [], []
+        for line_no, row in rows:
+            if len(row) != len(header):
+                raise ParseError(path, line_no, f"expected {len(header)} fields, got {len(row)}")
+            years.append(_parse_year(path, line_no, row[0]))
+            try:
+                values = np.array(row[1:], dtype=np.float64)   # float()'s conversion
+            except ValueError:
+                values = None
+            if values is None or not np.isfinite(values).all():
+                # token by token, so that the error names the first bad value
+                values = np.array([_parse_value(path, line_no, text) for text in row[1:]])
+            data.append(values)
     _check_annual(path, years)
     if expected_years is not None and not np.array_equal(np.array(years), expected_years):
         raise YearMismatch(f"{path}: proxy years do not match the target years")
-    return ProxyMatrix(data=data, column_ids=ids)
+    data = np.stack(data)
+    data.flags.writeable = False
+    return ProxyMatrix(data=data, column_ids=tuple(header[1:]))
 
 
 def save_target(series: TimeSeries, path) -> Path:
@@ -371,17 +380,17 @@ def write_report(report: ExperimentReport | EnsembleReport, out_dir, *,
 
 def read_report(path) -> dict[str, np.ndarray]:
     """Read any report-style CSV back as a column-name -> float-array dict."""
-    rows = _read_rows(path)
-    header = [h.strip() for h in rows[0][1]]
-    cols: dict[str, list[float]] = {h: [] for h in header}
-    for line_no, row in rows[1:]:
-        if len(row) != len(header):
-            raise ParseError(path, line_no, f"expected {len(header)} fields, got {len(row)}")
-        for h, text in zip(header, row):
-            try:
-                cols[h].append(float(text))
-            except ValueError:
-                raise ParseError(path, line_no, f"bad value {text!r}") from None
+    with open(path, newline="") as fh:
+        _, header, rows = _open_rows(path, fh)
+        cols: dict[str, list[float]] = {h: [] for h in header}
+        for line_no, row in rows:
+            if len(row) != len(header):
+                raise ParseError(path, line_no, f"expected {len(header)} fields, got {len(row)}")
+            for h, text in zip(header, row):
+                try:
+                    cols[h].append(float(text))
+                except ValueError:
+                    raise ParseError(path, line_no, f"bad value {text!r}") from None
     return {h: np.array(v) for h, v in cols.items()}
 
 

@@ -9,12 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
 WIDTH, HEIGHT = 860.0, 520.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64.0, 180.0, 40.0, 48.0
+
+
+def escape(text: str, quote: bool = False) -> str:
+    # xml.sax.saxutils.escape (plus '"' for attributes), without importing xml.sax
+    text = text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    return text.replace('"', "&quot;") if quote else text
 
 
 @dataclass(frozen=True)
@@ -127,7 +132,7 @@ def render_svg(spec: PlotSpec) -> str:
     for idx, s in enumerate(spec.series):
         keep = np.isfinite(s.y)
         xs, ys = s.x[keep], s.y[keep]
-        attrs = f'class="series" id="series-{idx}" data-label="{escape(s.label, {chr(34): "&quot;"})}"'
+        attrs = f'class="series" id="series-{idx}" data-label="{escape(s.label, quote=True)}"'
         if s.kind == "dots":
             dots = "".join(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2" fill="{s.color}" '
                            f'fill-opacity="{s.opacity:g}"/>' for x, y in zip(xs, ys))

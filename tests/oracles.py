@@ -119,6 +119,17 @@ def constant_baseline_rmse(y_values: np.ndarray, split) -> float:
     return rmse_by_loop(pred, y_values[split.valid_rows])
 
 
+def column_normals_by_seedsequence(seed: int, n: int, p: int) -> np.ndarray:
+    """n x p standard normals with a fresh SeedSequence(seed, spawn_key=(j,))
+    and Generator for every column j: the construction the batched
+    production seeding must reproduce bit for bit."""
+    out = np.empty((n, p))
+    for j in range(p):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
+        out[:, j] = rng.standard_normal(n)
+    return out
+
+
 def lag1_autocorr(data: np.ndarray) -> float:
     """Pooled lag-1 autocorrelation of a zero-mean unit-variance ensemble.
 

@@ -89,6 +89,21 @@ def limit_out(tmp_path_factory):
     return tmp / "out"
 
 
+def test_svg_escape_matches_saxutils(tmp_path):
+    from xml.sax.saxutils import escape as sax_escape
+    from paleoxval import svgplot
+    texts = ['a & b < c > d', '"quoted" \'single\'', '&amp; &lt;', 'plain', '']
+    for text in texts:
+        assert svgplot.escape(text) == sax_escape(text)
+        assert svgplot.escape(text, quote=True) == sax_escape(text, {'"': "&quot;"})
+    label = 'AR(1) "phi" < 0.9 & > 0'
+    spec = svgplot.PlotSpec(series=(svgplot.Series(label, [0, 1], [1, 2]),),
+                            title="<T&T>", x_label="x > 0", y_label='y "u"')
+    path = svgplot.write_svg(spec, tmp_path / "e.svg")
+    groups = series_groups(path)
+    assert [g.get("data-label") for g in groups] == [label]
+
+
 class TestFigure2:
     def test_svg_structure(self, fig2_out):
         groups = series_groups(fig2_out / "figure2.svg")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,75 @@ class TestLoadProxies:
         back = pio.load_proxies(pio.save_proxies(X, years, tmp_path / "big.csv"),
                                 expected_years=years)
         assert np.array_equal(back.data, X.data)
+
+    @staticmethod
+    def _wide(tmp_path, cells, row=2):
+        """A 3-row file of 400 proxies whose data row `row` (1-based) holds
+        the given cells from column 200 on."""
+        lines = ["year," + ",".join(f"p{j}" for j in range(400))]
+        for r in range(1, 4):
+            vals = [f"{0.25 * j - r:.3f}" for j in range(400)]
+            if r == row:
+                vals[200:200 + len(cells)] = cells
+            lines.append(f"{1849 + r}," + ",".join(vals))
+        f = tmp_path / "wide.csv"
+        f.write_text("\n".join(lines) + "\n")
+        return f
+
+    def test_bad_token_mid_row_names_its_line(self, tmp_path):
+        f = self._wide(tmp_path, ["1.5", "abc", "nan"])
+        with pytest.raises(ParseError) as info:
+            pio.load_proxies(f)
+        assert info.value.line_no == 3
+        assert "bad value 'abc'" in str(info.value)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_names_its_line(self, tmp_path, token):
+        f = self._wide(tmp_path, [token], row=3)
+        with pytest.raises(NonFiniteValue) as info:
+            pio.load_proxies(f)
+        assert f"{f}:4: non-finite value {token!r}" in str(info.value)
+
+    @pytest.mark.parametrize("body, line_no", [
+        ("year,a,b\n1850,1.0,2.0\n1851,1.0\n", 3),   # ragged
+        ("year,a,b\n", 1),                              # header only
+        ("", 0),                                        # empty
+        ("\n\n", 0),                                    # blank lines only
+    ])
+    def test_ragged_header_only_and_empty_files(self, tmp_path, body, line_no):
+        f = tmp_path / "p.csv"
+        f.write_text(body)
+        with pytest.raises(ParseError) as info:
+            pio.load_proxies(f)
+        assert info.value.line_no == line_no
+
+    def test_quoted_numeric_field(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text('year,a,"b"\n1850,"1.5",2\n1851," -3e-2 ",4\n')
+        X = pio.load_proxies(f)
+        assert X.column_ids == ("a", "b")
+        assert np.array_equal(X.data, [[1.5, 2.0], [-0.03, 4.0]])
+
+    def test_result_is_owned_and_read_only(self, tmp_path, y60):
+        X = px.generate(px.NoiseSpec(kind="white", n=60, p=5, seed=1))
+        data = pio.load_proxies(pio.save_proxies(X, y60.years, tmp_path / "p.csv")).data
+        assert data.base is None and data.flags.owndata
+        assert not data.flags.writeable
+
+    def test_peak_memory_at_reference_size(self, tmp_path):
+        # 149 x 1138 cells are 3.6 MB of text; holding every token at once
+        # (about 12 MiB) breaks the bound, one row of tokens does not
+        X = px.generate(px.NoiseSpec(kind="white", n=149, p=1138, seed=3))
+        path = pio.save_proxies(X, 1850 + np.arange(149), tmp_path / "big.csv")
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            back = pio.load_proxies(path)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.data, X.data)
+        assert peak <= 2.5 * X.data.nbytes + 2**20
 
     @given(st.integers(0, 2**32))
     def test_value_round_trip_random(self, seed):

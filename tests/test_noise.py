@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -106,6 +109,53 @@ class TestGenerate:
         raw = oracles.lag1_autocorr(X.data[split.calib_rows])
         scaled = oracles.lag1_autocorr(Xs.data[split.calib_rows])
         assert abs(scaled - raw) < 0.02
+
+
+class TestBatchedSeeding:
+    # column_normals seeds chunks of CHUNK_COLUMNS (256) columns at once; the
+    # widths straddle one chunk and the seeds cover 1, 2, 3 and 5 entropy words
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 9])
+    def test_bit_identical_to_per_column_seedsequence(self, seed):
+        for p in (1, 255, 256, 257, 1138):
+            for n in (2, 7, 149):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = px.noise.column_normals(seed, n, p)
+                want = oracles.column_normals_by_seedsequence(seed, n, p)
+                assert np.array_equal(got, want), (seed, n, p)
+
+    @pytest.mark.parametrize("kind, phi", [("white", None), ("ar1", 0.9), ("brownian", None)])
+    def test_generate_matches_oracle(self, kind, phi):
+        z = oracles.column_normals_by_seedsequence(31, 149, 300)
+        if kind == "ar1":
+            z[1:] *= np.sqrt(1 - phi**2)
+            for t in range(1, 149):
+                z[t] += phi * z[t - 1]
+        elif kind == "brownian":
+            z = np.cumsum(z, axis=0)
+        X = px.generate(px.NoiseSpec(kind=kind, n=149, p=300, seed=31, phi=phi))
+        assert np.array_equal(X.data, z)
+
+    def test_generated_data_is_owned_and_read_only(self):
+        for kind, phi in (("white", None), ("ar1", 0.5), ("brownian", None)):
+            data = px.generate(px.NoiseSpec(kind=kind, n=20, p=300, seed=2, phi=phi)).data
+            assert data.base is None and data.flags.owndata
+            assert not data.flags.writeable
+
+    def test_peak_memory_is_one_array(self):
+        # n = 2 makes the p-long parts dominate: a second n x p copy or a
+        # Python list of p seeds would each exceed the bound. The column ids,
+        # part of the result, are kept out of the bound.
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            X = px.generate(px.NoiseSpec(kind="ar1", n=2, p=200_000, seed=4, phi=0.5))
+            end, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        ids_bytes = (end - start) - X.data.nbytes
+        assert ids_bytes >= 0
+        assert peak - start - ids_bytes <= 1.1 * X.data.nbytes + 2 * 2**20
 
 
 class TestAr1Covariance:

@@ -257,3 +257,15 @@ def test_cli_import_needs_no_scipy():
     out = run_python("import sys, paleoxval.cli\n"
                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert out.strip() == "[]"
+
+
+def test_cli_import_adds_no_xml_or_network_modules():
+    # xml.sax.saxutils alone pulled in urllib.request, http.client and email.*
+    out = run_python("import sys\n"
+                     "def heavy():\n"
+                     "    return {m for m in sys.modules\n"
+                     "            if m.split('.')[0] in ('xml', 'urllib', 'http', 'email')}\n"
+                     "bare = heavy()\n"
+                     "import paleoxval.cli\n"
+                     "print(sorted(heavy() - bare))")
+    assert out.strip() == "[]"
