@@ -4,25 +4,25 @@ proxy matrices, pseudoproxy noise nulls, and the large-p kriging limit.
 
 from ._version import __version__
 from .core import (HoldoutSplit, ProxyMatrix, ReconstructionResult,
-                   ShiftedSystem, StandardizedMatrix, TimeSeries, WeightVector,
+                   ShiftedSystem, TimeSeries, WeightVector,
                    gram_matrix, reconstruct, rmse, standardize)
 from .crossval import (EnsembleReport, ExperimentReport, make_blocks, run_block,
                        run_curve, run_ensemble, run_experiment)
 from .gcv import GcvResult, gcv_scores, minimize_gcv
-from .limit import (KrigingSpec, PsiColumns, kriging_curve, limit_curve, psi_columns,
+from .limit import (PsiColumns, kriging_curve, limit_curve, psi_columns,
                     rms_difference, rms_difference_values, simple_kriging)
 from .noise import NoiseSpec, ar1_covariance, generate, smooth_target
 
 __all__ = [
     "__version__",
-    "TimeSeries", "ProxyMatrix", "HoldoutSplit", "StandardizedMatrix",
+    "TimeSeries", "ProxyMatrix", "HoldoutSplit",
     "WeightVector", "ReconstructionResult", "ShiftedSystem",
     "standardize", "gram_matrix", "reconstruct", "rmse",
     "GcvResult", "gcv_scores", "minimize_gcv",
     "NoiseSpec", "generate", "ar1_covariance", "smooth_target",
     "ExperimentReport", "EnsembleReport", "make_blocks",
     "run_block", "run_curve", "run_experiment", "run_ensemble",
-    "psi_columns", "PsiColumns", "KrigingSpec",
+    "psi_columns", "PsiColumns",
     "limit_curve", "simple_kriging", "kriging_curve",
     "rms_difference", "rms_difference_values",
 ]

@@ -17,7 +17,6 @@ reproduces the run byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import sys
 from dataclasses import replace
@@ -58,18 +57,6 @@ def _load_target(config: io.ExperimentConfig) -> TimeSeries:
     return y
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(header)
-        out.writerows(rows)
-    return path
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def cmd_crossval(config: io.ExperimentConfig) -> int:
     y = _load_target(config)
     splits = make_blocks(y.n, config.n_v)
@@ -97,9 +84,8 @@ def cmd_crossval(config: io.ExperimentConfig) -> int:
         outputs += io.write_report(report, out_dir, years=y.years)
 
     ranked = sorted(reports, key=lambda r: (r.mean_rmse, r.label))
-    summary = _write_csv(out_dir / "summary.csv", ["label", "mean_rmse"],
-                         [[r.label, _fmt(r.mean_rmse)] for r in ranked])
-    outputs.append(summary)
+    outputs.append(io.write_csv(out_dir / "summary.csv", ["label", "mean_rmse"],
+                                [[r.label, io.format_float(r.mean_rmse)] for r in ranked]))
     outputs.append(io.write_manifest(out_dir, "crossval", config, outputs))
 
     print(f"{'experiment':24s}  mean RMSE (degC)")
@@ -150,23 +136,13 @@ def cmd_figure2(config: io.ExperimentConfig) -> int:
         print(f"phi={phi:g}: RMS difference, limit vs kriging (predictions):  "
               f"{rms_difference_values(lim_res, krig_res):.6g} degC")
 
-    header = ["block_start", "block_year"]
-    columns = [starts.astype(int).tolist(), y.years[starts].astype(int).tolist()]
-    if proxy_report is not None:
-        header.append("proxies")
-        columns.append([_fmt(v) for v in proxy_report.block_rmse])
-    header += ["white_mean", "white_scatter"]
-    columns += [[_fmt(v) for v in white.mean_curve],
-                [_fmt(v) for v in white.member_scatter]]
+    curves = [] if proxy_report is None else [("proxies", proxy_report.block_rmse)]
+    curves += [("white_mean", white.mean_curve), ("white_scatter", white.member_scatter)]
     for phi, ens, lim_rep, krig_rep in per_phi:
         tag = f"ar1_{phi:g}".replace(".", "_")
-        header += [f"{tag}_mean", f"{tag}_scatter", f"limit_{tag}", f"kriging_{tag}"]
-        columns += [[_fmt(v) for v in ens.mean_curve],
-                    [_fmt(v) for v in ens.member_scatter],
-                    [_fmt(v) for v in lim_rep.block_rmse],
-                    [_fmt(v) for v in krig_rep.block_rmse]]
-    combined = _write_csv(out_dir / "figure2.csv", header, list(map(list, zip(*columns))))
-    outputs.append(combined)
+        curves += [(f"{tag}_mean", ens.mean_curve), (f"{tag}_scatter", ens.member_scatter),
+                   (f"limit_{tag}", lim_rep.block_rmse), (f"kriging_{tag}", krig_rep.block_rmse)]
+    outputs.append(io.write_block_table(out_dir / "figure2.csv", starts, y.years, curves))
 
     series: list[Series] = []
     for rep in white.member_reports:
@@ -201,9 +177,8 @@ def cmd_limit(config: io.ExperimentConfig) -> int:
     starts = [s.block_start for s in splits]
     outputs: list[Path] = []
 
-    table_rows, member_rows = [], []
-    scatter_header = ["block_start", "block_year"]
-    scatter_cols = [[int(s) for s in starts], [int(y.years[s]) for s in starts]]
+    fmt = io.format_float
+    table_rows, member_rows, scatter = [], [], []
     print(f"{'phi':>6s} {'p':>8s} {'median RMS diff to limit':>26s} {'mean member scatter':>20s}")
     for i, phi in enumerate(config.phi_list):
         lim_rep, _ = limit_curve(phi, y, splits, mode=config.mode)
@@ -216,19 +191,17 @@ def cmd_limit(config: io.ExperimentConfig) -> int:
             diffs = [rms_difference(rep, lim_rep) for rep in ens.member_reports]
             median_diff = float(np.median(diffs))
             mean_scatter = float(ens.member_scatter.mean())
-            table_rows.append([_fmt(phi), p, _fmt(median_diff), _fmt(mean_scatter)])
-            member_rows += [[_fmt(phi), p, j, _fmt(d)] for j, d in enumerate(diffs)]
-            scatter_header.append(f"scatter_phi{phi:g}_p{p}".replace(".", "_"))
-            scatter_cols.append([_fmt(v) for v in ens.member_scatter])
+            table_rows.append([fmt(phi), p, fmt(median_diff), fmt(mean_scatter)])
+            member_rows += [[fmt(phi), p, j, fmt(d)] for j, d in enumerate(diffs)]
+            scatter.append((f"scatter_phi{phi:g}_p{p}".replace(".", "_"), ens.member_scatter))
             print(f"{phi:6g} {p:8d} {median_diff:26.6g} {mean_scatter:20.6g}")
 
-    outputs.append(_write_csv(out_dir / "limit_table.csv",
-                              ["phi", "p", "median_rms_diff_to_limit", "mean_member_scatter"],
-                              table_rows))
-    outputs.append(_write_csv(out_dir / "limit_members.csv",
-                              ["phi", "p", "member", "rms_diff_to_limit"], member_rows))
-    outputs.append(_write_csv(out_dir / "limit_scatter.csv", scatter_header,
-                              list(map(list, zip(*scatter_cols)))))
+    outputs.append(io.write_csv(out_dir / "limit_table.csv",
+                                ["phi", "p", "median_rms_diff_to_limit", "mean_member_scatter"],
+                                table_rows))
+    outputs.append(io.write_csv(out_dir / "limit_members.csv",
+                                ["phi", "p", "member", "rms_diff_to_limit"], member_rows))
+    outputs.append(io.write_block_table(out_dir / "limit_scatter.csv", starts, y.years, scatter))
     outputs.append(io.write_manifest(out_dir, "limit", config, outputs))
     return 0
 

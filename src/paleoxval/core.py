@@ -66,13 +66,16 @@ class ProxyMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "data", _frozen_array(self.data, ndim=2))
-        object.__setattr__(self, "column_ids", tuple(str(c) for c in self.column_ids))
+        ids = self.column_ids
+        if not (isinstance(ids, tuple) and all(isinstance(c, str) for c in ids)):
+            object.__setattr__(self, "column_ids", tuple(str(c) for c in ids))
         n, p = self.data.shape
         if p < 1:
             raise ValueError("need at least one proxy column")
         if len(self.column_ids) != p:
             raise LengthMismatch(f"{len(self.column_ids)} ids for {p} columns")
-        if not np.all(np.isfinite(self.data)):
+        # min and max propagate NaN, so this needs no n x p temporary
+        if not (np.isfinite(self.data.min()) and np.isfinite(self.data.max())):
             raise ValueError("proxy matrix contains non-finite entries")
 
     @property
@@ -131,35 +134,6 @@ class HoldoutSplit:
 
 
 @dataclass(frozen=True, eq=False)
-class StandardizedMatrix:
-    """Proxy matrix after column standardization over calibration rows.
-
-    col_means / col_stds are the calibration-period statistics that were
-    removed; the full column (all n rows) is transformed with them.
-    """
-
-    data: np.ndarray
-    col_means: np.ndarray
-    col_stds: np.ndarray
-    column_ids: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_array(self.data, ndim=2))
-        object.__setattr__(self, "col_means", _frozen_array(self.col_means))
-        object.__setattr__(self, "col_stds", _frozen_array(self.col_stds))
-        object.__setattr__(self, "column_ids", tuple(self.column_ids))
-        p = self.data.shape[1]
-        if len(self.col_means) != p or len(self.col_stds) != p:
-            raise LengthMismatch("per-column stats must match the column count")
-        if np.any(self.col_stds <= 0):
-            raise ValueError("col_stds must be positive")
-
-    @property
-    def p(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
 class WeightVector:
     """Calibration weight vector w.
 
@@ -209,20 +183,19 @@ class ReconstructionResult:
             raise LengthMismatch("prediction length must equal the block length")
 
 
-def _standardize_calib(data: np.ndarray, split: HoldoutSplit, out: np.ndarray | None = None
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _standardize_calib(data: np.ndarray, split: HoldoutSplit) -> np.ndarray:
     """Column-standardize an n x p array over the split's calibration rows.
 
     Reads the two calibration segments around the block as views and centres
-    into ``out`` before summing squares, so large offsets cancel first.
-    Returns (out, means, stds), stds with denominator n_c - 1; raises
-    DegenerateColumn (column indices as ids) on any std <= DEGENERATE_STD.
+    a new array before summing squares, so large offsets cancel first. Stds
+    have denominator n_c - 1; raises DegenerateColumn (column indices as
+    ids) on any std <= DEGENERATE_STD.
     """
     if data.shape[0] != split.n:
         raise LengthMismatch(f"array has {data.shape[0]} rows, split covers {split.n}")
     segments = slice(0, split.block_start), slice(split.block_start + split.n_v, None)
     means = sum(data[rows].sum(axis=0) for rows in segments) / split.n_c
-    out = np.subtract(data, means, out=out)
+    out = data - means
     sum_sq = sum(np.einsum("ij,ij->j", out[rows], out[rows]) for rows in segments)
     # one calibration row (n_c = 1) leaves sum_sq = 0: every column is degenerate
     stds = np.sqrt(sum_sq / max(split.n_c - 1, 1))
@@ -230,16 +203,17 @@ def _standardize_calib(data: np.ndarray, split: HoldoutSplit, out: np.ndarray | 
     if len(bad):
         raise DegenerateColumn([str(j) for j in bad])
     out /= stds
-    return out, means, stds
+    return out
 
 
 def standardize(X: ProxyMatrix, split: HoldoutSplit, *,
-                drop_degenerate: bool = False) -> StandardizedMatrix:
+                drop_degenerate: bool = False) -> np.ndarray:
     """Standardize every column using calibration-period statistics only.
 
     Each column's mean and sample standard deviation (denominator n_c - 1)
     are computed over ``split.calib_rows``; the whole column, validation rows
-    included, is then transformed by (x - mean) / std.
+    included, is then transformed by (x - mean) / std. Returns a read-only
+    n x p float64 array, narrower when degenerate columns are dropped.
 
     Parameters
     ----------
@@ -250,27 +224,25 @@ def standardize(X: ProxyMatrix, split: HoldoutSplit, *,
         DegenerateColumn. When True such columns are silently removed;
         raises only if nothing is left.
     """
-    ids = X.column_ids
     try:
-        scaled, means, stds = _standardize_calib(X.data, split)
+        scaled = _standardize_calib(X.data, split)
     except DegenerateColumn as exc:
         keep = np.ones(X.p, dtype=bool)
         keep[[int(j) for j in exc.column_ids]] = False
         if not drop_degenerate or not np.any(keep):
-            raise DegenerateColumn([ids[j] for j in np.flatnonzero(~keep)]) from None
-        ids = tuple(c for c, k in zip(ids, keep) if k)
-        scaled, means, stds = _standardize_calib(X.data[:, keep], split)
+            raise DegenerateColumn([X.column_ids[j] for j in np.flatnonzero(~keep)]) from None
+        scaled = _standardize_calib(X.data[:, keep], split)
     scaled.flags.writeable = False
-    return StandardizedMatrix(data=scaled, col_means=means, col_stds=stds, column_ids=ids)
+    return scaled
 
 
-def gram_matrix(Xs: StandardizedMatrix) -> np.ndarray:
-    """Column-averaged Gram matrix of the standardized predictors.
+def gram_matrix(Xs: np.ndarray) -> np.ndarray:
+    """Column-averaged Gram matrix of an n x p standardized array.
 
     Returns the n x n matrix (Xs Xs^T) / p, exactly symmetric and positive
     semidefinite up to rounding.
     """
-    S = Xs.data @ Xs.data.T / Xs.p
+    S = Xs @ Xs.T / Xs.shape[1]
     return (S + S.T) / 2.0
 
 

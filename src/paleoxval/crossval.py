@@ -136,8 +136,7 @@ def run_block(X: ProxyMatrix, y: TimeSeries, split: HoldoutSplit, *,
     """Full single-block pipeline: standardize, Gram, GCV, reconstruct, score."""
     if X.n != y.n:
         raise LengthMismatch(f"proxy matrix has {X.n} rows, series has {y.n}")
-    Xs = standardize(X, split, drop_degenerate=drop_degenerate)
-    S = gram_matrix(Xs)
+    S = gram_matrix(standardize(X, split, drop_degenerate=drop_degenerate))
     result, _ = reconstruct_with_gcv(S[:, split.calib_rows], y, split)
     return result
 

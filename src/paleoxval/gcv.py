@@ -79,20 +79,18 @@ def gcv_scores(system: ShiftedSystem, lams) -> np.ndarray:
     return system.n_c * resid_sq / trace_ih**2
 
 
-def minimize_gcv(system: ShiftedSystem, *, domain: tuple[float, float] = SEARCH_DOMAIN,
-                 grid_points: int = COARSE_GRID_POINTS,
-                 trace: list | None = None) -> GcvResult:
+def minimize_gcv(system: ShiftedSystem, *, trace: list | None = None) -> GcvResult:
     """Find the GCV-minimizing ridge parameter.
 
-    A coarse logarithmic grid over ``domain`` brackets the minimizer, then
+    A coarse logarithmic grid over SEARCH_DOMAIN brackets the minimizer, then
     golden-section refinement on log(lam) narrows it to relative precision
     LOG_LAMBDA_TOL. Grid scores tying within TIE_REL resolve to the largest
     lam (strongest regularization). Deterministic for fixed inputs.
 
     ``trace``, if given, collects every (lam, score) pair evaluated.
     """
-    lo, hi = domain
-    grid = np.geomspace(lo, hi, grid_points)
+    lo, hi = SEARCH_DOMAIN
+    grid = np.geomspace(lo, hi, COARSE_GRID_POINTS)
     scores = gcv_scores(system, grid)
     evaluated = [(float(lam), float(v)) for lam, v in zip(grid, scores)]
 
@@ -115,8 +113,8 @@ def minimize_gcv(system: ShiftedSystem, *, domain: tuple[float, float] = SEARCH_
 
     ties = np.flatnonzero(scores <= vmin + TIE_REL * abs(vmin))
     best = int(ties.max())
-    if best == 0 or best == grid_points - 1:
-        bracket = (float(grid[max(best - 1, 0)]), float(grid[min(best + 1, grid_points - 1)]))
+    if best == 0 or best == len(grid) - 1:
+        bracket = (float(grid[max(best - 1, 0)]), float(grid[min(best + 1, len(grid) - 1)]))
         return finish(grid[best], scores[best], bracket, at_boundary=True)
 
     # Golden-section refinement on t = log(lam) within the grid bracket.

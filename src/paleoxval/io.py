@@ -29,7 +29,8 @@ from .noise import KINDS
 DEFAULT_NOISE_COLUMNS = 1138
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
+    """The 17-significant-digit decimal every CSV holds: exact for float64."""
     return format(float(x), ".17g")
 
 
@@ -302,80 +303,62 @@ def load_proxies(path, expected_years=None) -> ProxyMatrix:
     return ProxyMatrix(data=data, column_ids=tuple(header[1:]))
 
 
-def save_target(series: TimeSeries, path) -> Path:
+def write_csv(path, header, rows) -> Path:
+    """Write a header line and the rows as CSV with "\\n" line ends."""
     path = Path(path)
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["year", "value"])
-        for year, value in zip(series.years, series.values):
-            out.writerow([int(year), _fmt(value)])
+        out.writerow(header)
+        out.writerows(rows)
     return path
+
+
+def save_target(series: TimeSeries, path) -> Path:
+    return write_csv(path, ["year", "value"],
+                     ([int(year), format_float(value)]
+                      for year, value in zip(series.years, series.values)))
 
 
 def save_proxies(X: ProxyMatrix, years, path) -> Path:
-    years = np.asarray(years)
     if len(years) != X.n:
         raise YearMismatch(f"{len(years)} years for {X.n} rows")
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["year", *X.column_ids])
-        for r in range(X.n):
-            out.writerow([int(years[r]), *(_fmt(v) for v in X.data[r])])
-    return path
+    return write_csv(path, ["year", *X.column_ids],
+                     ([int(year), *map(format_float, row)] for year, row in zip(years, X.data)))
 
 
 def _slug(label: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", label.lower()).strip("_") or "report"
 
 
+def write_block_table(path, block_starts, years, curves) -> Path:
+    """One row per block: block_start, block_year (when the target's
+    ``years`` are given), then one column per (name, curve) pair."""
+    header, columns = ["block_start"], [[int(s) for s in block_starts]]
+    if years is not None:
+        header.append("block_year")
+        columns.append([int(years[s]) for s in block_starts])
+    for name, curve in curves:
+        header.append(name)
+        columns.append([format_float(v) for v in curve])
+    return write_csv(path, header, zip(*columns))
+
+
 def write_report(report: ExperimentReport | EnsembleReport, out_dir, *,
                  years=None) -> list[Path]:
     """Write one CSV per report; a block_year column is added when the
     target years are supplied."""
+    if isinstance(report, ExperimentReport):
+        name = f"blocks_{_slug(report.label)}.csv"
+        curves = [("block_rmse", report.block_rmse), ("lambda", report.per_block_lambda)]
+    elif isinstance(report, EnsembleReport):
+        name = f"ensemble_{_slug(report.label)}.csv"
+        curves = [(f"member_{i:03d}", m.block_rmse) for i, m in enumerate(report.member_reports)]
+        curves += [("mean", report.mean_curve), ("scatter", report.member_scatter)]
+    else:
+        raise TypeError(f"cannot write a {type(report).__name__}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    years = None if years is None else np.asarray(years)
-
-    def year_cols(starts):
-        return [] if years is None else [[int(years[s]) for s in starts]]
-
-    if isinstance(report, ExperimentReport):
-        path = out_dir / f"blocks_{_slug(report.label)}.csv"
-        with open(path, "w", newline="") as fh:
-            out = csv.writer(fh, lineterminator="\n")
-            out.writerow(["block_start",
-                          *(["block_year"] if years is not None else []),
-                          "block_rmse", "lambda"])
-            extra = year_cols(report.block_starts)
-            for i, start in enumerate(report.block_starts):
-                row = [int(start)]
-                if extra:
-                    row.append(extra[0][i])
-                row += [_fmt(report.block_rmse[i]), _fmt(report.per_block_lambda[i])]
-                out.writerow(row)
-        return [path]
-
-    if isinstance(report, EnsembleReport):
-        path = out_dir / f"ensemble_{_slug(report.label)}.csv"
-        member_names = [f"member_{i:03d}" for i in range(report.m)]
-        with open(path, "w", newline="") as fh:
-            out = csv.writer(fh, lineterminator="\n")
-            out.writerow(["block_start",
-                          *(["block_year"] if years is not None else []),
-                          *member_names, "mean", "scatter"])
-            starts = report.block_starts
-            extra = year_cols(starts)
-            for i, start in enumerate(starts):
-                row = [int(start)]
-                if extra:
-                    row.append(extra[0][i])
-                row += [_fmt(m.block_rmse[i]) for m in report.member_reports]
-                row += [_fmt(report.mean_curve[i]), _fmt(report.member_scatter[i])]
-                out.writerow(row)
-        return [path]
-
-    raise TypeError(f"cannot write a {type(report).__name__}")
+    return [write_block_table(out_dir / name, report.block_starts, years, curves)]
 
 
 def read_report(path) -> dict[str, np.ndarray]:

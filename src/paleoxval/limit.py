@@ -16,13 +16,11 @@ exponential semivariogram whose nugget is the GCV-selected ridge parameter.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (HoldoutSplit, ReconstructionResult, ShiftedSystem, TimeSeries,
-                   WeightVector, reconstruct, rmse)
+from .core import HoldoutSplit, ReconstructionResult, TimeSeries, WeightVector
 from .crossval import ExperimentReport, reconstruct_with_gcv, run_curve
 from .errors import BlockMismatch, DegenerateColumn, LengthMismatch, SingularSystem
 from .noise import ar1_covariance
@@ -36,29 +34,6 @@ _U = np.linspace(-60.0, 200.0, 801)
 _T = np.exp(_U)
 _STEP = float(_U[1] - _U[0])
 QUAD_RTOL = 1e-4        # a larger error estimate is logged as a warning
-
-
-@dataclass(frozen=True)
-class KrigingSpec:
-    """Nugget policy for simple kriging: GCV-selected or fixed.
-
-    A fixed nugget must be positive: it is the shift lam of the shifted
-    system, whose domain is lam > 0. ``nugget`` is ignored for source="gcv".
-    """
-
-    phi: float
-    nugget: float = 0.0
-    source: str = "gcv"     # "gcv" | "fixed"
-
-    def __post_init__(self):
-        if not 0.0 < self.phi < 1.0:
-            raise ValueError("phi must be in (0, 1)")
-        if self.nugget < 0.0:
-            raise ValueError("nugget must be nonnegative")
-        if self.source not in ("gcv", "fixed"):
-            raise ValueError(f"unknown nugget source {self.source!r}")
-        if self.source == "fixed" and not self.nugget > 0.0:
-            raise ValueError("a fixed nugget must be positive")
 
 
 def _quadrature(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,41 +111,27 @@ def limit_curve(phi: float, y: TimeSeries, splits: Sequence[HoldoutSplit], *,
     return run_curve(f"limit_ar1_{phi:g}", block, splits, mode=mode)
 
 
-def simple_kriging(phi: float, y: TimeSeries, split: HoldoutSplit,
-                   spec: KrigingSpec | None = None) -> ReconstructionResult:
+def simple_kriging(phi: float, y: TimeSeries, split: HoldoutSplit) -> ReconstructionResult:
     """Predict the holdout block by simple kriging under AR(1) covariance.
 
     y_hat_v = Phi_vc (Phi_cc + nugget I)^-1 y_c with Phi = (phi^|i-j|): no
     standardization, no intercept, zero prior mean. This is the
-    reconstruction operator with S = Phi and the all-zero weight vector, so
-    with source="gcv" it runs ``reconstruct_with_gcv`` and the nugget is the
-    GCV minimizer for the hat operator Phi_cc (Phi_cc + lam I)^-1.
+    reconstruction operator with S = Phi and the all-zero weight vector, run
+    by ``reconstruct_with_gcv``, so the nugget is the GCV minimizer for the
+    hat operator Phi_cc (Phi_cc + lam I)^-1.
     """
-    if spec is None:
-        spec = KrigingSpec(phi=phi)
-    if spec.phi != phi:
-        raise ValueError(f"spec.phi {spec.phi} disagrees with phi {phi}")
-    if split.n != y.n:
-        raise ValueError(f"split covers {split.n} rows, series has {y.n}")
+    if split.n != y.n:     # before Phi is indexed with the split's rows
+        raise LengthMismatch(f"split covers {split.n} rows, series has {y.n}")
     Phi = ar1_covariance(y.n, phi)
-    w = WeightVector.zero(split.n_c)
-    if spec.source == "gcv":
-        result, _ = reconstruct_with_gcv(Phi[:, split.calib_rows], y, split, w)
-        return result
-    system = ShiftedSystem(Phi[np.ix_(split.calib_rows, split.calib_rows)], w,
-                           y.values[split.calib_rows])
-    y_hat = reconstruct(system, Phi[np.ix_(split.valid_rows, split.calib_rows)], spec.nugget)
-    return ReconstructionResult(
-        y_hat_v=y_hat, lam=float(spec.nugget), split=split,
-        rmse=rmse(y_hat, y.values[split.valid_rows]),
-    )
+    result, _ = reconstruct_with_gcv(Phi[:, split.calib_rows], y, split,
+                                     WeightVector.zero(split.n_c))
+    return result
 
 
-def kriging_curve(phi: float, y: TimeSeries, splits: Sequence[HoldoutSplit],
-                  spec: KrigingSpec | None = None, *, mode: str = "strict",
-                  ) -> tuple[ExperimentReport, list[ReconstructionResult]]:
+def kriging_curve(phi: float, y: TimeSeries, splits: Sequence[HoldoutSplit], *,
+                  mode: str = "strict") -> tuple[ExperimentReport, list[ReconstructionResult]]:
     """simple_kriging over every split (nugget re-selected per split)."""
-    return run_curve(f"kriging_ar1_{phi:g}", lambda split: simple_kriging(phi, y, split, spec),
+    return run_curve(f"kriging_ar1_{phi:g}", lambda split: simple_kriging(phi, y, split),
                      splits, mode=mode)
 
 

@@ -73,8 +73,9 @@ class TestStandardize:
         # calibration rows {0,1,2} hold 1, 2, 3: mean 2, sample std 1
         X = px.ProxyMatrix(np.array([[1.0], [2.0], [3.0], [9.0], [4.0]]), ("x",))
         out = px.standardize(X, make_split(5, 3, 2))
-        np.testing.assert_allclose(out.data[:, 0], [-1.0, 0.0, 1.0, 7.0, 2.0], atol=1e-15)
-        assert out.col_means[0] == 2.0 and out.col_stds[0] == 1.0
+        # mean 2 and std 1 exactly: every standardized value is exact
+        assert np.array_equal(out[:, 0], [-1.0, 0.0, 1.0, 7.0, 2.0])
+        assert not out.flags.writeable
 
     def test_constant_column_raises(self):
         X = px.ProxyMatrix(np.array([[5.0], [5.0], [5.0], [5.0]]), ("const",))
@@ -87,14 +88,14 @@ class TestStandardize:
         # rows are transformed with those statistics
         X = px.ProxyMatrix(np.array([[1.0], [2.0], [4.0], [3.0]]), ("x",))
         out = px.standardize(X, make_split(4, 2, 1))
-        np.testing.assert_allclose(out.data[:, 0], [-1.0, 0.0, 2.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(out[:, 0], [-1.0, 0.0, 2.0, 1.0], atol=1e-15)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
         X = px.ProxyMatrix(rng.standard_normal((7, 4)), tuple("abcd"))
         split = make_split(7, 2, 3)
         out = px.standardize(X, split)
-        np.testing.assert_allclose(out.data, oracles.standardize_by_loop(X.data, split.calib_rows),
+        np.testing.assert_allclose(out, oracles.standardize_by_loop(X.data, split.calib_rows),
                                    rtol=1e-12)
 
     def test_calibration_moments(self):
@@ -102,7 +103,7 @@ class TestStandardize:
         X = px.ProxyMatrix(rng.standard_normal((20, 6)), tuple(f"c{i}" for i in range(6)))
         split = make_split(20, 5, 6)
         out = px.standardize(X, split)
-        calib = out.data[split.calib_rows]
+        calib = out[split.calib_rows]
         assert np.all(np.abs(calib.mean(axis=0)) < 1e-10)
         assert np.all(np.abs(calib.std(axis=0, ddof=1) - 1.0) < 1e-10)
 
@@ -124,7 +125,7 @@ class TestStandardize:
         Xs = px.standardize(X, split)
         ref = oracles.standardize_by_loop(data, split.calib_rows)
         # both matrices have unit scale; atol covers entries near zero
-        np.testing.assert_allclose(Xs.data, ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(Xs, ref, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(px.gram_matrix(Xs), oracles.gram_by_accumulation(ref),
                                    rtol=1e-12, atol=1e-12)
 
@@ -163,9 +164,8 @@ class TestStandardize:
             px.standardize(X, split)
         assert err.value.column_ids == ("step",)
         out = px.standardize(X, split, drop_degenerate=True)
-        assert out.column_ids == ("a", "b")
-        np.testing.assert_allclose(out.data, oracles.standardize_by_loop(data[:, [0, 2]],
-                                                                         split.calib_rows),
+        np.testing.assert_allclose(out, oracles.standardize_by_loop(data[:, [0, 2]],
+                                                                    split.calib_rows),
                                    rtol=1e-12, atol=1e-12)
 
     def test_row_count_must_match_split(self):
@@ -177,8 +177,10 @@ class TestStandardize:
         data = np.column_stack([np.arange(4.0), np.full(4, 7.0)])
         X = px.ProxyMatrix(data, ("good", "flat"))
         out = px.standardize(X, make_split(4, 2, 1), drop_degenerate=True)
-        assert out.column_ids == ("good",)
-        assert out.p == 1
+        # only "good" is left: calibration rows {0, 1, 3} hold 0, 1, 3
+        assert out.shape == (4, 1)
+        np.testing.assert_allclose(out[:, 0], (np.arange(4.0) - 4 / 3) / np.sqrt(7 / 3),
+                                   rtol=1e-14)
         all_flat = px.ProxyMatrix(np.full((4, 2), 7.0), ("f1", "f2"))
         with pytest.raises(DegenerateColumn):
             px.standardize(all_flat, make_split(4, 2, 1), drop_degenerate=True)
@@ -186,27 +188,23 @@ class TestStandardize:
 
 class TestGramMatrix:
     def test_single_column(self):
-        Xs = px.StandardizedMatrix(data=np.array([[1.0], [-1.0]]),
-                                   col_means=[0.0], col_stds=[1.0])
-        np.testing.assert_allclose(px.gram_matrix(Xs), [[1.0, -1.0], [-1.0, 1.0]])
+        np.testing.assert_allclose(px.gram_matrix(np.array([[1.0], [-1.0]])),
+                                   [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_orthogonal_scaled_columns(self):
-        Xs = px.StandardizedMatrix(data=2.0 * np.eye(2), col_means=[0, 0], col_stds=[1, 1])
-        np.testing.assert_allclose(px.gram_matrix(Xs), 2.0 * np.eye(2))
+        np.testing.assert_allclose(px.gram_matrix(2.0 * np.eye(2)), 2.0 * np.eye(2))
 
     def test_matches_outer_product_accumulation(self):
         rng = np.random.default_rng(5)
         data = rng.standard_normal((5, 3))
-        Xs = px.StandardizedMatrix(data=data, col_means=np.zeros(3), col_stds=np.ones(3))
-        np.testing.assert_allclose(px.gram_matrix(Xs), oracles.gram_by_accumulation(data),
+        np.testing.assert_allclose(px.gram_matrix(data), oracles.gram_by_accumulation(data),
                                    rtol=1e-13, atol=1e-15)
 
     @given(st.integers(0, 2**32), st.integers(3, 9), st.integers(1, 6))
     def test_psd_and_symmetric(self, seed, n, p):
         rng = np.random.default_rng(seed)
         data = rng.standard_normal((n, p))
-        S = px.gram_matrix(px.StandardizedMatrix(data=data, col_means=np.zeros(p),
-                                                 col_stds=np.ones(p)))
+        S = px.gram_matrix(data)
         assert np.array_equal(S, S.T)
         eigs = np.linalg.eigvalsh(S)
         assert eigs.min() >= -1e-10 * max(1.0, np.abs(eigs).max())

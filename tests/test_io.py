@@ -187,6 +187,45 @@ class TestReports:
         assert np.array_equal(cols["lambda"], rep.per_block_lambda)
         assert cols["block_year"][0] == y60.years[0]
 
+    def test_report_bytes(self, tmp_path):
+        # the exact text every report writer produces: 17 significant digits,
+        # "nan" for a dropped block, "\n" line ends, block_year only with years
+        rep = px.ExperimentReport(label="Demo Run", block_starts=[0, 1, 2],
+                                  block_rmse=[0.1, np.nan, 0.25],
+                                  per_block_lambda=[1e-8, np.nan, 3.0], mean_rmse=0.175)
+        (plain,) = pio.write_report(rep, tmp_path / "plain")
+        assert plain.name == "blocks_demo_run.csv"
+        assert plain.read_text() == ("block_start,block_rmse,lambda\n"
+                                     "0,0.10000000000000001,1e-08\n"
+                                     "1,nan,nan\n"
+                                     "2,0.25,3\n")
+        (dated,) = pio.write_report(rep, tmp_path / "dated", years=[1850, 1851, 1852])
+        assert dated.read_text() == ("block_start,block_year,block_rmse,lambda\n"
+                                     "0,1850,0.10000000000000001,1e-08\n"
+                                     "1,1851,nan,nan\n"
+                                     "2,1852,0.25,3\n")
+        member = px.ExperimentReport(label="m", block_starts=[0, 1, 2],
+                                     block_rmse=[0.3, 0.5, 1 / 3],
+                                     per_block_lambda=[1.0, 1.0, 1.0], mean_rmse=0.3)
+        ens = px.EnsembleReport(label="White", member_reports=(rep, member),
+                                mean_curve=[0.2, np.nan, 7 / 24],
+                                member_scatter=[0.5, np.nan, 2e-17])
+        (ens_path,) = pio.write_report(ens, tmp_path / "ens", years=[1850, 1851, 1852])
+        assert ens_path.name == "ensemble_white.csv"
+        assert ens_path.read_text() == (
+            "block_start,block_year,member_000,member_001,mean,scatter\n"
+            "0,1850,0.10000000000000001,0.29999999999999999,0.20000000000000001,0.5\n"
+            "1,1851,nan,0.5,nan,nan\n"
+            "2,1852,0.25,0.33333333333333331,0.29166666666666669,2.0000000000000001e-17\n")
+
+    def test_target_and_proxy_bytes(self, tmp_path):
+        ts = px.TimeSeries(years=[1850, 1851], values=[-0.3, 1 / 3])
+        assert pio.save_target(ts, tmp_path / "t.csv").read_text() == (
+            "year,value\n1850,-0.29999999999999999\n1851,0.33333333333333331\n")
+        X = px.ProxyMatrix(np.array([[1.0, 0.1], [2.5, -1e-20]]), ("a", "b,c"))
+        assert pio.save_proxies(X, [1850, 1851], tmp_path / "p.csv").read_text() == (
+            'year,a,"b,c"\n1850,1,0.10000000000000001\n1851,2.5,-9.9999999999999995e-21\n')
+
     def test_ensemble_csv_layout(self, tmp_path, y60, splits60):
         ens = px.run_ensemble(px.NoiseSpec(kind="white", n=60, p=4, seed=3),
                               y60, splits60[:4], 2)

@@ -158,29 +158,32 @@ class TestLimitReconstruction:
             assert abs(direct.rmse - lim.rmse) < 0.05 * lim.rmse
 
 
+def kriging_with_nugget(phi, y, split, nugget):
+    """The production operator at a fixed nugget: S = Phi, all-zero weights."""
+    Phi = px.ar1_covariance(y.n, phi)
+    c, v = split.calib_rows, split.valid_rows
+    system = px.ShiftedSystem(Phi[np.ix_(c, c)], px.WeightVector.zero(split.n_c), y.values[c])
+    return px.reconstruct(system, Phi[np.ix_(v, c)], nugget)
+
+
 class TestSimpleKriging:
     def test_huge_nugget_shrinks_to_zero(self, y60):
         split = px.HoldoutSplit.make(60, 20, 12)
-        out = px.simple_kriging(0.9, y60, split,
-                                px.KrigingSpec(phi=0.9, nugget=1e12, source="fixed"))
-        assert np.max(np.abs(out.y_hat_v)) < 1e-9
+        y_hat = kriging_with_nugget(0.9, y60, split, 1e12)
+        assert np.max(np.abs(y_hat)) < 1e-9
 
     def test_tiny_phi_decorrelates(self, y60):
         split = px.HoldoutSplit.make(60, 20, 12)
-        out = px.simple_kriging(1e-12, y60, split,
-                                px.KrigingSpec(phi=1e-12, nugget=0.1, source="fixed"))
-        assert np.max(np.abs(out.y_hat_v)) < 1e-9
+        y_hat = kriging_with_nugget(1e-12, y60, split, 0.1)
+        assert np.max(np.abs(y_hat)) < 1e-9
 
     def test_small_system_matches_inverse_oracle(self):
         y = px.TimeSeries(years=np.arange(2000, 2004), values=[0.3, -0.1, 0.4, 0.2])
         split = px.HoldoutSplit.make(4, 3, 1)
-        out = px.simple_kriging(0.5, y, split,
-                                px.KrigingSpec(phi=0.5, nugget=0.1, source="fixed"))
         want = oracles.kriging_by_inverse(px.ar1_covariance(4, 0.5), 0.1,
                                           y.values[split.calib_rows],
                                           split.calib_rows, split.valid_rows)
-        np.testing.assert_allclose(out.y_hat_v, want, rtol=1e-12)
-        assert out.lam == 0.1
+        np.testing.assert_allclose(kriging_with_nugget(0.5, y, split, 0.1), want, rtol=1e-12)
 
     def test_gcv_nugget_deterministic(self, y60):
         split = px.HoldoutSplit.make(60, 5, 12)
@@ -199,14 +202,11 @@ class TestSimpleKriging:
                                                 split.calib_rows, split.valid_rows)
             np.testing.assert_allclose(krig.y_hat_v, direct, rtol=0, atol=1e-8)
 
-    def test_fixed_zero_nugget_rejected(self):
-        with pytest.raises(ValueError):
-            px.KrigingSpec(phi=0.9, nugget=0.0, source="fixed")
-
-    def test_phi_mismatch_rejected(self, y60):
-        split = px.HoldoutSplit.make(60, 0, 12)
-        with pytest.raises(ValueError):
-            px.simple_kriging(0.9, y60, split, px.KrigingSpec(phi=0.8))
+    @pytest.mark.parametrize("n", [59, 61])
+    def test_split_must_match_series(self, y60, n):
+        # a longer split must not reach Phi's rows: it fails like a shorter one
+        with pytest.raises(LengthMismatch):
+            px.simple_kriging(0.9, y60, px.HoldoutSplit.make(n, 0, 12))
 
 
 class TestRmsDifference:

@@ -107,7 +107,7 @@ class TestGenerate:
         split = px.HoldoutSplit.make(300, 270, 30)
         Xs = px.standardize(X, split)
         raw = oracles.lag1_autocorr(X.data[split.calib_rows])
-        scaled = oracles.lag1_autocorr(Xs.data[split.calib_rows])
+        scaled = oracles.lag1_autocorr(Xs[split.calib_rows])
         assert abs(scaled - raw) < 0.02
 
 

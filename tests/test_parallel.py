@@ -175,15 +175,6 @@ class TestRunCurve:
         assert "worker traceback" in message and 'raise Unrebuildable("bad ", "block")' in message
         assert multiprocessing.active_children() == []
 
-    def test_fixed_nugget_kriging_curve(self, y60, splits60, cpus):
-        cpus(2)
-        spec = px.KrigingSpec(phi=0.9, nugget=0.1, source="fixed")
-        report, results = px.kriging_curve(0.9, y60, splits60[:4], spec)
-        assert np.array_equal(report.per_block_lambda, np.full(4, 0.1))
-        for split, result in zip(splits60[:4], results):
-            assert np.array_equal(result.y_hat_v,
-                                  px.simple_kriging(0.9, y60, split, spec).y_hat_v)
-
     def test_pool_size_is_capped(self, y60, splits60, cpus, monkeypatch):
         sizes, real = [], crossval.ProcessPoolExecutor
         monkeypatch.setattr(crossval, "ProcessPoolExecutor",
