@@ -6,11 +6,12 @@ from ._version import __version__
 from .core import (HoldoutSplit, ProxyMatrix, ReconstructionResult,
                    ShiftedSystem, TimeSeries, WeightVector,
                    gram_matrix, reconstruct, rmse, standardize)
-from .crossval import (EnsembleReport, ExperimentReport, make_blocks, run_block,
-                       run_curve, run_ensemble, run_experiment)
+from .crossval import (EnsembleReport, ExperimentReport, ensemble_entries, ensemble_report,
+                       experiment_entry, make_blocks, run_block, run_curve, run_curves,
+                       run_ensemble, run_experiment)
 from .gcv import GcvResult, gcv_scores, minimize_gcv
-from .limit import (PsiColumns, kriging_curve, limit_curve, psi_columns,
-                    rms_difference, rms_difference_values, simple_kriging)
+from .limit import (PsiColumns, kriging_curve, kriging_entry, limit_curve, limit_entry,
+                    psi_columns, rms_difference, rms_difference_values, simple_kriging)
 from .noise import NoiseSpec, ar1_covariance, generate, smooth_target
 
 __all__ = [
@@ -21,8 +22,8 @@ __all__ = [
     "GcvResult", "gcv_scores", "minimize_gcv",
     "NoiseSpec", "generate", "ar1_covariance", "smooth_target",
     "ExperimentReport", "EnsembleReport", "make_blocks",
-    "run_block", "run_curve", "run_experiment", "run_ensemble",
-    "psi_columns", "PsiColumns",
-    "limit_curve", "simple_kriging", "kriging_curve",
+    "run_block", "run_curve", "run_curves", "run_experiment", "run_ensemble",
+    "experiment_entry", "ensemble_entries", "ensemble_report", "psi_columns", "PsiColumns",
+    "limit_entry", "limit_curve", "simple_kriging", "kriging_entry", "kriging_curve",
     "rms_difference", "rms_difference_values",
 ]

@@ -27,10 +27,11 @@ import numpy as np
 from . import io
 from ._version import __version__
 from .core import TimeSeries
-from .crossval import ExperimentReport, make_blocks, run_ensemble, run_experiment
+from .crossval import (ensemble_entries, ensemble_report, experiment_entry, make_blocks,
+                       run_curves)
 from .errors import PaleoXvalError
-from .limit import kriging_curve, limit_curve, rms_difference, rms_difference_values
-from .noise import NoiseSpec, generate
+from .limit import kriging_entry, limit_entry, rms_difference, rms_difference_values
+from .noise import NoiseSpec
 from .svgplot import PlotSpec, Series, write_svg
 
 # Experiments within one command draw from seeds this far apart; members
@@ -62,22 +63,20 @@ def cmd_crossval(config: io.ExperimentConfig) -> int:
     splits = make_blocks(y.n, config.n_v)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    run_kw = dict(mode=config.mode, drop_degenerate=config.drop_degenerate)
 
-    reports: list[ExperimentReport] = []
     if isinstance(config.proxy_source, io.FileSource):
         X = io.load_proxies(config.proxy_source.path, expected_years=y.years)
-        reports.append(run_experiment(X, y, splits, label="proxies", **run_kw))
+        curves = [experiment_entry("proxies", X, y, drop_degenerate=config.drop_degenerate)]
     else:
         spec = _noise_spec(config.proxy_source, y.n, config.seed, config.noise_columns)
-        reports.append(run_experiment(generate(spec), y, splits, label=spec.label, **run_kw))
-
-    seen = {r.label for r in reports}
+        curves = [experiment_entry(spec.label, spec, y, drop_degenerate=config.drop_degenerate)]
+    seen = {curves[0][0]}
     for k, src in enumerate(config.noise_experiments):
         spec = _noise_spec(src, y.n, config.seed + SEED_STRIDE * (k + 1), config.noise_columns)
         label = spec.label if spec.label not in seen else f"{spec.label}_{k + 1}"
         seen.add(label)
-        reports.append(run_experiment(generate(spec), y, splits, label=label, **run_kw))
+        curves.append(experiment_entry(label, spec, y, drop_degenerate=config.drop_degenerate))
+    reports = [report for report, _ in run_curves(curves, splits, mode=config.mode)]
 
     outputs = []
     for report in reports:
@@ -102,27 +101,30 @@ def cmd_figure2(config: io.ExperimentConfig) -> int:
     m = config.ensemble_size
     starts = np.array([s.block_start for s in splits])
     x_years = y.years[starts].astype(float)
-    outputs: list[Path] = []
 
-    proxy_report = None
-    if isinstance(config.proxy_source, io.FileSource):
+    white_spec = NoiseSpec(kind="white", n=y.n, p=config.noise_columns,
+                           seed=config.seed + SEED_STRIDE)
+    ar1_specs = [NoiseSpec(kind="ar1", n=y.n, p=config.noise_columns, phi=phi,
+                           seed=config.seed + SEED_STRIDE * (2 + i))
+                 for i, phi in enumerate(config.phi_list)]
+    curves = []
+    if with_proxies := isinstance(config.proxy_source, io.FileSource):
         X = io.load_proxies(config.proxy_source.path, expected_years=y.years)
-        proxy_report = run_experiment(X, y, splits, label="proxies", mode=config.mode,
-                                      drop_degenerate=config.drop_degenerate)
-        outputs += io.write_report(proxy_report, out_dir, years=y.years)
+        curves.append(experiment_entry("proxies", X, y, drop_degenerate=config.drop_degenerate))
+    curves += ensemble_entries(white_spec, y, m)
+    for phi, spec in zip(config.phi_list, ar1_specs):
+        curves += [*ensemble_entries(spec, y, m), limit_entry(phi, y), kriging_entry(phi, y)]
+    done = iter(run_curves(curves, splits, mode=config.mode))
 
-    white = run_ensemble(NoiseSpec(kind="white", n=y.n, p=config.noise_columns,
-                                   seed=config.seed + SEED_STRIDE), y, splits, m,
-                         mode=config.mode)
+    proxy_report = next(done)[0] if with_proxies else None
+    outputs = io.write_report(proxy_report, out_dir, years=y.years) if with_proxies else []
+    white = ensemble_report(white_spec.label, [next(done)[0] for _ in range(m)])
     outputs += io.write_report(white, out_dir, years=y.years)
 
     per_phi = []
-    for i, phi in enumerate(config.phi_list):
-        ens = run_ensemble(NoiseSpec(kind="ar1", n=y.n, p=config.noise_columns,
-                                     seed=config.seed + SEED_STRIDE * (2 + i), phi=phi),
-                           y, splits, m, mode=config.mode)
-        lim_rep, lim_res = limit_curve(phi, y, splits, mode=config.mode)
-        krig_rep, krig_res = kriging_curve(phi, y, splits, mode=config.mode)
+    for phi, spec in zip(config.phi_list, ar1_specs):
+        ens = ensemble_report(spec.label, [next(done)[0] for _ in range(m)])
+        (lim_rep, lim_res), (krig_rep, krig_res) = next(done), next(done)
         per_phi.append((phi, ens, lim_rep, krig_rep))
         outputs += io.write_report(ens, out_dir, years=y.years)
         outputs += io.write_report(lim_rep, out_dir, years=y.years)
@@ -136,13 +138,13 @@ def cmd_figure2(config: io.ExperimentConfig) -> int:
         print(f"phi={phi:g}: RMS difference, limit vs kriging (predictions):  "
               f"{rms_difference_values(lim_res, krig_res):.6g} degC")
 
-    curves = [] if proxy_report is None else [("proxies", proxy_report.block_rmse)]
-    curves += [("white_mean", white.mean_curve), ("white_scatter", white.member_scatter)]
+    cols = [] if proxy_report is None else [("proxies", proxy_report.block_rmse)]
+    cols += [("white_mean", white.mean_curve), ("white_scatter", white.member_scatter)]
     for phi, ens, lim_rep, krig_rep in per_phi:
         tag = f"ar1_{phi:g}".replace(".", "_")
-        curves += [(f"{tag}_mean", ens.mean_curve), (f"{tag}_scatter", ens.member_scatter),
-                   (f"limit_{tag}", lim_rep.block_rmse), (f"kriging_{tag}", krig_rep.block_rmse)]
-    outputs.append(io.write_block_table(out_dir / "figure2.csv", starts, y.years, curves))
+        cols += [(f"{tag}_mean", ens.mean_curve), (f"{tag}_scatter", ens.member_scatter),
+                 (f"limit_{tag}", lim_rep.block_rmse), (f"kriging_{tag}", krig_rep.block_rmse)]
+    outputs.append(io.write_block_table(out_dir / "figure2.csv", starts, y.years, cols))
 
     series: list[Series] = []
     for rep in white.member_reports:
@@ -177,17 +179,24 @@ def cmd_limit(config: io.ExperimentConfig) -> int:
     starts = [s.block_start for s in splits]
     outputs: list[Path] = []
 
+    m = config.limit_repeats
+    curves, specs = [], []
+    for i, phi in enumerate(config.phi_list):
+        curves.append(limit_entry(phi, y))
+        for k, p in enumerate(config.p_ladder):
+            specs.append(NoiseSpec(kind="ar1", n=y.n, p=p, phi=phi, seed=config.seed
+                                   + SEED_STRIDE * (1 + i * len(config.p_ladder) + k)))
+            curves += ensemble_entries(specs[-1], y, m)
+    done, specs = iter(run_curves(curves, splits, mode=config.mode)), iter(specs)
+
     fmt = io.format_float
     table_rows, member_rows, scatter = [], [], []
     print(f"{'phi':>6s} {'p':>8s} {'median RMS diff to limit':>26s} {'mean member scatter':>20s}")
-    for i, phi in enumerate(config.phi_list):
-        lim_rep, _ = limit_curve(phi, y, splits, mode=config.mode)
+    for phi in config.phi_list:
+        lim_rep = next(done)[0]
         outputs += io.write_report(lim_rep, out_dir, years=y.years)
-        for k, p in enumerate(config.p_ladder):
-            ens = run_ensemble(
-                NoiseSpec(kind="ar1", n=y.n, p=p, phi=phi,
-                          seed=config.seed + SEED_STRIDE * (1 + i * len(config.p_ladder) + k)),
-                y, splits, config.limit_repeats, mode=config.mode)
+        for p in config.p_ladder:
+            ens = ensemble_report(next(specs).label, [next(done)[0] for _ in range(m)])
             diffs = [rms_difference(rep, lim_rep) for rep in ens.member_reports]
             median_diff = float(np.median(diffs))
             mean_scatter = float(ens.member_scatter.mean())

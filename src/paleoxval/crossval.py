@@ -1,11 +1,11 @@
 """Sliding-block cross-validation experiments and ensembles.
 
-``run_curve`` is the one block loop for every curve (proxies, noise, Psi,
-kriging). It spreads contiguous ranges of blocks over a ``fork`` process pool
-with one process per usable CPU, and the parent replays log lines and raises
-in block order, so results, log lines and errors are identical for any
-number of CPUs.
-"""
+``run_curves`` is the one block loop for every curve (proxies, noise members,
+Psi, kriging). A command lists all of its curves and runs them in one call:
+contiguous ranges of each curve's blocks go to one ``fork`` process pool with
+one process per usable CPU, a noise member is generated by the process that
+uses it, and the parent replays log lines and raises in (curve, block) order,
+so results, log lines and errors are identical for any number of CPUs."""
 
 from __future__ import annotations
 
@@ -29,9 +29,10 @@ from .noise import NoiseSpec, generate
 
 log = logging.getLogger(__name__)
 
-# Starting and joining a pool costs ~8 ms per process (2-vCPU host, parent
-# holding 119 MB of arrays), against ~0.2-0.5 s of block work per curve.
+# One pool serves a whole command, so its start and join (~8 ms a process on
+# 2 vCPUs) are paid once per run; the best cap for many CPUs is not measured.
 MAX_WORKERS = 8
+RANGES_PER_WORKER = 4       # block ranges per curve and worker: workers finish together
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,10 +74,6 @@ class EnsembleReport:
         object.__setattr__(self, "member_reports", tuple(self.member_reports))
         for name in ("mean_curve", "member_scatter"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-
-    @property
-    def m(self) -> int:
-        return len(self.member_reports)
 
     @property
     def block_starts(self) -> np.ndarray:
@@ -141,12 +138,16 @@ def run_block(X: ProxyMatrix, y: TimeSeries, split: HoldoutSplit, *,
     return result
 
 
-# A pool worker's task (block, splits, mode), set by the pool initializer from
-# its fork-inherited argument, so no matrix is pickled: only block ranges go
-# out and per-block outcomes come back. _HELD collects the worker's log
-# records of the current block for the parent to replay in block order.
+# A curve is a (label, block) pair; its block maps a holdout split to a result.
+Curve = tuple[str, Callable[[HoldoutSplit], ReconstructionResult]]
+
+# Pool workers read the command's (curves, splits, mode) from _TASK, set by the
+# pool initializer from its fork-inherited argument, so no matrix is pickled:
+# (curve, block range) tasks go out, per-block outcomes and the log records
+# _HELD collects come back. _MEMBER holds the one noise member in use.
 _TASK = None
 _HELD: list[logging.LogRecord] = []
+_MEMBER: dict[NoiseSpec, ProxyMatrix] = {}
 
 
 class _HoldRecords(logging.Handler):
@@ -179,13 +180,13 @@ def _one_blas_thread() -> None:
                 getattr(lib, name)(1)
 
 
-def _run_range(lo: int, hi: int, task: tuple | None = None) -> list[tuple]:
-    """(result, error or None, held log records) for blocks lo..hi-1."""
-    block, splits, mode = task if task is not None else _TASK
+def _run_range(c: int, lo: int, hi: int, task: tuple | None = None) -> list[tuple]:
+    """(result, error or None, held log records) for blocks lo..hi-1 of curve c."""
+    curves, splits, mode = task if task is not None else _TASK
     out = []
     for split in splits[lo:hi]:
         try:
-            result, error = block(split), None
+            result, error = curves[c][1](split), None
         except Exception as exc:
             result, error = None, exc
             try:    # in a pool worker, an error the parent cannot rebuild breaks the pool
@@ -202,75 +203,107 @@ def _run_range(lo: int, hi: int, task: tuple | None = None) -> list[tuple]:
     return out
 
 
-def run_curve(label: str, block: Callable[[HoldoutSplit], ReconstructionResult],
-              splits: Sequence[HoldoutSplit], *, mode: str = "strict",
-              ) -> tuple[ExperimentReport, list[ReconstructionResult]]:
-    """``block`` over every split: the one block loop of every curve.
+def run_curves(curves: Sequence[Curve], splits: Sequence[HoldoutSplit], *,
+               mode: str = "strict") -> list[tuple[ExperimentReport, list[ReconstructionResult]]]:
+    """Every curve's block over every split: the one block loop.
 
-    Strict mode raises BlockFailure for the first failing block in block
-    order; permissive mode logs it and records NaN. Contiguous block ranges
-    run on a fork pool of one process per usable CPU (``os.sched_getaffinity``,
-    capped at the block count and MAX_WORKERS) that is shut down before this
-    returns; with one usable CPU, or without fork, they run in this process.
-    """
-    if not splits:
-        raise ValueError("need at least one split")
+    Each curve is cut into RANGES_PER_WORKER x workers block ranges, run in
+    curve order on one fork pool of one process per usable CPU (at most the
+    block count and MAX_WORKERS) or, with one CPU or no fork, here on demand.
+    Outcomes are taken in (curve, block) order: strict mode raises
+    BlockFailure for the first failing block and cancels the tasks not yet
+    started; permissive mode logs it and records NaN."""
+    if not curves or not splits:
+        raise ValueError("need at least one curve and one split")
     if mode not in ("strict", "permissive"):
         raise ValueError(f"unknown mode {mode!r}")
     n = 1
     if hasattr(os, "sched_getaffinity") and "fork" in multiprocessing.get_all_start_methods():
-        n = min(len(os.sched_getaffinity(0)), len(splits), MAX_WORKERS)
-    task = (block, splits, mode)
-    if n == 1:
-        outcomes = _run_range(0, len(splits), task)
-    else:
-        cuts = [len(splits) * k // n for k in range(n + 1)]
-        with ProcessPoolExecutor(n, multiprocessing.get_context("fork"), _adopt, (task,)) as pool:
-            outcomes = [o for part in pool.map(_run_range, cuts[:-1], cuts[1:]) for o in part]
-    results: list[ReconstructionResult] = []
-    for split, (result, error, records) in zip(splits, outcomes):
-        for record in records:
-            logging.getLogger(record.name).handle(record)
-        if error is not None:
-            if not isinstance(error, PaleoXvalError):
-                raise error
-            if mode == "strict":
-                raise BlockFailure(split.block_start, error) from error
-            log.warning("dropping block %d (%s): %s", split.block_start, label, error)
-            result = ReconstructionResult(y_hat_v=np.full(split.n_v, np.nan), lam=float("nan"),
-                                          split=split, rmse=float("nan"))
-        # re-freezes arrays that came back through pickle; shares the caller's split
-        results.append(replace(result, split=split))
-    return report_from_results(label, results), results
+        n = min(len(os.sched_getaffinity(0)), len(curves) * len(splits), MAX_WORKERS)
+    parts = min(RANGES_PER_WORKER * n, len(splits))
+    cuts = [len(splits) * k // parts for k in range(parts + 1)]
+    ranges = [(c, lo, hi) for c in range(len(curves)) for lo, hi in zip(cuts, cuts[1:])]
+    task, pool, done = (curves, splits, mode), None, []
+    try:
+        if n == 1:
+            outcomes = (o for r in ranges for o in _run_range(*r, task))
+        else:
+            pool = ProcessPoolExecutor(n, multiprocessing.get_context("fork"), _adopt, (task,))
+            futures = [pool.submit(_run_range, *r) for r in ranges]
+            outcomes = (o for f in futures for o in f.result())
+        for label, _ in curves:
+            results: list[ReconstructionResult] = []
+            for split, (result, error, records) in zip(splits, outcomes):
+                for record in records:
+                    logging.getLogger(record.name).handle(record)
+                if error is not None:
+                    if not isinstance(error, PaleoXvalError):
+                        raise error
+                    if mode == "strict":
+                        raise BlockFailure(split.block_start, error) from error
+                    log.warning("dropping block %d (%s): %s", split.block_start, label, error)
+                    result = ReconstructionResult(y_hat_v=np.full(split.n_v, np.nan),
+                                                  lam=float("nan"), split=split, rmse=float("nan"))
+                # re-freezes arrays that came back through pickle; shares the caller's split
+                results.append(replace(result, split=split))
+            done.append((report_from_results(label, results), results))
+    finally:
+        _MEMBER.clear()
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return done
+
+
+def run_curve(label: str, block: Callable[[HoldoutSplit], ReconstructionResult],
+              splits: Sequence[HoldoutSplit], *, mode: str = "strict",
+              ) -> tuple[ExperimentReport, list[ReconstructionResult]]:
+    """``block`` over every split: ``run_curves`` with one curve."""
+    return run_curves([(label, block)], splits, mode=mode)[0]
+
+
+def experiment_entry(label: str, source: ProxyMatrix | NoiseSpec, y: TimeSeries, *,
+                     drop_degenerate: bool = False) -> Curve:
+    """run_block over a proxy matrix, or over a NoiseSpec's member, drawn where it runs."""
+    def block(split: HoldoutSplit) -> ReconstructionResult:
+        if not isinstance(source, NoiseSpec):
+            return run_block(source, y, split, drop_degenerate=drop_degenerate)
+        if source not in _MEMBER:
+            _MEMBER.clear()     # drop the previous member before drawing the next
+            _MEMBER[source] = generate(source)
+        return run_block(_MEMBER[source], y, split, drop_degenerate=drop_degenerate)
+    return label, block
+
+
+def ensemble_entries(spec: NoiseSpec, y: TimeSeries, m: int, *,
+                     label: str | None = None) -> list[Curve]:
+    """The m member curves of an ensemble, seeds spec.seed + 0 ... + m - 1."""
+    if m < 1:
+        raise ValueError("ensemble size must be at least 1")
+    label = label if label is not None else spec.label
+    return [experiment_entry(f"{label}_member{i:03d}", replace(spec, seed=spec.seed + i), y)
+            for i in range(m)]
+
+
+def ensemble_report(label: str, members: Sequence[ExperimentReport]) -> EnsembleReport:
+    """Member curves with their per-block mean and sample standard deviation
+    (ddof=1; zero for one member)."""
+    curves = np.array([r.block_rmse for r in members])
+    scatter = curves.std(axis=0, ddof=1) if len(members) > 1 else np.zeros(curves.shape[1])
+    return EnsembleReport(label, tuple(members), curves.mean(axis=0), scatter)
 
 
 def run_experiment(X: ProxyMatrix, y: TimeSeries, splits: list[HoldoutSplit], *,
                    label: str = "experiment", mode: str = "strict",
                    drop_degenerate: bool = False) -> ExperimentReport:
-    """run_block over every split via ``run_curve``."""
-    return run_curve(label, lambda split: run_block(X, y, split, drop_degenerate=drop_degenerate),
-                     splits, mode=mode)[0]
+    """run_block over every split via ``run_curves``."""
+    return run_curves([experiment_entry(label, X, y, drop_degenerate=drop_degenerate)],
+                      splits, mode=mode)[0][0]
 
 
 def run_ensemble(spec: NoiseSpec, y: TimeSeries, splits: list[HoldoutSplit], m: int, *,
                  label: str | None = None, mode: str = "strict") -> EnsembleReport:
-    """m independent noise realizations, seeds spec.seed + 0 ... + m - 1.
-
-    member_scatter is the per-block sample standard deviation over members
-    (ddof=1); it is zero for m = 1.
-    """
-    if m < 1:
-        raise ValueError("ensemble size must be at least 1")
+    """m independent noise realizations, seeds spec.seed + 0 ... + m - 1,
+    run as one ``run_curves`` call."""
     label = label if label is not None else spec.label
-    members = []
-    for i in range(m):
-        X = generate(replace(spec, seed=spec.seed + i))
-        members.append(run_experiment(X, y, splits, label=f"{label}_member{i:03d}", mode=mode))
-    curves = np.array([r.block_rmse for r in members])
-    scatter = curves.std(axis=0, ddof=1) if m > 1 else np.zeros(curves.shape[1])
-    return EnsembleReport(
-        label=label,
-        member_reports=tuple(members),
-        mean_curve=curves.mean(axis=0),
-        member_scatter=scatter,
-    )
+    return ensemble_report(label, [r for r, _ in run_curves(
+        ensemble_entries(spec, y, m, label=label), splits, mode=mode)])

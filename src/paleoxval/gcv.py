@@ -28,6 +28,8 @@ from .errors import DegenerateTrace
 
 SEARCH_DOMAIN = (1e-8, 1e8)
 COARSE_GRID_POINTS = 25
+COARSE_GRID = np.geomspace(*SEARCH_DOMAIN, COARSE_GRID_POINTS)
+COARSE_GRID.flags.writeable = False
 LOG_LAMBDA_TOL = 1e-4        # relative precision of the refined lambda
 TIE_REL = 1e-14              # grid scores closer than this are ties
 TRACE_FLOOR = 1e-12
@@ -82,15 +84,15 @@ def gcv_scores(system: ShiftedSystem, lams) -> np.ndarray:
 def minimize_gcv(system: ShiftedSystem, *, trace: list | None = None) -> GcvResult:
     """Find the GCV-minimizing ridge parameter.
 
-    A coarse logarithmic grid over SEARCH_DOMAIN brackets the minimizer, then
-    golden-section refinement on log(lam) narrows it to relative precision
-    LOG_LAMBDA_TOL. Grid scores tying within TIE_REL resolve to the largest
+    The coarse logarithmic grid over SEARCH_DOMAIN, COARSE_GRID, brackets the
+    minimizer, then golden-section refinement on log(lam) narrows it to
+    relative precision LOG_LAMBDA_TOL. Grid scores tying within TIE_REL resolve to the largest
     lam (strongest regularization). Deterministic for fixed inputs.
 
     ``trace``, if given, collects every (lam, score) pair evaluated.
     """
     lo, hi = SEARCH_DOMAIN
-    grid = np.geomspace(lo, hi, COARSE_GRID_POINTS)
+    grid = COARSE_GRID
     scores = gcv_scores(system, grid)
     evaluated = [(float(lam), float(v)) for lam, v in zip(grid, scores)]
 

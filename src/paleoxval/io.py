@@ -273,16 +273,18 @@ def load_target(path) -> TimeSeries:
 def load_proxies(path, expected_years=None) -> ProxyMatrix:
     """Read a proxy matrix CSV: first column ``year``, one column per proxy.
 
-    Rows are converted as they are read, so at most one row of text is held
-    at a time. When expected_years is given (the target's years), the file's
-    years must match them exactly.
+    Rows are converted as they are read into one array, sized by the line
+    count and shrunk in place, so at most one row of text is held at a time.
+    When expected_years is given, the file's years must match them exactly.
     """
+    with open(path, "rb") as fh:
+        lines = sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 16), b""))
     with open(path, newline="") as fh:
         header_line, header, rows = _open_rows(path, fh)
         if len(header) < 2 or header[0] != "year":
             raise ParseError(path, header_line,
                              "expected header 'year,<id>,...' with at least one proxy column")
-        years, data = [], []
+        years, data = [], np.empty((max(lines, 1), len(header) - 1))
         for line_no, row in rows:
             if len(row) != len(header):
                 raise ParseError(path, line_no, f"expected {len(header)} fields, got {len(row)}")
@@ -294,11 +296,13 @@ def load_proxies(path, expected_years=None) -> ProxyMatrix:
             if values is None or not np.isfinite(values).all():
                 # token by token, so that the error names the first bad value
                 values = np.array([_parse_value(path, line_no, text) for text in row[1:]])
-            data.append(values)
+            if len(years) > len(data):      # only lone "\r" line ends count short
+                data.resize((2 * len(data), data.shape[1]), refcheck=False)
+            data[len(years) - 1] = values
     _check_annual(path, years)
     if expected_years is not None and not np.array_equal(np.array(years), expected_years):
         raise YearMismatch(f"{path}: proxy years do not match the target years")
-    data = np.stack(data)
+    data.resize((len(years), data.shape[1]), refcheck=False)
     data.flags.writeable = False
     return ProxyMatrix(data=data, column_ids=tuple(header[1:]))
 
@@ -359,22 +363,6 @@ def write_report(report: ExperimentReport | EnsembleReport, out_dir, *,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return [write_block_table(out_dir / name, report.block_starts, years, curves)]
-
-
-def read_report(path) -> dict[str, np.ndarray]:
-    """Read any report-style CSV back as a column-name -> float-array dict."""
-    with open(path, newline="") as fh:
-        _, header, rows = _open_rows(path, fh)
-        cols: dict[str, list[float]] = {h: [] for h in header}
-        for line_no, row in rows:
-            if len(row) != len(header):
-                raise ParseError(path, line_no, f"expected {len(header)} fields, got {len(row)}")
-            for h, text in zip(header, row):
-                try:
-                    cols[h].append(float(text))
-                except ValueError:
-                    raise ParseError(path, line_no, f"bad value {text!r}") from None
-    return {h: np.array(v) for h, v in cols.items()}
 
 
 def write_manifest(out_dir, command: str, config: ExperimentConfig,

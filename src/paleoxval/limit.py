@@ -15,13 +15,14 @@ exponential semivariogram whose nugget is the GCV-selected ridge parameter.
 
 from __future__ import annotations
 
+import functools
 import logging
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .core import HoldoutSplit, ReconstructionResult, TimeSeries, WeightVector
-from .crossval import ExperimentReport, reconstruct_with_gcv, run_curve
+from .crossval import Curve, ExperimentReport, reconstruct_with_gcv, run_curves
 from .errors import BlockMismatch, DegenerateColumn, LengthMismatch, SingularSystem
 from .noise import ar1_covariance
 
@@ -97,9 +98,8 @@ def psi_columns(Phi: np.ndarray, split: HoldoutSplit) -> PsiColumns:
     return PsiColumns(out, (sig, Q), float(np.max(np.abs(h - h_half) / h)))
 
 
-def limit_curve(phi: float, y: TimeSeries, splits: Sequence[HoldoutSplit], *,
-                mode: str = "strict") -> tuple[ExperimentReport, list[ReconstructionResult]]:
-    """Limit reconstruction over every split, driven by the exact Psi columns."""
+def limit_entry(phi: float, y: TimeSeries) -> Curve:
+    """The limit curve's entry: each block is driven by the exact Psi columns."""
     Phi = ar1_covariance(y.n, phi)
 
     def block(split: HoldoutSplit) -> ReconstructionResult:
@@ -108,7 +108,21 @@ def limit_curve(phi: float, y: TimeSeries, splits: Sequence[HoldoutSplit], *,
             log.warning("Psi quadrature error estimate %.1e at block %d exceeds %.0e",
                         psi.quad_error, split.block_start, QUAD_RTOL)
         return reconstruct_with_gcv(psi.columns, y, split, eig=psi.eig)[0]
-    return run_curve(f"limit_ar1_{phi:g}", block, splits, mode=mode)
+    return f"limit_ar1_{phi:g}", block
+
+
+def limit_curve(phi: float, y: TimeSeries, splits: Sequence[HoldoutSplit], *,
+                mode: str = "strict") -> tuple[ExperimentReport, list[ReconstructionResult]]:
+    """Limit reconstruction over every split, driven by the exact Psi columns."""
+    return run_curves([limit_entry(phi, y)], splits, mode=mode)[0]
+
+
+@functools.lru_cache(maxsize=1)
+def _ar1_covariance(n: int, phi: float) -> np.ndarray:
+    """ar1_covariance, built once for consecutive kriging blocks; read-only."""
+    Phi = ar1_covariance(n, phi)
+    Phi.flags.writeable = False
+    return Phi
 
 
 def simple_kriging(phi: float, y: TimeSeries, split: HoldoutSplit) -> ReconstructionResult:
@@ -122,17 +136,20 @@ def simple_kriging(phi: float, y: TimeSeries, split: HoldoutSplit) -> Reconstruc
     """
     if split.n != y.n:     # before Phi is indexed with the split's rows
         raise LengthMismatch(f"split covers {split.n} rows, series has {y.n}")
-    Phi = ar1_covariance(y.n, phi)
-    result, _ = reconstruct_with_gcv(Phi[:, split.calib_rows], y, split,
+    result, _ = reconstruct_with_gcv(_ar1_covariance(y.n, phi)[:, split.calib_rows], y, split,
                                      WeightVector.zero(split.n_c))
     return result
+
+
+def kriging_entry(phi: float, y: TimeSeries) -> Curve:
+    """The kriging curve's entry: simple_kriging per split (nugget re-selected)."""
+    return f"kriging_ar1_{phi:g}", lambda split: simple_kriging(phi, y, split)
 
 
 def kriging_curve(phi: float, y: TimeSeries, splits: Sequence[HoldoutSplit], *,
                   mode: str = "strict") -> tuple[ExperimentReport, list[ReconstructionResult]]:
     """simple_kriging over every split (nugget re-selected per split)."""
-    return run_curve(f"kriging_ar1_{phi:g}", lambda split: simple_kriging(phi, y, split),
-                     splits, mode=mode)
+    return run_curves([kriging_entry(phi, y)], splits, mode=mode)[0]
 
 
 def rms_difference(a: ExperimentReport, b: ExperimentReport) -> float:

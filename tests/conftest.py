@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -35,6 +36,13 @@ def random_psd(rng: np.random.Generator, n: int, rank: int | None = None,
     A = rng.standard_normal((n, rank or n))
     S = A @ A.T / (rank or n)
     return S + jitter * np.eye(n)
+
+
+def read_report(path) -> dict[str, np.ndarray]:
+    """A report CSV read back as a column-name -> float-array dict."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return {h: np.array([float(row[j]) for row in rows]) for j, h in enumerate(header)}
 
 
 def write_config(path: Path, target: Path, **overrides) -> Path:

@@ -8,7 +8,7 @@ import pytest
 import paleoxval as px
 from paleoxval import io as pio
 from paleoxval.cli import main
-from conftest import write_config
+from conftest import read_report, write_config
 
 
 def read_csv_bytes(out_dir: Path) -> dict[str, bytes]:
@@ -116,7 +116,7 @@ class TestFigure2:
         assert "kriging ar1(0.99)" in labels
 
     def test_combined_csv_columns(self, fig2_out):
-        cols = pio.read_report(fig2_out / "figure2.csv")
+        cols = read_report(fig2_out / "figure2.csv")
         assert {"block_start", "block_year", "white_mean", "white_scatter",
                 "ar1_0_99_mean", "ar1_0_99_scatter", "limit_ar1_0_99",
                 "kriging_ar1_0_99"} == set(cols)
@@ -129,7 +129,7 @@ class TestFigure2:
         assert (fig2_out / "blocks_kriging_ar1_0_99.csv").exists()
 
     def test_limit_close_to_kriging(self, fig2_out):
-        cols = pio.read_report(fig2_out / "figure2.csv")
+        cols = read_report(fig2_out / "figure2.csv")
         lim, krig = cols["limit_ar1_0_99"], cols["kriging_ar1_0_99"]
         rms = np.sqrt(np.mean((lim - krig) ** 2))
         assert rms < 0.1 * lim.mean()
@@ -147,17 +147,17 @@ class TestFigure2:
 
 class TestLimit:
     def test_table_rows(self, limit_out):
-        cols = pio.read_report(limit_out / "limit_table.csv")
+        cols = read_report(limit_out / "limit_table.csv")
         assert list(cols["p"]) == [20.0, 200.0]
         assert np.all(cols["median_rms_diff_to_limit"] > 0)
 
     def test_scatter_shrinks_with_p(self, limit_out):
-        cols = pio.read_report(limit_out / "limit_scatter.csv")
+        cols = read_report(limit_out / "limit_scatter.csv")
         small, big = cols["scatter_phi0_99_p20"], cols["scatter_phi0_99_p200"]
         assert np.mean(big < small) >= 0.9
 
     def test_median_diff_decreases(self, limit_out):
-        cols = pio.read_report(limit_out / "limit_table.csv")
+        cols = read_report(limit_out / "limit_table.csv")
         d = cols["median_rms_diff_to_limit"]
         assert d[1] < d[0]
 
@@ -165,7 +165,7 @@ class TestLimit:
         target = pio.save_target(px.smooth_target(40, seed=2), tmp_path / "t.csv")
         config = write_config(tmp_path / "c.json", target, n_v=10, p_ladder=[25])
         assert main(["limit", "--config", str(config)]) == 0
-        cols = pio.read_report(tmp_path / "out" / "limit_table.csv")
+        cols = read_report(tmp_path / "out" / "limit_table.csv")
         assert len(cols["p"]) == 1
 
     def test_seed_change_moves_medians_within_noise(self, tmp_path):
@@ -177,7 +177,7 @@ class TestLimit:
             out = tmp_path / run
             assert main(["limit", "--config", str(config), "--seed", str(seed),
                          "--out", str(out)]) == 0
-            members = pio.read_report(out / "limit_members.csv")["rms_diff_to_limit"]
+            members = read_report(out / "limit_members.csv")["rms_diff_to_limit"]
             medians.append(np.median(members))
             # normal-theory standard error of a median
             ses.append(1.2533 * members.std(ddof=1) / np.sqrt(len(members)))
@@ -229,7 +229,7 @@ class TestOverridesAndErrors:
         out = tmp_path / "o1"
         assert main(["crossval", "--config", str(small_config),
                      "--nv", "15", "--seed", "99", "--out", str(out)]) == 0
-        cols = pio.read_report(out / "blocks_white.csv")
+        cols = read_report(out / "blocks_white.csv")
         assert len(cols["block_rmse"]) == 60 - 15 + 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 99

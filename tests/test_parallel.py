@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import paleoxval as px
-from paleoxval import crossval, errors
+from paleoxval import crossval, errors, limit
 from paleoxval import io as pio
 from paleoxval.cli import main
 from conftest import write_config
@@ -175,6 +175,39 @@ class TestRunCurve:
         assert "worker traceback" in message and 'raise Unrebuildable("bad ", "block")' in message
         assert multiprocessing.active_children() == []
 
+    def test_strict_failure_in_a_later_curve_is_the_same_for_any_worker_count(self):
+        # every block from 30 on fails in the second of three curves, so the
+        # workers fail out of order and the parent must raise block 30's
+        out = run_python(
+            "import multiprocessing, os, paleoxval as px\n"
+            "y = px.smooth_target(60, seed=21)\n"
+            "def failing(split):\n"
+            "    if split.block_start >= 30:\n"
+            "        raise px.errors.SingularSystem(f'made to fail at {split.block_start}')\n"
+            "    return px.simple_kriging(0.9, y, split)\n"
+            "curves = [px.kriging_entry(0.9, y), ('failing', failing), px.limit_entry(0.9, y)]\n"
+            "for w in (1, 2, 3):\n"
+            "    os.sched_getaffinity = lambda pid: set(range(w))\n"
+            "    try:\n"
+            "        px.run_curves(curves, px.make_blocks(60, 12))\n"
+            "    except px.errors.BlockFailure as exc:\n"
+            "        print(exc.block_start, type(exc.cause).__name__, exc,\n"
+            "              len(multiprocessing.active_children()))\n")
+        lines = out.strip().splitlines()
+        assert len(lines) == 3 and len(set(lines)) == 1
+        assert lines[0] == ("30 SingularSystem block at start 30 failed: "
+                            "made to fail at 30 0")
+
+    def test_one_noise_member_is_held_at_a_time(self, y60, splits60, cpus, monkeypatch):
+        # in-process, each member is drawn once for its four block ranges,
+        # after the previous one was dropped, and none is kept afterwards
+        held, real = [], crossval.generate
+        monkeypatch.setattr(crossval, "generate",
+                            lambda spec: held.append(len(crossval._MEMBER)) or real(spec))
+        cpus(1)
+        px.run_ensemble(px.NoiseSpec(kind="ar1", n=60, p=8, seed=5, phi=0.5), y60, splits60, 3)
+        assert held == [0, 0, 0] and crossval._MEMBER == {}
+
     def test_pool_size_is_capped(self, y60, splits60, cpus, monkeypatch):
         sizes, real = [], crossval.ProcessPoolExecutor
         monkeypatch.setattr(crossval, "ProcessPoolExecutor",
@@ -221,9 +254,26 @@ def output_bytes(out_dir: Path) -> dict[str, bytes]:
 
 class TestCliWorkers:
     @pytest.mark.parametrize("command", ["crossval", "figure2", "limit"])
+    def test_one_pool_per_command(self, tmp_path, y60, caplog, cpus, monkeypatch, command):
+        pools, real = [], crossval.ProcessPoolExecutor
+        monkeypatch.setattr(crossval, "ProcessPoolExecutor",
+                            lambda n, *args: pools.append(n) or real(n, *args))
+        target = pio.save_target(y60, tmp_path / "t.csv")
+        config = write_config(tmp_path / "c.json", target,
+                              noise_experiments=[{"kind": "ar1", "phi": 0.9}])
+        counts = []
+        for w in (1, 2, 3):
+            cpus(w)
+            pools.clear()
+            run_cli([command, "--config", str(config), "--out", str(tmp_path / f"out{w}")],
+                    caplog)
+            counts.append(pools[:])
+        assert counts == [[], [2], [3]]
+
+    @pytest.mark.parametrize("command", ["crossval", "figure2", "limit"])
     def test_outputs_and_logs_identical(self, tmp_path, y60, caplog, cpus, command):
         target = pio.save_target(y60, tmp_path / "t.csv")
-        overrides = {"mode": "permissive"}
+        overrides = {"mode": "permissive", "ensemble_size": 3}
         if command == "crossval":
             proxies = pio.save_proxies(one_degenerate_block(60, 20, 12), y60.years,
                                        tmp_path / "p.csv")
@@ -231,17 +281,41 @@ class TestCliWorkers:
                              noise_experiments=[{"kind": "ar1", "phi": 0.9}])
         config = write_config(tmp_path / "c.json", target, **overrides)
         outs, logs = [], []
-        for w in (1, 2):
+        for w in (1, 2, 3):
             cpus(w)
             out = tmp_path / f"out{w}"
             logs.append(run_cli([command, "--config", str(config), "--out", str(out)], caplog))
             outs.append(output_bytes(out))
-        assert outs[0] == outs[1] and outs[0]
-        assert logs[0] == logs[1]
+        assert outs[0] == outs[1] == outs[2] and outs[0]
+        assert logs[0] == logs[1] == logs[2]
         if command == "crossval":
             assert [m.split(" (")[0] for m in logs[0]] == ["dropping block 20"]
         if command == "figure2":
             assert "figure2.svg" in outs[0]
+            assert b"member_002" in outs[0]["ensemble_white.csv"]
+
+    @pytest.mark.parametrize("command", ["figure2", "limit"])
+    def test_strict_failure_writes_no_reports(self, tmp_path, y60, cpus, capsys, monkeypatch,
+                                              command):
+        # the limit curve is listed after the white ensemble in figure2 and
+        # first in limit; either way no curve's report may be written
+        real = limit.psi_columns
+
+        def psi_columns(Phi, split):
+            if split.block_start == 40:
+                raise errors.SingularSystem("made to fail")
+            return real(Phi, split)
+        monkeypatch.setattr(limit, "psi_columns", psi_columns)
+        config = write_config(tmp_path / "c.json", pio.save_target(y60, tmp_path / "t.csv"))
+        messages = []
+        for w in (1, 2, 3):
+            cpus(w)
+            out = tmp_path / f"out{w}"
+            assert main([command, "--config", str(config), "--out", str(out)]) == 1
+            assert multiprocessing.active_children() == []
+            assert list(out.iterdir()) == []
+            messages.append(capsys.readouterr().err)
+        assert messages == ["error: block at start 40 failed: made to fail\n"] * 3
 
 
 def test_cli_import_needs_no_scipy():
