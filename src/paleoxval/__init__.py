@@ -7,11 +7,10 @@ from .core import (HoldoutSplit, ProxyMatrix, ReconstructionResult,
                    ShiftedSystem, TimeSeries, WeightVector,
                    gram_matrix, reconstruct, rmse, standardize)
 from .crossval import (EnsembleReport, ExperimentReport, ensemble_entries, ensemble_report,
-                       experiment_entry, make_blocks, run_block, run_curve, run_curves,
-                       run_ensemble, run_experiment)
+                       experiment_entry, make_blocks, run_block, run_curves)
 from .gcv import GcvResult, gcv_scores, minimize_gcv
-from .limit import (PsiColumns, kriging_curve, kriging_entry, limit_curve, limit_entry,
-                    psi_columns, rms_difference, rms_difference_values, simple_kriging)
+from .limit import (PsiColumns, kriging_entry, limit_entry, psi_columns, rms_difference,
+                    rms_difference_values, simple_kriging)
 from .noise import NoiseSpec, ar1_covariance, generate, smooth_target
 
 __all__ = [
@@ -22,8 +21,7 @@ __all__ = [
     "GcvResult", "gcv_scores", "minimize_gcv",
     "NoiseSpec", "generate", "ar1_covariance", "smooth_target",
     "ExperimentReport", "EnsembleReport", "make_blocks",
-    "run_block", "run_curve", "run_curves", "run_experiment", "run_ensemble",
-    "experiment_entry", "ensemble_entries", "ensemble_report", "psi_columns", "PsiColumns",
-    "limit_entry", "limit_curve", "simple_kriging", "kriging_entry", "kriging_curve",
+    "run_block", "run_curves", "experiment_entry", "ensemble_entries", "ensemble_report",
+    "psi_columns", "PsiColumns", "limit_entry", "simple_kriging", "kriging_entry",
     "rms_difference", "rms_difference_values",
 ]

@@ -31,7 +31,7 @@ from .crossval import (ensemble_entries, ensemble_report, experiment_entry, make
                        run_curves)
 from .errors import PaleoXvalError
 from .limit import kriging_entry, limit_entry, rms_difference, rms_difference_values
-from .noise import NoiseSpec
+from .noise import NoiseSpec, ar1_covariance
 from .svgplot import PlotSpec, Series, write_svg
 
 # Experiments within one command draw from seeds this far apart; members
@@ -113,7 +113,10 @@ def cmd_figure2(config: io.ExperimentConfig) -> int:
         curves.append(experiment_entry("proxies", X, y, drop_degenerate=config.drop_degenerate))
     curves += ensemble_entries(white_spec, y, m)
     for phi, spec in zip(config.phi_list, ar1_specs):
-        curves += [*ensemble_entries(spec, y, m), limit_entry(phi, y), kriging_entry(phi, y)]
+        Phi = ar1_covariance(y.n, phi)
+        Phi.flags.writeable = False     # one matrix, read by the limit and kriging curves
+        curves += [*ensemble_entries(spec, y, m), limit_entry(Phi, y, f"limit_ar1_{phi:g}"),
+                   kriging_entry(Phi, y, f"kriging_ar1_{phi:g}")]
     done = iter(run_curves(curves, splits, mode=config.mode))
 
     proxy_report = next(done)[0] if with_proxies else None
@@ -182,7 +185,9 @@ def cmd_limit(config: io.ExperimentConfig) -> int:
     m = config.limit_repeats
     curves, specs = [], []
     for i, phi in enumerate(config.phi_list):
-        curves.append(limit_entry(phi, y))
+        Phi = ar1_covariance(y.n, phi)
+        Phi.flags.writeable = False
+        curves.append(limit_entry(Phi, y, f"limit_ar1_{phi:g}"))
         for k, p in enumerate(config.p_ladder):
             specs.append(NoiseSpec(kind="ar1", n=y.n, p=p, phi=phi, seed=config.seed
                                    + SEED_STRIDE * (1 + i * len(config.p_ladder) + k)))

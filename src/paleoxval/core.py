@@ -103,22 +103,20 @@ class HoldoutSplit:
     def __post_init__(self):
         object.__setattr__(self, "calib_rows", _frozen_array(self.calib_rows, dtype=np.int64))
         object.__setattr__(self, "valid_rows", _frozen_array(self.valid_rows, dtype=np.int64))
-        n = len(self.calib_rows) + len(self.valid_rows)
-        expected_valid = np.arange(self.block_start, self.block_start + self.block_len)
-        if not np.array_equal(self.valid_rows, expected_valid):
+        end = self.block_start + self.block_len
+        if not np.array_equal(self.valid_rows, np.arange(self.block_start, end)):
             raise ValueError("valid_rows must be the contiguous block "
                              "[block_start, block_start + block_len)")
-        complement = np.setdiff1d(np.arange(n), self.valid_rows)
-        if not np.array_equal(np.sort(self.calib_rows), complement):
+        if not np.array_equal(np.sort(self.calib_rows), np.r_[:self.block_start, end:self.n]):
             raise ValueError("calib_rows must be the complement of valid_rows")
 
     @classmethod
     def make(cls, n: int, block_start: int, n_v: int) -> "HoldoutSplit":
         if not 0 <= block_start <= n - n_v:
             raise ValueError(f"block_start {block_start} out of range for n={n}, n_v={n_v}")
-        valid = np.arange(block_start, block_start + n_v)
-        calib = np.setdiff1d(np.arange(n), valid)
-        return cls(block_start=block_start, block_len=n_v, calib_rows=calib, valid_rows=valid)
+        return cls(block_start=block_start, block_len=n_v,
+                   calib_rows=np.r_[:block_start, block_start + n_v:n],
+                   valid_rows=np.arange(block_start, block_start + n_v))
 
     @property
     def n(self) -> int:

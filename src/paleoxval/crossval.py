@@ -1,11 +1,12 @@
 """Sliding-block cross-validation experiments and ensembles.
 
 ``run_curves`` is the one block loop for every curve (proxies, noise members,
-Psi, kriging). A command lists all of its curves and runs them in one call:
-contiguous ranges of each curve's blocks go to one ``fork`` process pool with
-one process per usable CPU, a noise member is generated by the process that
-uses it, and the parent replays log lines and raises in (curve, block) order,
-so results, log lines and errors are identical for any number of CPUs."""
+Psi, kriging). A command describes each curve by an entry, a (label, block)
+pair, and runs all of them in one call: whole curves, and contiguous ranges of
+the last curves' blocks, go to one ``fork`` process pool with one process per
+usable CPU, a noise member is generated by the process that uses it, and the
+parent replays log lines and raises in (curve, block) order, so results, log
+lines and errors are identical for any number of CPUs."""
 
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ import logging
 import multiprocessing
 import os
 import pickle
+import signal
+import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -32,7 +35,7 @@ log = logging.getLogger(__name__)
 # One pool serves a whole command, so its start and join (~8 ms a process on
 # 2 vCPUs) are paid once per run; the best cap for many CPUs is not measured.
 MAX_WORKERS = 8
-RANGES_PER_WORKER = 4       # block ranges per curve and worker: workers finish together
+RANGES_PER_WORKER = 4       # ranges per worker of each last curve: workers finish together
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,9 +159,19 @@ class _HoldRecords(logging.Handler):
         _HELD.append(record)
 
 
-def _adopt(task: tuple) -> None:
+def _adopt(task: tuple, parent: int | None = None) -> None:
+    """Start a pool worker. It dies with ``parent``: the kernel kills it when
+    the parent dies (Linux), and it exits now if the parent is already gone,
+    as a worker of a killed command would run on, then block on the queue."""
     global _TASK
     _TASK = task
+    if parent is not None:
+        if sys.platform == "linux":
+            prctl = ctypes.CDLL(None).prctl
+            prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+            prctl(1, signal.SIGKILL)    # PR_SET_PDEATHSIG; fails only for a bad signal
+        if os.getppid() != parent:
+            os._exit(1)
     package = logging.getLogger(__package__)
     package.handlers, package.propagate = [_HoldRecords()], False
     _one_blas_thread()
@@ -207,9 +220,10 @@ def run_curves(curves: Sequence[Curve], splits: Sequence[HoldoutSplit], *,
                mode: str = "strict") -> list[tuple[ExperimentReport, list[ReconstructionResult]]]:
     """Every curve's block over every split: the one block loop.
 
-    Each curve is cut into RANGES_PER_WORKER x workers block ranges, run in
-    curve order on one fork pool of one process per usable CPU (at most the
-    block count and MAX_WORKERS) or, with one CPU or no fork, here on demand.
+    With n workers, each of the first len(curves) - n curves is one task and
+    each of the last n is cut into RANGES_PER_WORKER x n block ranges, run in
+    curve order on one fork pool of n = one process per usable CPU (at most
+    the block count and MAX_WORKERS) or, with one CPU or no fork, here.
     Outcomes are taken in (curve, block) order: strict mode raises
     BlockFailure for the first failing block and cancels the tasks not yet
     started; permissive mode logs it and records NaN."""
@@ -222,13 +236,16 @@ def run_curves(curves: Sequence[Curve], splits: Sequence[HoldoutSplit], *,
         n = min(len(os.sched_getaffinity(0)), len(curves) * len(splits), MAX_WORKERS)
     parts = min(RANGES_PER_WORKER * n, len(splits))
     cuts = [len(splits) * k // parts for k in range(parts + 1)]
-    ranges = [(c, lo, hi) for c in range(len(curves)) for lo, hi in zip(cuts, cuts[1:])]
+    whole = max(len(curves) - n, 0)
+    ranges = [(c, 0, len(splits)) for c in range(whole)]
+    ranges += [(c, lo, hi) for c in range(whole, len(curves)) for lo, hi in zip(cuts, cuts[1:])]
     task, pool, done = (curves, splits, mode), None, []
     try:
         if n == 1:
             outcomes = (o for r in ranges for o in _run_range(*r, task))
         else:
-            pool = ProcessPoolExecutor(n, multiprocessing.get_context("fork"), _adopt, (task,))
+            pool = ProcessPoolExecutor(n, multiprocessing.get_context("fork"), _adopt,
+                                       (task, os.getpid()))
             futures = [pool.submit(_run_range, *r) for r in ranges]
             outcomes = (o for f in futures for o in f.result())
         for label, _ in curves:
@@ -254,13 +271,6 @@ def run_curves(curves: Sequence[Curve], splits: Sequence[HoldoutSplit], *,
     return done
 
 
-def run_curve(label: str, block: Callable[[HoldoutSplit], ReconstructionResult],
-              splits: Sequence[HoldoutSplit], *, mode: str = "strict",
-              ) -> tuple[ExperimentReport, list[ReconstructionResult]]:
-    """``block`` over every split: ``run_curves`` with one curve."""
-    return run_curves([(label, block)], splits, mode=mode)[0]
-
-
 def experiment_entry(label: str, source: ProxyMatrix | NoiseSpec, y: TimeSeries, *,
                      drop_degenerate: bool = False) -> Curve:
     """run_block over a proxy matrix, or over a NoiseSpec's member, drawn where it runs."""
@@ -274,13 +284,11 @@ def experiment_entry(label: str, source: ProxyMatrix | NoiseSpec, y: TimeSeries,
     return label, block
 
 
-def ensemble_entries(spec: NoiseSpec, y: TimeSeries, m: int, *,
-                     label: str | None = None) -> list[Curve]:
+def ensemble_entries(spec: NoiseSpec, y: TimeSeries, m: int) -> list[Curve]:
     """The m member curves of an ensemble, seeds spec.seed + 0 ... + m - 1."""
     if m < 1:
         raise ValueError("ensemble size must be at least 1")
-    label = label if label is not None else spec.label
-    return [experiment_entry(f"{label}_member{i:03d}", replace(spec, seed=spec.seed + i), y)
+    return [experiment_entry(f"{spec.label}_member{i:03d}", replace(spec, seed=spec.seed + i), y)
             for i in range(m)]
 
 
@@ -290,20 +298,3 @@ def ensemble_report(label: str, members: Sequence[ExperimentReport]) -> Ensemble
     curves = np.array([r.block_rmse for r in members])
     scatter = curves.std(axis=0, ddof=1) if len(members) > 1 else np.zeros(curves.shape[1])
     return EnsembleReport(label, tuple(members), curves.mean(axis=0), scatter)
-
-
-def run_experiment(X: ProxyMatrix, y: TimeSeries, splits: list[HoldoutSplit], *,
-                   label: str = "experiment", mode: str = "strict",
-                   drop_degenerate: bool = False) -> ExperimentReport:
-    """run_block over every split via ``run_curves``."""
-    return run_curves([experiment_entry(label, X, y, drop_degenerate=drop_degenerate)],
-                      splits, mode=mode)[0][0]
-
-
-def run_ensemble(spec: NoiseSpec, y: TimeSeries, splits: list[HoldoutSplit], m: int, *,
-                 label: str | None = None, mode: str = "strict") -> EnsembleReport:
-    """m independent noise realizations, seeds spec.seed + 0 ... + m - 1,
-    run as one ``run_curves`` call."""
-    label = label if label is not None else spec.label
-    return ensemble_report(label, [r for r, _ in run_curves(
-        ensemble_entries(spec, y, m, label=label), splits, mode=mode)])

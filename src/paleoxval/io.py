@@ -327,7 +327,8 @@ def save_proxies(X: ProxyMatrix, years, path) -> Path:
     if len(years) != X.n:
         raise YearMismatch(f"{len(years)} years for {X.n} rows")
     return write_csv(path, ["year", *X.column_ids],
-                     ([int(year), *map(format_float, row)] for year, row in zip(years, X.data)))
+                     ([int(year), *map(format_float, row.tolist())]
+                      for year, row in zip(years, X.data)))
 
 
 def _slug(label: str) -> str:
@@ -343,7 +344,7 @@ def write_block_table(path, block_starts, years, curves) -> Path:
         columns.append([int(years[s]) for s in block_starts])
     for name, curve in curves:
         header.append(name)
-        columns.append([format_float(v) for v in curve])
+        columns.append(list(map(format_float, np.asarray(curve).tolist())))
     return write_csv(path, header, zip(*columns))
 
 

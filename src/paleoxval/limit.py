@@ -1,30 +1,30 @@
 """Large-p limit of the noise reconstructions, and its kriging analogue.
 
-As the number of noise columns grows, the Gram matrix of standardized AR(1)
-pseudoproxies concentrates on its expectation Psi, so the whole reconstruction
-pipeline converges to the one driven by Psi. ``psi_columns`` computes exactly
-the part the operator reads, Psi[:, calib]: with 1/q = int_0^inf e^{-tq} dt the
-expected ratio of quadratic forms is one eigenproblem of size n_c plus scalar
-integrals (Magnus 1986, Annales d'Economie et de Statistique 4), done by the
-exponentially convergent trapezoid rule in log t (Trefethen & Weideman 2014).
+As the number of noise columns grows, the Gram matrix of standardized
+pseudoproxies with covariance Phi concentrates on its expectation Psi, so the
+whole reconstruction pipeline converges to the one driven by Psi.
+``psi_columns`` computes exactly the part the operator reads, Psi[:, calib]:
+with 1/q = int_0^inf e^{-tq} dt the expected ratio of quadratic forms is one
+eigenproblem of size n_c plus scalar integrals (Magnus 1986, Annales
+d'Economie et de Statistique 4), done by the exponentially convergent
+trapezoid rule in log t (Trefethen & Weideman 2014).
 
-The intercept-free, unstandardized analogue replaces Psi with the exact AR(1)
-covariance and reduces to simple kriging of the target series with an
-exponential semivariogram whose nugget is the GCV-selected ridge parameter.
+The intercept-free, unstandardized analogue replaces Psi with Phi itself and
+reduces to simple kriging of the target series whose nugget is the
+GCV-selected ridge parameter; for AR(1) noise its semivariogram is
+exponential.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .core import HoldoutSplit, ReconstructionResult, TimeSeries, WeightVector
-from .crossval import Curve, ExperimentReport, reconstruct_with_gcv, run_curves
+from .crossval import Curve, ExperimentReport, reconstruct_with_gcv
 from .errors import BlockMismatch, DegenerateColumn, LengthMismatch, SingularSystem
-from .noise import ar1_covariance
 
 log = logging.getLogger(__name__)
 
@@ -98,58 +98,37 @@ def psi_columns(Phi: np.ndarray, split: HoldoutSplit) -> PsiColumns:
     return PsiColumns(out, (sig, Q), float(np.max(np.abs(h - h_half) / h)))
 
 
-def limit_entry(phi: float, y: TimeSeries) -> Curve:
-    """The limit curve's entry: each block is driven by the exact Psi columns."""
-    Phi = ar1_covariance(y.n, phi)
-
+def limit_entry(Phi: np.ndarray, y: TimeSeries, label: str) -> Curve:
+    """The limit curve's entry: each block is driven by the exact Psi columns
+    of noise with the n x n covariance Phi."""
     def block(split: HoldoutSplit) -> ReconstructionResult:
         psi = psi_columns(Phi, split)
         if psi.quad_error > QUAD_RTOL:
             log.warning("Psi quadrature error estimate %.1e at block %d exceeds %.0e",
                         psi.quad_error, split.block_start, QUAD_RTOL)
         return reconstruct_with_gcv(psi.columns, y, split, eig=psi.eig)[0]
-    return f"limit_ar1_{phi:g}", block
+    return label, block
 
 
-def limit_curve(phi: float, y: TimeSeries, splits: Sequence[HoldoutSplit], *,
-                mode: str = "strict") -> tuple[ExperimentReport, list[ReconstructionResult]]:
-    """Limit reconstruction over every split, driven by the exact Psi columns."""
-    return run_curves([limit_entry(phi, y)], splits, mode=mode)[0]
+def simple_kriging(Phi: np.ndarray, y: TimeSeries, split: HoldoutSplit) -> ReconstructionResult:
+    """Predict the holdout block by simple kriging under the covariance Phi.
 
-
-@functools.lru_cache(maxsize=1)
-def _ar1_covariance(n: int, phi: float) -> np.ndarray:
-    """ar1_covariance, built once for consecutive kriging blocks; read-only."""
-    Phi = ar1_covariance(n, phi)
-    Phi.flags.writeable = False
-    return Phi
-
-
-def simple_kriging(phi: float, y: TimeSeries, split: HoldoutSplit) -> ReconstructionResult:
-    """Predict the holdout block by simple kriging under AR(1) covariance.
-
-    y_hat_v = Phi_vc (Phi_cc + nugget I)^-1 y_c with Phi = (phi^|i-j|): no
-    standardization, no intercept, zero prior mean. This is the
-    reconstruction operator with S = Phi and the all-zero weight vector, run
-    by ``reconstruct_with_gcv``, so the nugget is the GCV minimizer for the
-    hat operator Phi_cc (Phi_cc + lam I)^-1.
+    y_hat_v = Phi_vc (Phi_cc + nugget I)^-1 y_c: no standardization, no
+    intercept, zero prior mean. This is the reconstruction operator with
+    S = Phi and the all-zero weight vector, run by ``reconstruct_with_gcv``,
+    so the nugget is the GCV minimizer for the hat operator
+    Phi_cc (Phi_cc + lam I)^-1.
     """
-    if split.n != y.n:     # before Phi is indexed with the split's rows
-        raise LengthMismatch(f"split covers {split.n} rows, series has {y.n}")
-    result, _ = reconstruct_with_gcv(_ar1_covariance(y.n, phi)[:, split.calib_rows], y, split,
+    if Phi.shape != (split.n, split.n):     # before Phi is indexed with the split's rows
+        raise LengthMismatch(f"covariance is {Phi.shape}, split covers {split.n} rows")
+    result, _ = reconstruct_with_gcv(Phi[:, split.calib_rows], y, split,
                                      WeightVector.zero(split.n_c))
     return result
 
 
-def kriging_entry(phi: float, y: TimeSeries) -> Curve:
+def kriging_entry(Phi: np.ndarray, y: TimeSeries, label: str) -> Curve:
     """The kriging curve's entry: simple_kriging per split (nugget re-selected)."""
-    return f"kriging_ar1_{phi:g}", lambda split: simple_kriging(phi, y, split)
-
-
-def kriging_curve(phi: float, y: TimeSeries, splits: Sequence[HoldoutSplit], *,
-                  mode: str = "strict") -> tuple[ExperimentReport, list[ReconstructionResult]]:
-    """simple_kriging over every split (nugget re-selected per split)."""
-    return run_curves([kriging_entry(phi, y)], splits, mode=mode)[0]
+    return label, lambda split: simple_kriging(Phi, y, split)
 
 
 def rms_difference(a: ExperimentReport, b: ExperimentReport) -> float:

@@ -84,10 +84,12 @@ def test_a2_operator_oracle_equivalence(capsys):
 
 def test_a3_figure1_ordering(capsys, target, splits):
     m, p = 100, 1138
-    white = px.run_ensemble(px.NoiseSpec(kind="white", n=N, p=p, seed=10_000_000),
-                            target, splits, m)
-    ar1 = px.run_ensemble(px.NoiseSpec(kind="ar1", n=N, p=p, seed=20_000_000, phi=0.99),
-                          target, splits, m)
+    white_spec = px.NoiseSpec(kind="white", n=N, p=p, seed=10_000_000)
+    ar1_spec = px.NoiseSpec(kind="ar1", n=N, p=p, seed=20_000_000, phi=0.99)
+    done = px.run_curves([*px.ensemble_entries(white_spec, target, m),
+                          *px.ensemble_entries(ar1_spec, target, m)], splits)
+    white = px.ensemble_report(white_spec.label, [rep for rep, _ in done[:m]])
+    ar1 = px.ensemble_report(ar1_spec.label, [rep for rep, _ in done[m:]])
     assert white.member_scatter.min() > 0 and ar1.member_scatter.min() > 0
     white_means = np.array([r.mean_rmse for r in white.member_reports])
     ar1_means = np.array([r.mean_rmse for r in ar1.member_reports])
@@ -101,13 +103,17 @@ def test_a3_figure1_ordering(capsys, target, splits):
 
 
 def test_a4_probability_limit_convergence(capsys, target, splits):
-    limit_rep, _ = px.limit_curve(0.99, target, splits)
+    ladder, m = (100, 1000, 10_000), 10
+    specs = [px.NoiseSpec(kind="ar1", n=N, p=p, seed=30_000_000 + 1_000_000 * k, phi=0.99)
+             for k, p in enumerate(ladder)]
+    curves = [px.limit_entry(px.ar1_covariance(N, 0.99), target, "limit_ar1_0.99")]
+    for spec in specs:
+        curves += px.ensemble_entries(spec, target, m)
+    (limit_rep, _), *done = px.run_curves(curves, splits)
 
     scatters, median_diffs = {}, {}
-    for k, p in enumerate((100, 1000, 10_000)):
-        ens = px.run_ensemble(
-            px.NoiseSpec(kind="ar1", n=N, p=p, seed=30_000_000 + 1_000_000 * k, phi=0.99),
-            target, splits, 10)
+    for k, (p, spec) in enumerate(zip(ladder, specs)):
+        ens = px.ensemble_report(spec.label, [rep for rep, _ in done[m * k:m * (k + 1)]])
         scatters[p] = ens.member_scatter
         median_diffs[p] = float(np.median(
             [px.rms_difference(rep, limit_rep) for rep in ens.member_reports]))
@@ -129,7 +135,7 @@ def test_a5_kriging_equivalence(capsys, target, splits):
     Phi = px.ar1_covariance(N, phi)
     worst = 0.0
     for split in splits:
-        krig = px.simple_kriging(phi, target, split)
+        krig = px.simple_kriging(Phi, target, split)
         direct = oracles.kriging_by_inverse(Phi, krig.lam, target.values[split.calib_rows],
                                             split.calib_rows, split.valid_rows)
         worst = max(worst, float(np.max(np.abs(krig.y_hat_v - direct))))

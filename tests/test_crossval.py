@@ -47,7 +47,7 @@ class TestRunBlock:
     def test_exact_signal_beats_baseline_everywhere(self, y60, splits60):
         # the target itself as the single proxy column is recovered on every block
         X = px.ProxyMatrix(y60.values[:, None], ("target_copy",))
-        rep = px.run_experiment(X, y60, splits60, label="self")
+        rep = px.run_curves([px.experiment_entry("self", X, y60)], splits60)[0][0]
         baselines = np.array([oracles.constant_baseline_rmse(y60.values, s)
                               for s in splits60])
         assert np.all(rep.block_rmse <= baselines)
@@ -57,7 +57,7 @@ class TestRunBlock:
         ratios = []
         for seed in range(50):
             X = px.generate(px.NoiseSpec(kind="white", n=60, p=1, seed=1000 + seed))
-            rep = px.run_experiment(X, y60, splits60, label="w1")
+            rep = px.run_curves([px.experiment_entry("w1", X, y60)], splits60)[0][0]
             base = np.mean([oracles.constant_baseline_rmse(y60.values, s) for s in splits60])
             ratios.append(rep.mean_rmse / base)
         assert abs(np.mean(ratios) - 1.0) < 0.2
@@ -111,21 +111,21 @@ class TestRunBlock:
 class TestRunExperiment:
     def test_single_split(self, y60, splits60):
         X = px.generate(px.NoiseSpec(kind="white", n=60, p=5, seed=1))
-        rep = px.run_experiment(X, y60, splits60[:1], label="one")
+        rep = px.run_curves([px.experiment_entry("one", X, y60)], splits60[:1])[0][0]
         assert rep.n_blocks == 1
         assert rep.mean_rmse == rep.block_rmse[0]
 
     def test_deterministic(self, y60, splits60):
         X = px.generate(px.NoiseSpec(kind="ar1", n=60, p=8, seed=4, phi=0.9))
-        a = px.run_experiment(X, y60, splits60, label="det")
-        b = px.run_experiment(X, y60, splits60, label="det")
+        a = px.run_curves([px.experiment_entry("det", X, y60)], splits60)[0][0]
+        b = px.run_curves([px.experiment_entry("det", X, y60)], splits60)[0][0]
         assert np.array_equal(a.block_rmse, b.block_rmse)
         assert np.array_equal(a.per_block_lambda, b.per_block_lambda)
         assert a.mean_rmse == b.mean_rmse
 
     def test_full_curve_shape(self, y60, splits60):
         X = px.generate(px.NoiseSpec(kind="white", n=60, p=5, seed=2))
-        rep = px.run_experiment(X, y60, splits60, label="shape")
+        rep = px.run_curves([px.experiment_entry("shape", X, y60)], splits60)[0][0]
         assert rep.n_blocks == 60 - 12 + 1
         assert rep.mean_rmse == pytest.approx(rep.block_rmse.mean())
         assert np.array_equal(rep.block_starts, np.arange(49))
@@ -134,31 +134,37 @@ class TestRunExperiment:
         data = np.column_stack([np.arange(60.0), np.full(60, 1.0)])
         X = px.ProxyMatrix(data, ("trend", "flat"))
         with pytest.raises(BlockFailure):
-            px.run_experiment(X, y60, splits60, label="bad")
-        rep = px.run_experiment(X, y60, splits60, label="bad", mode="permissive")
+            px.run_curves([px.experiment_entry("bad", X, y60)], splits60)
+        rep = px.run_curves([px.experiment_entry("bad", X, y60)], splits60,
+                            mode="permissive")[0][0]
         assert np.all(np.isnan(rep.block_rmse))
         assert np.isnan(rep.mean_rmse)
-        rep2 = px.run_experiment(X, y60, splits60, label="ok", drop_degenerate=True)
+        rep2 = px.run_curves([px.experiment_entry("ok", X, y60, drop_degenerate=True)],
+                             splits60)[0][0]
         assert np.all(np.isfinite(rep2.block_rmse))
 
 
 class TestRunEnsemble:
     def test_single_member(self, y60, splits60):
         spec = px.NoiseSpec(kind="white", n=60, p=6, seed=40)
-        ens = px.run_ensemble(spec, y60, splits60, 1)
+        done = px.run_curves(px.ensemble_entries(spec, y60, 1), splits60)
+        ens = px.ensemble_report(spec.label, [rep for rep, _ in done])
         assert np.array_equal(ens.mean_curve, ens.member_reports[0].block_rmse)
         assert np.all(ens.member_scatter == 0.0)
 
     def test_member_seeds_are_consecutive(self, y60, splits60):
         spec = px.NoiseSpec(kind="white", n=60, p=6, seed=40)
-        ens = px.run_ensemble(spec, y60, splits60, 3)
         X2 = px.generate(px.NoiseSpec(kind="white", n=60, p=6, seed=42))
-        direct = px.run_experiment(X2, y60, splits60, label="m2")
-        assert np.array_equal(ens.member_reports[2].block_rmse, direct.block_rmse)
+        *members, (direct, _) = px.run_curves(
+            [*px.ensemble_entries(spec, y60, 3), px.experiment_entry("m2", X2, y60)], splits60)
+        assert [rep.label for rep, _ in members] == [
+            "white_member000", "white_member001", "white_member002"]
+        assert np.array_equal(members[2][0].block_rmse, direct.block_rmse)
 
     def test_scatter_positive_and_mean_consistent(self, y60, splits60):
         spec = px.NoiseSpec(kind="white", n=60, p=6, seed=50)
-        ens = px.run_ensemble(spec, y60, splits60, 20)
+        done = px.run_curves(px.ensemble_entries(spec, y60, 20), splits60)
+        ens = px.ensemble_report(spec.label, [rep for rep, _ in done])
         assert np.all(ens.member_scatter > 0)
         curves = np.array([r.block_rmse for r in ens.member_reports])
         np.testing.assert_allclose(ens.mean_curve, curves.mean(axis=0), rtol=1e-15)
@@ -167,19 +173,21 @@ class TestRunEnsemble:
         spec_a = px.NoiseSpec(kind="white", n=60, p=30, seed=600)
         spec_b = px.NoiseSpec(kind="white", n=60, p=30, seed=9600)
         m = 30
-        ens_a = px.run_ensemble(spec_a, y60, splits60, m)
-        ens_b = px.run_ensemble(spec_b, y60, splits60, m)
-        means_a = np.array([r.mean_rmse for r in ens_a.member_reports])
-        means_b = np.array([r.mean_rmse for r in ens_b.member_reports])
+        done = px.run_curves([*px.ensemble_entries(spec_a, y60, m),
+                              *px.ensemble_entries(spec_b, y60, m)], splits60)
+        means_a = np.array([rep.mean_rmse for rep, _ in done[:m]])
+        means_b = np.array([rep.mean_rmse for rep, _ in done[m:]])
         gap = abs(means_a.mean() - means_b.mean())
         se = np.sqrt(means_a.var(ddof=1) / m + means_b.var(ddof=1) / m)
         assert gap < 2 * se + 1e-12
 
     def test_scatter_shrinks_with_p(self, y60, splits60):
-        e_small = px.run_ensemble(px.NoiseSpec(kind="ar1", n=60, p=30, seed=60, phi=0.99),
-                                  y60, splits60, 8)
-        e_big = px.run_ensemble(px.NoiseSpec(kind="ar1", n=60, p=300, seed=70, phi=0.99),
-                                y60, splits60, 8)
+        small = px.NoiseSpec(kind="ar1", n=60, p=30, seed=60, phi=0.99)
+        big = px.NoiseSpec(kind="ar1", n=60, p=300, seed=70, phi=0.99)
+        done = px.run_curves([*px.ensemble_entries(small, y60, 8),
+                              *px.ensemble_entries(big, y60, 8)], splits60)
+        e_small = px.ensemble_report("small", [rep for rep, _ in done[:8]])
+        e_big = px.ensemble_report("big", [rep for rep, _ in done[8:]])
         frac = np.mean(e_big.member_scatter < e_small.member_scatter)
         assert frac >= 0.9
 

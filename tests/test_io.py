@@ -241,8 +241,9 @@ class TestReports:
             'year,a,"b,c"\n1850,1,0.10000000000000001\n1851,2.5,-9.9999999999999995e-21\n')
 
     def test_ensemble_csv_layout(self, tmp_path, y60, splits60):
-        ens = px.run_ensemble(px.NoiseSpec(kind="white", n=60, p=4, seed=3),
-                              y60, splits60[:4], 2)
+        spec = px.NoiseSpec(kind="white", n=60, p=4, seed=3)
+        done = px.run_curves(px.ensemble_entries(spec, y60, 2), splits60[:4])
+        ens = px.ensemble_report(spec.label, [rep for rep, _ in done])
         paths = pio.write_report(ens, tmp_path)
         cols = read_report(paths[0])
         assert set(cols) == {"block_start", "member_000", "member_001", "mean", "scatter"}

@@ -187,8 +187,9 @@ class TestSimpleKriging:
 
     def test_gcv_nugget_deterministic(self, y60):
         split = px.HoldoutSplit.make(60, 5, 12)
-        a = px.simple_kriging(0.99, y60, split)
-        b = px.simple_kriging(0.99, y60, split)
+        Phi = px.ar1_covariance(60, 0.99)
+        a = px.simple_kriging(Phi, y60, split)
+        b = px.simple_kriging(Phi, y60, split)
         assert a.lam == b.lam
         assert np.array_equal(a.y_hat_v, b.y_hat_v)
 
@@ -197,7 +198,7 @@ class TestSimpleKriging:
         # equals the direct kriging formula on every block
         Phi = px.ar1_covariance(60, 0.99)
         for split in splits60[::6]:
-            krig = px.simple_kriging(0.99, y60, split)
+            krig = px.simple_kriging(Phi, y60, split)
             direct = oracles.kriging_by_inverse(Phi, krig.lam, y60.values[split.calib_rows],
                                                 split.calib_rows, split.valid_rows)
             np.testing.assert_allclose(krig.y_hat_v, direct, rtol=0, atol=1e-8)
@@ -206,7 +207,9 @@ class TestSimpleKriging:
     def test_split_must_match_series(self, y60, n):
         # a longer split must not reach Phi's rows: it fails like a shorter one
         with pytest.raises(LengthMismatch):
-            px.simple_kriging(0.9, y60, px.HoldoutSplit.make(n, 0, 12))
+            px.simple_kriging(px.ar1_covariance(60, 0.9), y60, px.HoldoutSplit.make(n, 0, 12))
+        with pytest.raises(LengthMismatch):
+            px.simple_kriging(px.ar1_covariance(n, 0.9), y60, px.HoldoutSplit.make(n, 0, 12))
 
 
 class TestRmsDifference:
@@ -241,8 +244,8 @@ class TestRmsDifference:
                               self._report([0.1, 0.2], starts=[0, 2]))
 
     def test_values_variant(self, y60, splits60):
-        _, krig = px.kriging_curve(0.9, y60, splits60[:5])
-        _, krig2 = px.kriging_curve(0.9, y60, splits60[:5])
+        entry = px.kriging_entry(px.ar1_covariance(60, 0.9), y60, "kriging_ar1_0.9")
+        (_, krig), (_, krig2) = px.run_curves([entry, entry], splits60[:5])
         assert px.rms_difference_values(krig, krig2) == 0.0
         with pytest.raises(BlockMismatch):
             px.rms_difference_values(krig, krig2[1:])
@@ -251,27 +254,36 @@ class TestRmsDifference:
 class TestCurves:
     def test_limit_curve_matches_per_split_estimates(self, y60, splits60):
         some = splits60[:4]
-        report, results = px.limit_curve(0.9, y60, some)
+        entry = px.limit_entry(px.ar1_covariance(60, 0.9), y60, "limit_ar1_0.9")
+        report, results = px.run_curves([entry], some)[0]
+        assert report.label == "limit_ar1_0.9"
         assert report.n_blocks == 4
         direct = limit_reconstruction(0.9, y60, some[2])
         assert report.block_rmse[2] == direct.rmse
         assert np.array_equal(results[2].y_hat_v, direct.y_hat_v)
 
     def test_kriging_curve_shape(self, y60, splits60):
-        report, results = px.kriging_curve(0.95, y60, splits60[:3])
+        entry = px.kriging_entry(px.ar1_covariance(60, 0.95), y60, "kriging_ar1_0.95")
+        report, results = px.run_curves([entry], splits60[:3])[0]
+        assert report.label == "kriging_ar1_0.95"
         assert report.n_blocks == 3 and len(results) == 3
         assert np.all(report.per_block_lambda > 0)
 
     def test_convergence_toward_limit_in_p(self, y60, splits60):
         # medians over 5 seeds of the curve-level RMS distance to the limit
         # shrink as p grows
-        limit_rep, _ = px.limit_curve(0.99, y60, splits60)
-        medians = []
+        curves = [px.limit_entry(px.ar1_covariance(60, 0.99), y60, "limit_ar1_0.99")]
         for p, base in ((30, 700), (300, 800)):
-            diffs = []
-            for s in range(5):
-                X = px.generate(px.NoiseSpec(kind="ar1", n=60, p=p, seed=base + s, phi=0.99))
-                rep = px.run_experiment(X, y60, splits60, label=f"p{p}")
-                diffs.append(px.rms_difference(rep, limit_rep))
-            medians.append(np.median(diffs))
-        assert medians[1] < medians[0]
+            curves += px.ensemble_entries(
+                px.NoiseSpec(kind="ar1", n=60, p=p, seed=base, phi=0.99), y60, 5)
+        (limit_rep, _), *members = px.run_curves(curves, splits60)
+        diffs = [px.rms_difference(rep, limit_rep) for rep, _ in members]
+        assert np.median(diffs[5:]) < np.median(diffs[:5])
+
+    def test_white_limit_is_the_calibration_mean(self, y60, splits60):
+        # for white noise Psi_vc is a multiple of 1 1^T and Psi_cc 1 = 0, so
+        # the limit predicts the calibration mean at every lambda
+        entry = px.limit_entry(np.eye(60), y60, "limit_white")
+        report, _ = px.run_curves([entry], splits60)[0]
+        baseline = [oracles.constant_baseline_rmse(y60.values, s) for s in splits60]
+        np.testing.assert_allclose(report.block_rmse, baseline, rtol=0, atol=1e-12)

@@ -7,8 +7,10 @@ import logging
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +106,7 @@ class TestRunCurve:
             "for w in (1, 2):\n"
             "    os.sched_getaffinity = lambda pid: set(range(w))\n"
             "    try:\n"
-            "        px.run_experiment(X, y, px.make_blocks(60, 12))\n"
+            "        px.run_curves([px.experiment_entry('x', X, y)], px.make_blocks(60, 12))\n"
             "    except px.errors.BlockFailure as exc:\n"
             "        print(w, exc.block_start, type(exc.cause).__name__, exc)\n")
         lines = out.strip().splitlines()
@@ -119,7 +121,8 @@ class TestRunCurve:
             cpus(w)
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="paleoxval"):
-                reports.append(px.run_experiment(X, y60, splits60, mode="permissive"))
+                reports.append(px.run_curves([px.experiment_entry("experiment", X, y60)],
+                                             splits60, mode="permissive")[0][0])
             logs.append([r.getMessage() for r in caplog.records])
             assert multiprocessing.active_children() == []
         assert logs[0] == logs[1] and len(logs[0]) == 1
@@ -137,7 +140,7 @@ class TestRunCurve:
             "X = px.generate(px.NoiseSpec(kind='white', n=60, p=8, seed=4))\n"
             "for w in (1, 3):\n"
             "    os.sched_getaffinity = lambda pid: set(range(w))\n"
-            "    px.run_experiment(X, y, px.make_blocks(60, 12))\n"
+            "    px.run_curves([px.experiment_entry('x', X, y)], px.make_blocks(60, 12))\n"
             "    print('end', w, flush=True)\n")
         one, three = out.split("end 1\n")
         assert three.endswith("end 3\n") and one == three[:-len("end 3\n")]
@@ -147,11 +150,11 @@ class TestRunCurve:
 
     @pytest.mark.parametrize("curve", ["limit", "kriging"])
     def test_limit_and_kriging_results_identical(self, y60, splits60, curve, cpus):
+        entry = getattr(px, f"{curve}_entry")(px.ar1_covariance(60, 0.9), y60, curve)
+
         def run(w):
             cpus(w)
-            if curve == "limit":
-                return px.limit_curve(0.9, y60, splits60)
-            return px.kriging_curve(0.9, y60, splits60)
+            return px.run_curves([entry], splits60)[0]
         (rep1, res1), (rep2, res2) = run(1), run(2)
         assert np.array_equal(rep1.block_rmse, rep2.block_rmse)
         assert np.array_equal(rep1.per_block_lambda, rep2.per_block_lambda)
@@ -160,16 +163,18 @@ class TestRunCurve:
             assert b.split is split and not b.y_hat_v.flags.writeable
 
     def test_unpicklable_block_error_reaches_the_parent(self, y60, splits60, cpus):
+        Phi = px.ar1_covariance(60, 0.9)
+
         def block(split):
             if split.block_start == 30:
                 raise Unrebuildable("bad ", "block")
-            return px.simple_kriging(0.9, y60, split)
+            return px.simple_kriging(Phi, y60, split)
         cpus(1)
         with pytest.raises(Unrebuildable, match="bad block"):
-            px.run_curve("x", block, splits60)
+            px.run_curves([("x", block)], splits60)
         cpus(2)
         with pytest.raises(RuntimeError) as exc:
-            px.run_curve("x", block, splits60)
+            px.run_curves([("x", block)], splits60)
         message = str(exc.value)
         assert f"{__name__}.Unrebuildable: bad block" in message
         assert "worker traceback" in message and 'raise Unrebuildable("bad ", "block")' in message
@@ -181,11 +186,13 @@ class TestRunCurve:
         out = run_python(
             "import multiprocessing, os, paleoxval as px\n"
             "y = px.smooth_target(60, seed=21)\n"
+            "Phi = px.ar1_covariance(60, 0.9)\n"
             "def failing(split):\n"
             "    if split.block_start >= 30:\n"
             "        raise px.errors.SingularSystem(f'made to fail at {split.block_start}')\n"
-            "    return px.simple_kriging(0.9, y, split)\n"
-            "curves = [px.kriging_entry(0.9, y), ('failing', failing), px.limit_entry(0.9, y)]\n"
+            "    return px.simple_kriging(Phi, y, split)\n"
+            "curves = [px.kriging_entry(Phi, y, 'kriging'), ('failing', failing),\n"
+            "          px.limit_entry(Phi, y, 'limit')]\n"
             "for w in (1, 2, 3):\n"
             "    os.sched_getaffinity = lambda pid: set(range(w))\n"
             "    try:\n"
@@ -199,22 +206,45 @@ class TestRunCurve:
                             "made to fail at 30 0")
 
     def test_one_noise_member_is_held_at_a_time(self, y60, splits60, cpus, monkeypatch):
-        # in-process, each member is drawn once for its four block ranges,
-        # after the previous one was dropped, and none is kept afterwards
+        # in-process, each member is drawn once, whether its curve is one task
+        # or four block ranges, after the previous one was dropped, and none
+        # is kept afterwards
         held, real = [], crossval.generate
         monkeypatch.setattr(crossval, "generate",
                             lambda spec: held.append(len(crossval._MEMBER)) or real(spec))
         cpus(1)
-        px.run_ensemble(px.NoiseSpec(kind="ar1", n=60, p=8, seed=5, phi=0.5), y60, splits60, 3)
+        spec = px.NoiseSpec(kind="ar1", n=60, p=8, seed=5, phi=0.5)
+        px.run_curves(px.ensemble_entries(spec, y60, 3), splits60)
         assert held == [0, 0, 0] and crossval._MEMBER == {}
+
+    def test_only_the_last_curves_are_split_across_workers(self, y60, splits60, cpus,
+                                                            monkeypatch):
+        # with n workers the first curves run whole, so only the members of
+        # the last n curves can be drawn by more than one worker
+        calls, real = multiprocessing.get_context("fork").Value("i", 0), crossval.generate
+
+        def generate(spec):
+            with calls.get_lock():
+                calls.value += 1
+            return real(spec)
+        monkeypatch.setattr(crossval, "generate", generate)
+        entries = px.ensemble_entries(px.NoiseSpec(kind="white", n=60, p=8, seed=5), y60, 6)
+        drawn = []
+        for w in (1, 2):
+            cpus(w)
+            calls.value = 0
+            px.run_curves(entries, splits60)
+            drawn.append(calls.value)
+        assert drawn[0] == 6 and 6 <= drawn[1] <= 8
 
     def test_pool_size_is_capped(self, y60, splits60, cpus, monkeypatch):
         sizes, real = [], crossval.ProcessPoolExecutor
         monkeypatch.setattr(crossval, "ProcessPoolExecutor",
                             lambda n, *args: sizes.append(n) or real(n, *args))
+        entry = px.kriging_entry(px.ar1_covariance(60, 0.9), y60, "kriging")
         for k, splits in ((64, splits60), (3, splits60[:2]), (1, splits60)):
             cpus(k)
-            px.kriging_curve(0.9, y60, splits)
+            px.run_curves([entry], splits)
         assert sizes == [crossval.MAX_WORKERS, 2]
 
 
@@ -237,6 +267,60 @@ def test_worker_start_pins_openblas_to_one_thread():
     if out.strip() == "no openblas":
         pytest.skip("numpy is not linked against OpenBLAS")
     assert out.split() == ["2", "1"]
+
+
+def children(pid: int) -> dict[int, str]:
+    """pid -> state letter of every process whose parent is ``pid``."""
+    out = {}
+    for entry in Path("/proc").iterdir():
+        try:
+            state, ppid = (entry / "stat").read_text().rsplit(")", 1)[1].split()[:2]
+        except (OSError, ValueError):
+            continue
+        if int(ppid) == pid:
+            out[int(entry.name)] = state
+    return out
+
+
+def state(pid: int) -> str | None:
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return None
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_no_worker_outlives_a_killed_command():
+    code = ("import os, time, paleoxval as px\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "y = px.smooth_target(60, seed=21)\n"
+            "X = px.generate(px.NoiseSpec(kind='white', n=60, p=4, seed=1))\n"
+            "def slow(split):\n"
+            "    time.sleep(0.1)\n"
+            "    return px.run_block(X, y, split)\n"
+            "px.run_curves([('a', slow), ('b', slow), ('c', slow)], px.make_blocks(60, 12))\n")
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    child = subprocess.Popen([sys.executable, "-c", code], env=env)
+    workers: dict[int, str] = {}
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and child.poll() is None and time.monotonic() < deadline:
+            workers = children(child.pid)
+            time.sleep(0.02)
+        assert len(workers) == 2, "the pool did not start"
+        time.sleep(0.3)         # mid-run: the workers are in their blocks
+        child.send_signal(signal.SIGTERM)
+        child.wait(timeout=10)
+        deadline = time.monotonic() + 3
+        while time.monotonic() < deadline and any(state(w) not in (None, "Z") for w in workers):
+            time.sleep(0.05)
+        assert {w: state(w) for w in workers if state(w) not in (None, "Z")} == {}
+    finally:
+        child.kill()
+        child.wait()
+        for w in workers:
+            if state(w) not in (None, "Z"):
+                os.kill(w, signal.SIGKILL)
 
 
 def run_cli(argv: list[str], caplog) -> list[str]:
