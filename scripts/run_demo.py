@@ -2,7 +2,7 @@
 """End-to-end demo: synthetic target, then all three CLI commands.
 
 Runs at a reduced scale by default (minutes of compute instead of the full
-100-member / 1e5-column design); pass --full for the reference-scale run.
+100-member / 1138-column design); pass --full for the reference-scale run.
 """
 
 import argparse
@@ -19,7 +19,8 @@ def main() -> int:
     ap.add_argument("--workdir", default="demo_out")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--full", action="store_true",
-                    help="reference-scale design: n=149, 100 members, 1e5 MC columns")
+                    help="reference-scale design: n=149, 100 members, 1138 noise columns, "
+                         "p ladder to 1e4")
     args = ap.parse_args()
 
     work = Path(args.workdir)

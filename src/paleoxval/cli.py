@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,13 +41,8 @@ SEED_STRIDE = 1_000_000
 log = logging.getLogger("paleoxval")
 
 
-def _noise_spec(src: io.NoiseSource, n: int, seed: int, default_p: int) -> NoiseSpec:
-    return NoiseSpec(kind=src.kind, n=n, p=src.p if src.p is not None else default_p,
-                     seed=seed, phi=src.phi)
-
-
 def _load_target(config: io.ExperimentConfig) -> TimeSeries:
-    y = io.load_target(config.target_path)
+    y = io.load_target(config.target)
     mean, std = float(y.values.mean()), float(y.values.std())
     if config.center_target:
         y = TimeSeries(years=y.years, values=y.values - mean)
@@ -65,14 +60,14 @@ def cmd_crossval(config: io.ExperimentConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if isinstance(config.proxy_source, io.FileSource):
-        X = io.load_proxies(config.proxy_source.path, expected_years=y.years)
+        X = io.load_proxies(config.proxy_source.file, expected_years=y.years)
         curves = [experiment_entry("proxies", X, y, drop_degenerate=config.drop_degenerate)]
     else:
-        spec = _noise_spec(config.proxy_source, y.n, config.seed, config.noise_columns)
+        spec = config.proxy_source.spec(y.n, config.seed, config.noise_columns)
         curves = [experiment_entry(spec.label, spec, y, drop_degenerate=config.drop_degenerate)]
     seen = {curves[0][0]}
     for k, src in enumerate(config.noise_experiments):
-        spec = _noise_spec(src, y.n, config.seed + SEED_STRIDE * (k + 1), config.noise_columns)
+        spec = src.spec(y.n, config.seed + SEED_STRIDE * (k + 1), config.noise_columns)
         label = spec.label if spec.label not in seen else f"{spec.label}_{k + 1}"
         seen.add(label)
         curves.append(experiment_entry(label, spec, y, drop_degenerate=config.drop_degenerate))
@@ -109,7 +104,7 @@ def cmd_figure2(config: io.ExperimentConfig) -> int:
                  for i, phi in enumerate(config.phi_list)]
     curves = []
     if with_proxies := isinstance(config.proxy_source, io.FileSource):
-        X = io.load_proxies(config.proxy_source.path, expected_years=y.years)
+        X = io.load_proxies(config.proxy_source.file, expected_years=y.years)
         curves.append(experiment_entry("proxies", X, y, drop_degenerate=config.drop_degenerate))
     curves += ensemble_entries(white_spec, y, m)
     for phi, spec in zip(config.phi_list, ar1_specs):
@@ -237,39 +232,27 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="JSON config (or manifest) path")
+        # each override's dest is the config field it replaces
         cmd.add_argument("--seed", type=int, help="override base seed")
-        cmd.add_argument("--nv", type=int, help="override holdout block length")
-        cmd.add_argument("--ensemble", type=int, help="override ensemble size")
-        cmd.add_argument("--phi", type=float, help="override phi_list with one value")
-        cmd.add_argument("--mc-columns", type=int,
+        cmd.add_argument("--nv", dest="n_v", type=int, help="override holdout block length")
+        cmd.add_argument("--ensemble", dest="ensemble_size", type=int,
+                         help="override ensemble size")
+        cmd.add_argument("--phi", dest="phi_list", type=float, nargs=1, metavar="PHI",
+                         help="override phi_list with one value")
+        cmd.add_argument("--mc-columns", dest="psi_mc_columns", type=int,
                          help="deprecated and ignored: Psi is computed exactly")
-        cmd.add_argument("--drop-degenerate", action="store_true",
+        cmd.add_argument("--drop-degenerate", action="store_const", const=True,
                          help="drop zero-variance proxy columns instead of failing")
-        cmd.add_argument("--center-target", action="store_true",
+        cmd.add_argument("--center-target", action="store_const", const=True,
                          help="subtract the target's overall mean before running")
-        cmd.add_argument("--out", help="override the output directory")
+        cmd.add_argument("--out", dest="output_dir", type=lambda path: str(Path(path).resolve()),
+                         help="override the output directory")
     return parser
 
 
 def _apply_overrides(config: io.ExperimentConfig, args) -> io.ExperimentConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.nv is not None:
-        updates["n_v"] = args.nv
-    if args.ensemble is not None:
-        updates["ensemble_size"] = args.ensemble
-    if args.phi is not None:
-        updates["phi_list"] = (args.phi,)
-    if args.mc_columns is not None:
-        updates["psi_mc_columns"] = args.mc_columns
-    if args.drop_degenerate:
-        updates["drop_degenerate"] = True
-    if args.center_target:
-        updates["center_target"] = True
-    if args.out is not None:
-        updates["output_dir"] = str(Path(args.out).resolve())
-    return replace(config, **updates) if updates else config
+    return replace(config, **{f.name: getattr(args, f.name) for f in fields(config)
+                              if getattr(args, f.name, None) is not None})
 
 
 def main(argv=None) -> int:

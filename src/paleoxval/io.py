@@ -14,7 +14,7 @@ import json
 import math
 import numbers
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .core import ProxyMatrix, TimeSeries
 from .crossval import EnsembleReport, ExperimentReport
 from .errors import (ConfigError, NonAnnualYears, NonFiniteValue, ParseError,
                      YearMismatch)
-from .noise import KINDS
+from .noise import NoiseSpec
 
 DEFAULT_NOISE_COLUMNS = 1138
 
@@ -45,7 +45,7 @@ def _require_int(name: str, value, minimum: int) -> None:
 class FileSource:
     """Proxies read from a CSV file."""
 
-    path: str
+    file: str
 
 
 @dataclass(frozen=True)
@@ -57,28 +57,29 @@ class NoiseSource:
     p: int | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown noise kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind == "ar1":
-            if (isinstance(self.phi, bool) or not isinstance(self.phi, numbers.Real)
-                    or not 0.0 <= self.phi < 1.0):
-                raise ConfigError(f"ar1 noise requires a number 0 <= phi < 1, got {self.phi!r}")
-        elif self.phi is not None:
-            raise ConfigError(f"phi is only meaningful for ar1 noise, not {self.kind!r}")
-        if self.p is not None:
-            _require_int("p", self.p, 1)
+        try:    # n and seed are known at run time; these stand-ins pass NoiseSpec's checks
+            self.spec(n=2, seed=0, default_p=1)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def spec(self, n: int, seed: int, default_p: int) -> NoiseSpec:
+        """The recipe for this source's n-row matrix; p defaults to default_p."""
+        return NoiseSpec(kind=self.kind, n=n, p=default_p if self.p is None else self.p,
+                         seed=seed, phi=self.phi)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved settings for one batch run.
+    """Resolved settings for one batch run; the field names are the config keys.
 
     Defaults reproduce the reference experimental design: 30-year holdout
     blocks and 100-member ensembles. ``psi_mc_columns`` sized the Monte Carlo
-    Psi that exact Psi replaced; it is still validated, then ignored.
+    Psi that exact Psi replaced; it is still validated, then ignored. Every
+    phi's ``:g`` label and every p_ladder entry names output files and
+    columns, so each must be distinct.
     """
 
-    target_path: str
+    target: str
     proxy_source: FileSource | NoiseSource
     output_dir: str
     noise_experiments: tuple[NoiseSource, ...] = ()
@@ -105,6 +106,8 @@ class ExperimentConfig:
             _require_int("psi_mc_columns", self.psi_mc_columns, 1000)
         for i, p in enumerate(self.p_ladder):
             _require_int(f"p_ladder[{i}]", p, 1)
+        if len(set(self.p_ladder)) != len(self.p_ladder):
+            raise ConfigError(f"p_ladder entries must be distinct, got {list(self.p_ladder)}")
         for name in ("drop_degenerate", "center_target"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
@@ -115,95 +118,48 @@ class ExperimentConfig:
         for phi in self.phi_list:
             if isinstance(phi, bool) or not isinstance(phi, numbers.Real) or not 0 < phi < 1:
                 raise ConfigError(f"phi_list entries must be numbers in (0, 1), got {phi!r}")
+        labels = [f"{phi:g}" for phi in self.phi_list]
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"phi_list entries must have distinct :g labels, got {labels}")
         object.__setattr__(self, "phi_list", tuple(float(x) for x in self.phi_list))
 
 
-def _noise_source_from_dict(obj: dict) -> NoiseSource:
-    extra = set(obj) - {"kind", "phi", "p"}
-    if extra:
-        raise ConfigError(f"unknown noise keys {sorted(extra)}")
-    if "kind" not in obj:
-        raise ConfigError("noise entry needs a 'kind'")
-    return NoiseSource(kind=obj["kind"], phi=obj.get("phi"), p=obj.get("p"))
-
-
-def _noise_source_to_dict(src: NoiseSource) -> dict:
-    out: dict = {"kind": src.kind}
-    if src.phi is not None:
-        out["phi"] = src.phi
-    if src.p is not None:
-        out["p"] = src.p
-    return out
-
-
 def config_from_dict(obj: dict, base_dir: Path | None = None) -> ExperimentConfig:
-    """Build a config from parsed JSON; relative paths resolve against base_dir."""
+    """Build a config from parsed JSON whose keys are ExperimentConfig's
+    fields; relative paths resolve against base_dir."""
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
+    extra = set(obj) - {f.name for f in fields(ExperimentConfig)}
+    if extra:
+        raise ConfigError(f"unknown config keys {sorted(extra)}")
+    if "target" not in obj:
+        raise ConfigError("config needs a 'target' path")
+    source = obj.get("proxy_source")
+    if not isinstance(source, dict) or source.keys() not in ({"file"}, {"noise"}):
+        raise ConfigError("proxy_source must be exactly one of {'file': ...} or {'noise': ...}")
     base = Path(base_dir) if base_dir is not None else Path(".")
 
     def resolve(p: str) -> str:
         return str((base / p).resolve()) if not Path(p).is_absolute() else p
 
-    if "target" not in obj:
-        raise ConfigError("config needs a 'target' path")
-    source_obj = obj.get("proxy_source")
-    if source_obj is None:
-        raise ConfigError("config needs a 'proxy_source' ({'file': ...} or {'noise': ...})")
-    if not isinstance(source_obj, dict) or len(source_obj) != 1:
-        raise ConfigError("proxy_source must be exactly one of {'file': ...} or {'noise': ...}")
-    if not {"file", "noise"} & set(source_obj):
-        raise ConfigError("proxy_source must be {'file': ...} or {'noise': ...}")
-
-    known = {"target", "proxy_source", "noise_experiments", "n_v", "ensemble_size",
-             "seed", "phi_list", "psi_mc_columns", "noise_columns", "p_ladder",
-             "limit_repeats", "mode", "drop_degenerate", "center_target", "output_dir"}
-    extra = set(obj) - known
-    if extra:
-        raise ConfigError(f"unknown config keys {sorted(extra)}")
-
-    kwargs = {k: obj[k] for k in ("n_v", "ensemble_size", "seed", "phi_list",
-                                  "psi_mc_columns", "noise_columns", "p_ladder",
-                                  "limit_repeats", "mode", "drop_degenerate",
-                                  "center_target") if k in obj}
     try:
-        source = (FileSource(path=resolve(source_obj["file"])) if "file" in source_obj
-                  else _noise_source_from_dict(source_obj["noise"]))
-        return ExperimentConfig(
-            target_path=resolve(obj["target"]),
-            proxy_source=source,
-            output_dir=resolve(obj.get("output_dir", "out")),
-            noise_experiments=tuple(_noise_source_from_dict(e)
-                                    for e in obj.get("noise_experiments", ())),
-            **kwargs,
-        )
+        return ExperimentConfig(**{
+            **obj,
+            "target": resolve(obj["target"]),
+            "proxy_source": (FileSource(resolve(source["file"])) if "file" in source
+                             else NoiseSource(**source["noise"])),
+            "output_dir": resolve(obj.get("output_dir", "out")),
+            "noise_experiments": [NoiseSource(**e) for e in obj.get("noise_experiments", ())],
+        })
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    if isinstance(config.proxy_source, FileSource):
-        source: dict = {"file": config.proxy_source.path}
-    else:
-        source = {"noise": _noise_source_to_dict(config.proxy_source)}
-    out = {
-        "target": config.target_path,
-        "proxy_source": source,
-        "noise_experiments": [_noise_source_to_dict(e) for e in config.noise_experiments],
-        "n_v": config.n_v,
-        "ensemble_size": config.ensemble_size,
-        "seed": config.seed,
-        "phi_list": list(config.phi_list),
-        "noise_columns": config.noise_columns,
-        "p_ladder": list(config.p_ladder),
-        "limit_repeats": config.limit_repeats,
-        "mode": config.mode,
-        "drop_degenerate": config.drop_degenerate,
-        "center_target": config.center_target,
-        "output_dir": config.output_dir,
-    }
-    if config.psi_mc_columns is not None:
-        out["psi_mc_columns"] = config.psi_mc_columns
+    """The inverse of config_from_dict: every field, None values left out."""
+    out = asdict(config, dict_factory=lambda items: {k: v for k, v in items if v is not None})
+    if isinstance(config.proxy_source, NoiseSource):
+        out["proxy_source"] = {"noise": out["proxy_source"]}
     return out
 
 

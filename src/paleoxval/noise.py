@@ -37,8 +37,9 @@ class NoiseSpec:
             if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < minimum:
                 raise ValueError(f"{name} must be an integer >= {minimum}, got {x!r}")
         if self.kind == "ar1":
-            if self.phi is None or not 0.0 <= self.phi < 1.0:
-                raise ValueError("ar1 noise requires 0 <= phi < 1")
+            if (isinstance(self.phi, bool) or not isinstance(self.phi, numbers.Real)
+                    or not 0.0 <= self.phi < 1.0):
+                raise ValueError(f"ar1 noise requires a number 0 <= phi < 1, got {self.phi!r}")
         elif self.phi is not None:
             raise ValueError(f"phi is only meaningful for ar1 noise, not {self.kind!r}")
 

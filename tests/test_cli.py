@@ -227,13 +227,16 @@ class TestOverridesAndErrors:
 
     def test_nv_and_seed_overrides(self, small_config, tmp_path):
         out = tmp_path / "o1"
-        assert main(["crossval", "--config", str(small_config),
-                     "--nv", "15", "--seed", "99", "--out", str(out)]) == 0
+        assert main(["crossval", "--config", str(small_config), "--nv", "15", "--seed", "99",
+                     "--ensemble", "5", "--phi", "0.5", "--out", str(out)]) == 0
         cols = read_report(out / "blocks_white.csv")
         assert len(cols["block_rmse"]) == 60 - 15 + 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 99
         assert manifest["config"]["n_v"] == 15
+        assert manifest["config"]["ensemble_size"] == 5
+        assert manifest["config"]["phi_list"] == [0.5]
+        assert manifest["config"]["output_dir"] == str(out.resolve())
 
     @pytest.mark.parametrize("route", ["config", "flag"])
     def test_mc_columns_is_ignored_with_one_deprecation_line(self, small_config, tmp_path,

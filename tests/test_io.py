@@ -1,4 +1,5 @@
 import json
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -273,8 +274,8 @@ class TestConfig:
                                  "proxy_source": {"file": "p.csv"},
                                  "output_dir": "results"}))
         config = pio.load_config(f)
-        assert config.target_path == str(sub / "t.csv")
-        assert config.proxy_source.path == str(sub / "p.csv")
+        assert config.target == str(sub / "t.csv")
+        assert config.proxy_source.file == str(sub / "p.csv")
         assert config.output_dir == str(sub / "results")
 
     @pytest.mark.parametrize("body", [
@@ -307,6 +308,11 @@ class TestConfig:
         {"target": "t.csv", "proxy_source": {"file": 7}},
         {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}},
          "noise_experiments": [{"kind": "ar1", "phi": "0.9"}]},
+        # repeated labels would overwrite each other's files and columns
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "phi_list": [0.9, 0.9]},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}},
+         "phi_list": [0.5, 0.5000001]},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "p_ladder": [20, 20]},
     ])
     def test_invalid_configs(self, tmp_path, body):
         f = tmp_path / "c.json"
@@ -343,3 +349,92 @@ class TestConfig:
         assert blob["version"] == px.__version__
         assert blob["config"]["seed"] == 99
         assert blob["outputs"] == ["summary.csv"]
+
+    def test_manifest_bytes(self, tmp_path):
+        # a file-source config with the deprecated key set, as perfbench writes
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({
+            "target": "/data/target.csv",
+            "proxy_source": {"file": "/data/proxies.csv"},
+            "noise_experiments": [{"kind": "white"}, {"kind": "ar1", "phi": 0.9, "p": 17}],
+            "n_v": 12, "ensemble_size": 3, "seed": 99, "phi_list": [0.5, 0.99],
+            "psi_mc_columns": 8000, "noise_columns": 40, "p_ladder": [20, 100],
+            "limit_repeats": 2, "mode": "permissive", "drop_degenerate": True,
+            "center_target": False, "output_dir": "/data/out",
+        }))
+        manifest = pio.write_manifest(tmp_path / "out", "figure2", pio.load_config(f),
+                                      [tmp_path / "figure2.csv", tmp_path / "figure2.svg"])
+        assert manifest.read_text() == """{
+  "command": "figure2",
+  "config": {
+    "center_target": false,
+    "drop_degenerate": true,
+    "ensemble_size": 3,
+    "limit_repeats": 2,
+    "mode": "permissive",
+    "n_v": 12,
+    "noise_columns": 40,
+    "noise_experiments": [
+      {
+        "kind": "white"
+      },
+      {
+        "kind": "ar1",
+        "p": 17,
+        "phi": 0.9
+      }
+    ],
+    "output_dir": "/data/out",
+    "p_ladder": [
+      20,
+      100
+    ],
+    "phi_list": [
+      0.5,
+      0.99
+    ],
+    "proxy_source": {
+      "file": "/data/proxies.csv"
+    },
+    "psi_mc_columns": 8000,
+    "seed": 99,
+    "target": "/data/target.csv"
+  },
+  "outputs": [
+    "figure2.csv",
+    "figure2.svg"
+  ],
+  "tool": "paleo-xval",
+  "version": "%s"
+}
+""" % px.__version__
+
+    @given(st.data())
+    def test_every_field_round_trips_through_a_manifest(self, data):
+        paths = st.lists(st.text("abc_.-", min_size=1, max_size=4), min_size=1,
+                         max_size=3).map(lambda parts: "/" + "/".join(parts))
+        p = st.none() | st.integers(1, 10**6)
+        noise = (st.builds(pio.NoiseSource, kind=st.sampled_from(["white", "brownian"]), p=p)
+                 | st.builds(pio.NoiseSource, kind=st.just("ar1"), p=p,
+                             phi=st.floats(0, 1, exclude_max=True)))
+        phi = st.floats(0, 1, exclude_min=True, exclude_max=True)
+        config = data.draw(st.builds(
+            pio.ExperimentConfig,
+            target=paths,
+            proxy_source=st.builds(pio.FileSource, file=paths) | noise,
+            output_dir=paths,
+            noise_experiments=st.lists(noise, max_size=3),
+            n_v=st.integers(2, 10**4),
+            ensemble_size=st.integers(1, 10**4),
+            seed=st.integers(0, 2**64),
+            phi_list=st.lists(phi, min_size=1, max_size=3, unique_by=lambda x: f"{x:g}"),
+            psi_mc_columns=st.none() | st.integers(1000, 10**6),
+            noise_columns=st.integers(1, 10**5),
+            p_ladder=st.lists(st.integers(1, 10**5), max_size=4, unique=True),
+            limit_repeats=st.integers(1, 100),
+            mode=st.sampled_from(["strict", "permissive"]),
+            drop_degenerate=st.booleans(),
+            center_target=st.booleans(),
+        ))
+        with tempfile.TemporaryDirectory() as out:
+            assert pio.load_config(pio.write_manifest(out, "limit", config, [])) == config

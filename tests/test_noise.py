@@ -22,6 +22,10 @@ class TestNoiseSpec:
             px.NoiseSpec(kind="white", n=10, p=2, seed=0, phi=0.5)
         with pytest.raises(ValueError):
             px.NoiseSpec(kind="white", n=1, p=2, seed=0)
+        with pytest.raises(ValueError):
+            px.NoiseSpec(kind="ar1", n=10, p=2, seed=0, phi=False)
+        with pytest.raises(ValueError):
+            px.NoiseSpec(kind="ar1", n=10, p=2, seed=0, phi="0.9")
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None])
     def test_seed_must_be_non_negative_int(self, seed):
