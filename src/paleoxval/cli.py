@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import io
 from ._version import __version__
-from .core import TimeSeries
+from .core import HoldoutSplit, TimeSeries
 from .crossval import (ensemble_entries, ensemble_report, experiment_entry, make_blocks,
                        run_curves)
 from .errors import PaleoXvalError
@@ -41,24 +42,11 @@ SEED_STRIDE = 1_000_000
 log = logging.getLogger("paleoxval")
 
 
-def _load_target(config: io.ExperimentConfig) -> TimeSeries:
-    y = io.load_target(config.target)
-    mean, std = float(y.values.mean()), float(y.values.std())
-    if config.center_target:
-        y = TimeSeries(years=y.years, values=y.values - mean)
-    elif std > 0 and abs(mean) > 0.1 * std:
-        log.warning("target mean %.4g is large next to its std %.4g; the kriging "
-                    "curve assumes a zero-mean target (consider --center-target)",
-                    mean, std)
-    return y
+# Each command takes the config, the loaded target, its holdout splits and the
+# existing output directory, and returns the paths it wrote; main does the rest.
 
-
-def cmd_crossval(config: io.ExperimentConfig) -> int:
-    y = _load_target(config)
-    splits = make_blocks(y.n, config.n_v)
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+def cmd_crossval(config: io.ExperimentConfig, y: TimeSeries, splits: list[HoldoutSplit],
+                 out_dir: Path) -> list[Path]:
     if isinstance(config.proxy_source, io.FileSource):
         X = io.load_proxies(config.proxy_source.file, expected_years=y.years)
         curves = [experiment_entry("proxies", X, y, drop_degenerate=config.drop_degenerate)]
@@ -71,28 +59,23 @@ def cmd_crossval(config: io.ExperimentConfig) -> int:
         label = spec.label if spec.label not in seen else f"{spec.label}_{k + 1}"
         seen.add(label)
         curves.append(experiment_entry(label, spec, y, drop_degenerate=config.drop_degenerate))
-    reports = [report for report, _ in run_curves(curves, splits, mode=config.mode)]
+    reports = run_curves(curves, splits, mode=config.mode)
+    outputs = [io.write_report(report, out_dir, y.years) for report in reports]
 
-    outputs = []
-    for report in reports:
-        outputs += io.write_report(report, out_dir, years=y.years)
-
-    ranked = sorted(reports, key=lambda r: (r.mean_rmse, r.label))
+    # a curve whose every block failed has a NaN mean and ranks last
+    ranked = sorted(reports, key=lambda r: (math.inf if math.isnan(r.mean_rmse) else r.mean_rmse,
+                                            r.label))
     outputs.append(io.write_csv(out_dir / "summary.csv", ["label", "mean_rmse"],
                                 [[r.label, io.format_float(r.mean_rmse)] for r in ranked]))
-    outputs.append(io.write_manifest(out_dir, "crossval", config, outputs))
 
     print(f"{'experiment':24s}  mean RMSE (degC)")
     for r in ranked:
         print(f"{r.label:24s}  {r.mean_rmse:.6f}")
-    return 0
+    return outputs
 
 
-def cmd_figure2(config: io.ExperimentConfig) -> int:
-    y = _load_target(config)
-    splits = make_blocks(y.n, config.n_v)
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_figure2(config: io.ExperimentConfig, y: TimeSeries, splits: list[HoldoutSplit],
+                out_dir: Path) -> list[Path]:
     m = config.ensemble_size
     starts = np.array([s.block_start for s in splits])
     x_years = y.years[starts].astype(float)
@@ -114,19 +97,17 @@ def cmd_figure2(config: io.ExperimentConfig) -> int:
                    kriging_entry(Phi, y, f"kriging_ar1_{phi:g}")]
     done = iter(run_curves(curves, splits, mode=config.mode))
 
-    proxy_report = next(done)[0] if with_proxies else None
-    outputs = io.write_report(proxy_report, out_dir, years=y.years) if with_proxies else []
-    white = ensemble_report(white_spec.label, [next(done)[0] for _ in range(m)])
-    outputs += io.write_report(white, out_dir, years=y.years)
+    proxy_report = next(done) if with_proxies else None
+    white = ensemble_report(white_spec.label, [next(done) for _ in range(m)])
+    outputs = [io.write_report(rep, out_dir, y.years) for rep in (proxy_report, white)
+               if rep is not None]
 
     per_phi = []
     for phi, spec in zip(config.phi_list, ar1_specs):
-        ens = ensemble_report(spec.label, [next(done)[0] for _ in range(m)])
-        (lim_rep, lim_res), (krig_rep, krig_res) = next(done), next(done)
+        ens = ensemble_report(spec.label, [next(done) for _ in range(m)])
+        lim_rep, krig_rep = next(done), next(done)
         per_phi.append((phi, ens, lim_rep, krig_rep))
-        outputs += io.write_report(ens, out_dir, years=y.years)
-        outputs += io.write_report(lim_rep, out_dir, years=y.years)
-        outputs += io.write_report(krig_rep, out_dir, years=y.years)
+        outputs += [io.write_report(rep, out_dir, y.years) for rep in (ens, lim_rep, krig_rep)]
 
         ens_vs_lim = float(np.sqrt(np.mean((ens.mean_curve - lim_rep.block_rmse) ** 2)))
         print(f"phi={phi:g}: RMS difference, ensemble-mean RMSE vs limit RMSE: "
@@ -134,7 +115,7 @@ def cmd_figure2(config: io.ExperimentConfig) -> int:
         print(f"phi={phi:g}: RMS difference, limit vs kriging (RMSE curves):  "
               f"{rms_difference(lim_rep, krig_rep):.6g} degC")
         print(f"phi={phi:g}: RMS difference, limit vs kriging (predictions):  "
-              f"{rms_difference_values(lim_res, krig_res):.6g} degC")
+              f"{rms_difference_values(lim_rep, krig_rep):.6g} degC")
 
     cols = [] if proxy_report is None else [("proxies", proxy_report.block_rmse)]
     cols += [("white_mean", white.mean_curve), ("white_scatter", white.member_scatter)]
@@ -161,19 +142,14 @@ def cmd_figure2(config: io.ExperimentConfig) -> int:
                              color="magenta", kind="dashes"))
         series.append(Series(f"kriging ar1({phi:g})", x_years, krig_rep.block_rmse,
                              color="green"))
-    svg = write_svg(PlotSpec(series=tuple(series), title="Holdout RMSE by block start",
-                             x_label="block start year", y_label="RMSE (degC)"),
-                    out_dir / "figure2.svg")
-    outputs.append(svg)
-    outputs.append(io.write_manifest(out_dir, "figure2", config, outputs))
-    return 0
+    outputs.append(write_svg(PlotSpec(series=tuple(series), title="Holdout RMSE by block start",
+                                      x_label="block start year", y_label="RMSE (degC)"),
+                             out_dir / "figure2.svg"))
+    return outputs
 
 
-def cmd_limit(config: io.ExperimentConfig) -> int:
-    y = _load_target(config)
-    splits = make_blocks(y.n, config.n_v)
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_limit(config: io.ExperimentConfig, y: TimeSeries, splits: list[HoldoutSplit],
+              out_dir: Path) -> list[Path]:
     starts = [s.block_start for s in splits]
     outputs: list[Path] = []
 
@@ -193,10 +169,10 @@ def cmd_limit(config: io.ExperimentConfig) -> int:
     table_rows, member_rows, scatter = [], [], []
     print(f"{'phi':>6s} {'p':>8s} {'median RMS diff to limit':>26s} {'mean member scatter':>20s}")
     for phi in config.phi_list:
-        lim_rep = next(done)[0]
-        outputs += io.write_report(lim_rep, out_dir, years=y.years)
+        lim_rep = next(done)
+        outputs.append(io.write_report(lim_rep, out_dir, y.years))
         for p in config.p_ladder:
-            ens = ensemble_report(next(specs).label, [next(done)[0] for _ in range(m)])
+            ens = ensemble_report(next(specs).label, [next(done) for _ in range(m)])
             diffs = [rms_difference(rep, lim_rep) for rep in ens.member_reports]
             median_diff = float(np.median(diffs))
             mean_scatter = float(ens.member_scatter.mean())
@@ -211,8 +187,7 @@ def cmd_limit(config: io.ExperimentConfig) -> int:
     outputs.append(io.write_csv(out_dir / "limit_members.csv",
                                 ["phi", "p", "member", "rms_diff_to_limit"], member_rows))
     outputs.append(io.write_block_table(out_dir / "limit_scatter.csv", starts, y.years, scatter))
-    outputs.append(io.write_manifest(out_dir, "limit", config, outputs))
-    return 0
+    return outputs
 
 
 COMMANDS = {"crossval": cmd_crossval, "figure2": cmd_figure2, "limit": cmd_limit}
@@ -263,7 +238,20 @@ def main(argv=None) -> int:
         if config.psi_mc_columns is not None:
             log.warning("psi_mc_columns (--mc-columns) is deprecated and ignored: "
                         "Psi is computed exactly")
-        return COMMANDS[args.command](config)
+        y = io.load_target(config.target)
+        mean, std = float(y.values.mean()), float(y.values.std())
+        if config.center_target:
+            y = TimeSeries(years=y.years, values=y.values - mean)
+        elif std > 0 and abs(mean) > 0.1 * std:
+            log.warning("target mean %.4g is large next to its std %.4g; the kriging "
+                        "curve assumes a zero-mean target (consider --center-target)",
+                        mean, std)
+        splits = make_blocks(y.n, config.n_v)
+        out_dir = Path(config.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        outputs = COMMANDS[args.command](config, y, splits, out_dir)
+        io.write_manifest(out_dir, args.command, config, outputs)
+        return 0
     except (PaleoXvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,7 +8,7 @@ already owned and read-only, so instances are safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,46 +89,31 @@ class ProxyMatrix:
 
 @dataclass(frozen=True, eq=False)
 class HoldoutSplit:
-    """One contiguous validation block and its calibration complement.
+    """The contiguous validation block [block_start, block_start + n_v) of
+    n rows and its calibration complement.
 
     The complement is a row *set*, not a range: interior blocks leave two
     calibration segments, one on each side.
     """
 
+    n: int
     block_start: int
-    block_len: int
-    calib_rows: np.ndarray
-    valid_rows: np.ndarray
+    n_v: int
+    calib_rows: np.ndarray = field(init=False)
+    valid_rows: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "calib_rows", _frozen_array(self.calib_rows, dtype=np.int64))
-        object.__setattr__(self, "valid_rows", _frozen_array(self.valid_rows, dtype=np.int64))
-        end = self.block_start + self.block_len
-        if not np.array_equal(self.valid_rows, np.arange(self.block_start, end)):
-            raise ValueError("valid_rows must be the contiguous block "
-                             "[block_start, block_start + block_len)")
-        if not np.array_equal(np.sort(self.calib_rows), np.r_[:self.block_start, end:self.n]):
-            raise ValueError("calib_rows must be the complement of valid_rows")
-
-    @classmethod
-    def make(cls, n: int, block_start: int, n_v: int) -> "HoldoutSplit":
-        if not 0 <= block_start <= n - n_v:
-            raise ValueError(f"block_start {block_start} out of range for n={n}, n_v={n_v}")
-        return cls(block_start=block_start, block_len=n_v,
-                   calib_rows=np.r_[:block_start, block_start + n_v:n],
-                   valid_rows=np.arange(block_start, block_start + n_v))
-
-    @property
-    def n(self) -> int:
-        return len(self.calib_rows) + len(self.valid_rows)
+        if not (self.n_v >= 1 and 0 <= self.block_start <= self.n - self.n_v):
+            raise ValueError(f"block_start {self.block_start}, n_v {self.n_v} "
+                             f"out of range for n={self.n}")
+        end = self.block_start + self.n_v
+        for name, rows in (("calib_rows", np.r_[:self.block_start, end:self.n]),
+                           ("valid_rows", np.arange(self.block_start, end))):
+            object.__setattr__(self, name, _frozen_array(rows, dtype=np.int64))
 
     @property
     def n_c(self) -> int:
-        return len(self.calib_rows)
-
-    @property
-    def n_v(self) -> int:
-        return len(self.valid_rows)
+        return self.n - self.n_v
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,13 +157,10 @@ class ReconstructionResult:
 
     y_hat_v: np.ndarray
     lam: float
-    split: HoldoutSplit
     rmse: float
 
     def __post_init__(self):
         object.__setattr__(self, "y_hat_v", _frozen_array(self.y_hat_v))
-        if len(self.y_hat_v) != self.split.n_v:
-            raise LengthMismatch("prediction length must equal the block length")
 
 
 def _standardize_calib(data: np.ndarray, split: HoldoutSplit) -> np.ndarray:

@@ -40,7 +40,8 @@ RANGES_PER_WORKER = 4       # ranges per worker of each last curve: workers fini
 
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
-    """Per-block RMSE curve for one experiment.
+    """Per-block RMSE curve for one experiment, with each block's lambda and
+    its n_v predicted values (one row of ``predictions`` per block).
 
     In permissive runs failed blocks appear as NaN and ``mean_rmse`` is the
     mean of the finite entries.
@@ -50,18 +51,25 @@ class ExperimentReport:
     block_starts: np.ndarray
     block_rmse: np.ndarray
     per_block_lambda: np.ndarray
-    mean_rmse: float
+    predictions: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "block_starts", _frozen_array(self.block_starts, dtype=np.int64))
         for name in ("block_rmse", "per_block_lambda"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-        if not (len(self.block_starts) == len(self.block_rmse) == len(self.per_block_lambda)):
+        object.__setattr__(self, "predictions", _frozen_array(self.predictions, ndim=2))
+        if not (len(self.block_starts) == len(self.block_rmse) == len(self.per_block_lambda)
+                == len(self.predictions)):
             raise LengthMismatch("per-block arrays must be equally long")
 
     @property
     def n_blocks(self) -> int:
         return len(self.block_rmse)
+
+    @property
+    def mean_rmse(self) -> float:
+        finite = self.block_rmse[np.isfinite(self.block_rmse)]
+        return float(finite.mean()) if len(finite) else float("nan")
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,21 +95,7 @@ def make_blocks(n: int, n_v: int) -> list[HoldoutSplit]:
     """All n - n_v + 1 contiguous holdout blocks of length n_v."""
     if not 2 <= n_v < n:
         raise InvalidBlockLength(f"need 2 <= n_v < n, got n_v={n_v}, n={n}")
-    return [HoldoutSplit.make(n, start, n_v) for start in range(n - n_v + 1)]
-
-
-def report_from_results(label: str, results: list[ReconstructionResult]) -> ExperimentReport:
-    if not results:
-        raise ValueError("cannot build a report from zero blocks")
-    block_rmse = np.array([r.rmse for r in results])
-    finite = block_rmse[np.isfinite(block_rmse)]
-    return ExperimentReport(
-        label=label,
-        block_starts=np.array([r.split.block_start for r in results]),
-        block_rmse=block_rmse,
-        per_block_lambda=np.array([r.lam for r in results]),
-        mean_rmse=float(finite.mean()) if len(finite) else float("nan"),
-    )
+    return [HoldoutSplit(n, start, n_v) for start in range(n - n_v + 1)]
 
 
 def reconstruct_with_gcv(S_c: np.ndarray, y: TimeSeries, split: HoldoutSplit,
@@ -127,8 +121,7 @@ def reconstruct_with_gcv(S_c: np.ndarray, y: TimeSeries, split: HoldoutSplit,
                     split.block_start, sel.lambda_min)
     y_hat = reconstruct(system, S_c[split.valid_rows], sel.lambda_min)
     score = rmse(y_hat, y.values[split.valid_rows])
-    result = ReconstructionResult(y_hat_v=y_hat, lam=sel.lambda_min, split=split, rmse=score)
-    return result, sel
+    return ReconstructionResult(y_hat_v=y_hat, lam=sel.lambda_min, rmse=score), sel
 
 
 def run_block(X: ProxyMatrix, y: TimeSeries, split: HoldoutSplit, *,
@@ -217,8 +210,10 @@ def _run_range(c: int, lo: int, hi: int, task: tuple | None = None) -> list[tupl
 
 
 def run_curves(curves: Sequence[Curve], splits: Sequence[HoldoutSplit], *,
-               mode: str = "strict") -> list[tuple[ExperimentReport, list[ReconstructionResult]]]:
-    """Every curve's block over every split: the one block loop.
+               mode: str = "strict") -> list[ExperimentReport]:
+    """Every curve's block over every split, one report per curve: the one
+    block loop. The splits must share one n_v, and every block must predict
+    n_v values (LengthMismatch otherwise).
 
     With n workers, each of the first len(curves) - n curves is one task and
     each of the last n is cut into RANGES_PER_WORKER x n block ranges, run in
@@ -229,6 +224,9 @@ def run_curves(curves: Sequence[Curve], splits: Sequence[HoldoutSplit], *,
     started; permissive mode logs it and records NaN."""
     if not curves or not splits:
         raise ValueError("need at least one curve and one split")
+    n_v = splits[0].n_v
+    if any(split.n_v != n_v for split in splits):
+        raise ValueError("every split must have the same n_v")
     if mode not in ("strict", "permissive"):
         raise ValueError(f"unknown mode {mode!r}")
     n = 1
@@ -240,6 +238,7 @@ def run_curves(curves: Sequence[Curve], splits: Sequence[HoldoutSplit], *,
     ranges = [(c, 0, len(splits)) for c in range(whole)]
     ranges += [(c, lo, hi) for c in range(whole, len(curves)) for lo, hi in zip(cuts, cuts[1:])]
     task, pool, done = (curves, splits, mode), None, []
+    starts = [split.block_start for split in splits]
     try:
         if n == 1:
             outcomes = (o for r in ranges for o in _run_range(*r, task))
@@ -249,8 +248,10 @@ def run_curves(curves: Sequence[Curve], splits: Sequence[HoldoutSplit], *,
             futures = [pool.submit(_run_range, *r) for r in ranges]
             outcomes = (o for f in futures for o in f.result())
         for label, _ in curves:
-            results: list[ReconstructionResult] = []
-            for split, (result, error, records) in zip(splits, outcomes):
+            # dropped blocks keep their NaN row
+            rmses, lams = np.full(len(splits), np.nan), np.full(len(splits), np.nan)
+            predictions = np.full((len(splits), n_v), np.nan)
+            for k, (split, (result, error, records)) in enumerate(zip(splits, outcomes)):
                 for record in records:
                     logging.getLogger(record.name).handle(record)
                 if error is not None:
@@ -259,11 +260,12 @@ def run_curves(curves: Sequence[Curve], splits: Sequence[HoldoutSplit], *,
                     if mode == "strict":
                         raise BlockFailure(split.block_start, error) from error
                     log.warning("dropping block %d (%s): %s", split.block_start, label, error)
-                    result = ReconstructionResult(y_hat_v=np.full(split.n_v, np.nan),
-                                                  lam=float("nan"), split=split, rmse=float("nan"))
-                # re-freezes arrays that came back through pickle; shares the caller's split
-                results.append(replace(result, split=split))
-            done.append((report_from_results(label, results), results))
+                    continue
+                if len(result.y_hat_v) != n_v:
+                    raise LengthMismatch(f"block {split.block_start} of {label!r} predicted "
+                                         f"{len(result.y_hat_v)} values, its split has {n_v}")
+                rmses[k], lams[k], predictions[k] = result.rmse, result.lam, result.y_hat_v
+            done.append(ExperimentReport(label, starts, rmses, lams, predictions))
     finally:
         _MEMBER.clear()
         if pool is not None:

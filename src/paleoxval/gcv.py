@@ -81,15 +81,13 @@ def gcv_scores(system: ShiftedSystem, lams) -> np.ndarray:
     return system.n_c * resid_sq / trace_ih**2
 
 
-def minimize_gcv(system: ShiftedSystem, *, trace: list | None = None) -> GcvResult:
+def minimize_gcv(system: ShiftedSystem) -> GcvResult:
     """Find the GCV-minimizing ridge parameter.
 
     The coarse logarithmic grid over SEARCH_DOMAIN, COARSE_GRID, brackets the
     minimizer, then golden-section refinement on log(lam) narrows it to
     relative precision LOG_LAMBDA_TOL. Grid scores tying within TIE_REL resolve to the largest
     lam (strongest regularization). Deterministic for fixed inputs.
-
-    ``trace``, if given, collects every (lam, score) pair evaluated.
     """
     lo, hi = SEARCH_DOMAIN
     grid = COARSE_GRID
@@ -102,8 +100,6 @@ def minimize_gcv(system: ShiftedSystem, *, trace: list | None = None) -> GcvResu
         return v
 
     def finish(lam, score, bracket, *, flat=False, at_boundary=False):
-        if trace is not None:
-            trace.extend(evaluated)
         return GcvResult(lambda_min=float(lam), score=float(score),
                          n_evals=len(evaluated), bracket=bracket,
                          flat=flat, at_boundary=at_boundary)

@@ -292,22 +292,18 @@ def _slug(label: str) -> str:
 
 
 def write_block_table(path, block_starts, years, curves) -> Path:
-    """One row per block: block_start, block_year (when the target's
-    ``years`` are given), then one column per (name, curve) pair."""
-    header, columns = ["block_start"], [[int(s) for s in block_starts]]
-    if years is not None:
-        header.append("block_year")
-        columns.append([int(years[s]) for s in block_starts])
+    """One row per block: block_start, block_year (the target's year at the
+    block start), then one column per (name, curve) pair."""
+    header = ["block_start", "block_year"]
+    columns = [[int(s) for s in block_starts], [int(years[s]) for s in block_starts]]
     for name, curve in curves:
         header.append(name)
         columns.append(list(map(format_float, np.asarray(curve).tolist())))
     return write_csv(path, header, zip(*columns))
 
 
-def write_report(report: ExperimentReport | EnsembleReport, out_dir, *,
-                 years=None) -> list[Path]:
-    """Write one CSV per report; a block_year column is added when the
-    target years are supplied."""
+def write_report(report: ExperimentReport | EnsembleReport, out_dir, years) -> Path:
+    """Write a report's CSV, one row per block, dated by the target's years."""
     if isinstance(report, ExperimentReport):
         name = f"blocks_{_slug(report.label)}.csv"
         curves = [("block_rmse", report.block_rmse), ("lambda", report.per_block_lambda)]
@@ -317,9 +313,7 @@ def write_report(report: ExperimentReport | EnsembleReport, out_dir, *,
         curves += [("mean", report.mean_curve), ("scatter", report.member_scatter)]
     else:
         raise TypeError(f"cannot write a {type(report).__name__}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return [write_block_table(out_dir / name, report.block_starts, years, curves)]
+    return write_block_table(Path(out_dir) / name, report.block_starts, years, curves)
 
 
 def write_manifest(out_dir, command: str, config: ExperimentConfig,

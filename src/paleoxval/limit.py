@@ -18,7 +18,7 @@ exponential.
 from __future__ import annotations
 
 import logging
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,25 +131,23 @@ def kriging_entry(Phi: np.ndarray, y: TimeSeries, label: str) -> Curve:
     return label, lambda split: simple_kriging(Phi, y, split)
 
 
+def _check_aligned(a: ExperimentReport, b: ExperimentReport) -> None:
+    if (a.predictions.shape != b.predictions.shape
+            or not np.array_equal(a.block_starts, b.block_starts)):
+        raise BlockMismatch(f"{a.label!r} and {b.label!r} have different block structure")
+
+
 def rms_difference(a: ExperimentReport, b: ExperimentReport) -> float:
     """RMS gap between two per-block RMSE curves."""
-    if a.n_blocks != b.n_blocks or not np.array_equal(a.block_starts, b.block_starts):
-        raise BlockMismatch(f"{a.label!r} and {b.label!r} have different block structure")
+    _check_aligned(a, b)
     return float(np.sqrt(np.mean((a.block_rmse - b.block_rmse) ** 2)))
 
 
-def rms_difference_values(a: Sequence[ReconstructionResult],
-                          b: Sequence[ReconstructionResult]) -> float:
-    """RMS gap between two reconstructions' concatenated predicted values.
+def rms_difference_values(a: ExperimentReport, b: ExperimentReport) -> float:
+    """RMS gap between two reports' pooled predicted values.
 
     Companion to ``rms_difference``: the same comparison on raw predictions
     rather than on RMSE curves.
     """
-    if len(a) != len(b):
-        raise BlockMismatch(f"{len(a)} vs {len(b)} blocks")
-    for ra, rb in zip(a, b):
-        if ra.split.block_start != rb.split.block_start or ra.split.n_v != rb.split.n_v:
-            raise BlockMismatch("blocks are not aligned")
-    da = np.concatenate([r.y_hat_v for r in a])
-    db = np.concatenate([r.y_hat_v for r in b])
-    return float(np.sqrt(np.mean((da - db) ** 2)))
+    _check_aligned(a, b)
+    return float(np.sqrt(np.mean((a.predictions.ravel() - b.predictions.ravel()) ** 2)))

@@ -52,7 +52,7 @@ def test_a2_operator_oracle_equivalence(capsys):
         p = int(rng.integers(1, 6))
         n_v = int(rng.integers(1, n - 1))
         start = int(rng.integers(0, n - n_v + 1))
-        split = px.HoldoutSplit.make(n, start, n_v)
+        split = px.HoldoutSplit(n, start, n_v)
         S = oracles.gram_by_accumulation(rng.standard_normal((n, p)))
         lam = float(10 ** rng.uniform(-4, 3))
         kind = case % 3
@@ -88,8 +88,8 @@ def test_a3_figure1_ordering(capsys, target, splits):
     ar1_spec = px.NoiseSpec(kind="ar1", n=N, p=p, seed=20_000_000, phi=0.99)
     done = px.run_curves([*px.ensemble_entries(white_spec, target, m),
                           *px.ensemble_entries(ar1_spec, target, m)], splits)
-    white = px.ensemble_report(white_spec.label, [rep for rep, _ in done[:m]])
-    ar1 = px.ensemble_report(ar1_spec.label, [rep for rep, _ in done[m:]])
+    white = px.ensemble_report(white_spec.label, done[:m])
+    ar1 = px.ensemble_report(ar1_spec.label, done[m:])
     assert white.member_scatter.min() > 0 and ar1.member_scatter.min() > 0
     white_means = np.array([r.mean_rmse for r in white.member_reports])
     ar1_means = np.array([r.mean_rmse for r in ar1.member_reports])
@@ -109,11 +109,11 @@ def test_a4_probability_limit_convergence(capsys, target, splits):
     curves = [px.limit_entry(px.ar1_covariance(N, 0.99), target, "limit_ar1_0.99")]
     for spec in specs:
         curves += px.ensemble_entries(spec, target, m)
-    (limit_rep, _), *done = px.run_curves(curves, splits)
+    limit_rep, *done = px.run_curves(curves, splits)
 
     scatters, median_diffs = {}, {}
     for k, (p, spec) in enumerate(zip(ladder, specs)):
-        ens = px.ensemble_report(spec.label, [rep for rep, _ in done[m * k:m * (k + 1)]])
+        ens = px.ensemble_report(spec.label, done[m * k:m * (k + 1)])
         scatters[p] = ens.member_scatter
         median_diffs[p] = float(np.median(
             [px.rms_difference(rep, limit_rep) for rep in ens.member_reports]))

@@ -63,6 +63,26 @@ class TestCrossval:
         assert main(["crossval", "--config", str(config)]) == 1
         assert main(["crossval", "--config", str(config), "--drop-degenerate"]) == 0
 
+    def test_failed_curve_ranks_last(self, tmp_path, y60, capsys):
+        # a constant proxy column fails every block, so the proxy curve's mean
+        # is NaN: it ranks after every curve with a mean, in the file and on stdout
+        target = pio.save_target(y60, tmp_path / "t.csv")
+        data = np.column_stack([y60.values, np.full(60, 2.0)])
+        proxies = pio.save_proxies(px.ProxyMatrix(data, ("sig", "flat")),
+                                   y60.years, tmp_path / "p.csv")
+        config = write_config(tmp_path / "c.json", target, mode="permissive",
+                              proxy_source={"file": str(proxies)},
+                              noise_experiments=[{"kind": "white"}, {"kind": "brownian"},
+                                                 {"kind": "ar1", "phi": 0.99}])
+        assert main(["crossval", "--config", str(config)]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]]
+        labels, means = [r[0] for r in rows], [float(r[1]) for r in rows]
+        assert labels[-1] == "proxies" and np.isnan(means[-1])
+        assert len(labels) == 4 and means[:-1] == sorted(means[:-1])
+        printed = capsys.readouterr().out.strip().splitlines()
+        assert [line.split()[0] for line in printed[1:]] == labels
+
     def test_manifest_rerun_is_identical(self, small_config, tmp_path):
         assert main(["crossval", "--config", str(small_config)]) == 0
         first = read_csv_bytes(tmp_path / "out")

@@ -8,10 +8,6 @@ import paleoxval as px
 from paleoxval.errors import (DegenerateColumn, LengthMismatch, SingularSystem)
 
 
-def make_split(n, start, n_v):
-    return px.HoldoutSplit.make(n, start, n_v)
-
-
 def reconstruct_block(S, lam, w, y_c, split):
     """The production route: factor S_cc once, then predict the block rows."""
     system = px.ShiftedSystem(S[np.ix_(split.calib_rows, split.calib_rows)], w, y_c)
@@ -41,18 +37,24 @@ class TestTypes:
             px.ProxyMatrix(data=np.ones((3, 2)), column_ids=("a",))
 
     def test_holdout_split_two_segments(self):
-        split = make_split(5, 1, 2)
+        split = px.HoldoutSplit(5, 1, 2)
         assert list(split.valid_rows) == [1, 2]
         assert list(split.calib_rows) == [0, 3, 4]
         assert split.n_c + split.n_v == split.n == 5
 
     def test_holdout_split_rejects_bad_rows(self):
+        # a block that does not fit in the n rows has no row sets
         with pytest.raises(ValueError):
-            px.HoldoutSplit(block_start=0, block_len=2,
-                            calib_rows=[2, 3], valid_rows=[0, 2])
+            px.HoldoutSplit(5, 4, 2)
         with pytest.raises(ValueError):
-            px.HoldoutSplit(block_start=0, block_len=2,
-                            calib_rows=[1, 3], valid_rows=[0, 1])
+            px.HoldoutSplit(5, -1, 2)
+        with pytest.raises(ValueError):     # an empty or negative block
+            px.HoldoutSplit(5, 2, 0)
+        with pytest.raises(ValueError):
+            px.HoldoutSplit(5, 2, -1)
+        split = px.HoldoutSplit(5, 3, 2)
+        assert list(split.calib_rows) == [0, 1, 2] and list(split.valid_rows) == [3, 4]
+        assert not split.calib_rows.flags.writeable and not split.valid_rows.flags.writeable
 
     def test_weight_vector(self):
         e = px.WeightVector.uniform(4)
@@ -62,17 +64,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             px.WeightVector([0.5, 0.2])
 
-    def test_reconstruction_result_length(self):
-        split = make_split(5, 1, 2)
-        with pytest.raises(LengthMismatch):
-            px.ReconstructionResult(y_hat_v=np.ones(3), lam=1.0, split=split, rmse=0.0)
-
 
 class TestStandardize:
     def test_arithmetic_column_all_calib(self):
         # calibration rows {0,1,2} hold 1, 2, 3: mean 2, sample std 1
         X = px.ProxyMatrix(np.array([[1.0], [2.0], [3.0], [9.0], [4.0]]), ("x",))
-        out = px.standardize(X, make_split(5, 3, 2))
+        out = px.standardize(X, px.HoldoutSplit(5, 3, 2))
         # mean 2 and std 1 exactly: every standardized value is exact
         assert np.array_equal(out[:, 0], [-1.0, 0.0, 1.0, 7.0, 2.0])
         assert not out.flags.writeable
@@ -80,20 +77,20 @@ class TestStandardize:
     def test_constant_column_raises(self):
         X = px.ProxyMatrix(np.array([[5.0], [5.0], [5.0], [5.0]]), ("const",))
         with pytest.raises(DegenerateColumn) as err:
-            px.standardize(X, make_split(4, 2, 1))
+            px.standardize(X, px.HoldoutSplit(4, 2, 1))
         assert "const" in str(err.value)
 
     def test_four_rows_two_segment_calib(self):
         # calib rows {0,1,3} hold values {1,2,3}: mean 2, std 1; all four
         # rows are transformed with those statistics
         X = px.ProxyMatrix(np.array([[1.0], [2.0], [4.0], [3.0]]), ("x",))
-        out = px.standardize(X, make_split(4, 2, 1))
+        out = px.standardize(X, px.HoldoutSplit(4, 2, 1))
         np.testing.assert_allclose(out[:, 0], [-1.0, 0.0, 2.0, 1.0], atol=1e-15)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
         X = px.ProxyMatrix(rng.standard_normal((7, 4)), tuple("abcd"))
-        split = make_split(7, 2, 3)
+        split = px.HoldoutSplit(7, 2, 3)
         out = px.standardize(X, split)
         np.testing.assert_allclose(out, oracles.standardize_by_loop(X.data, split.calib_rows),
                                    rtol=1e-12)
@@ -101,7 +98,7 @@ class TestStandardize:
     def test_calibration_moments(self):
         rng = np.random.default_rng(11)
         X = px.ProxyMatrix(rng.standard_normal((20, 6)), tuple(f"c{i}" for i in range(6)))
-        split = make_split(20, 5, 6)
+        split = px.HoldoutSplit(20, 5, 6)
         out = px.standardize(X, split)
         calib = out[split.calib_rows]
         assert np.all(np.abs(calib.mean(axis=0)) < 1e-10)
@@ -121,7 +118,7 @@ class TestStandardize:
             # one-pass sum x^2 - n mean^2 fails it), not the summation order
             data = 1e6 + np.round(rng.standard_normal((n, p)) * 2**10) / 2**10
         X = px.ProxyMatrix(data, tuple(f"c{j}" for j in range(p)))
-        split = make_split(n, start, n_v)
+        split = px.HoldoutSplit(n, start, n_v)
         Xs = px.standardize(X, split)
         ref = oracles.standardize_by_loop(data, split.calib_rows)
         # both matrices have unit scale; atol covers entries near zero
@@ -134,7 +131,7 @@ class TestStandardize:
         # n_v = n - 1 leaves n_c = 1, where the sample std is undefined
         X = px.ProxyMatrix(np.arange(12.0).reshape(6, 2), ("a", "b"))
         with pytest.raises(DegenerateColumn) as err:
-            px.standardize(X, make_split(6, start, 5))
+            px.standardize(X, px.HoldoutSplit(6, start, 5))
         assert err.value.column_ids == ("a", "b")
 
     def test_all_columns_degenerate_message_is_short(self):
@@ -143,7 +140,7 @@ class TestStandardize:
         ids = tuple(f"proxy_{j:04d}" for j in range(1138))
         X = px.ProxyMatrix(np.random.default_rng(3).standard_normal((40, 1138)), ids)
         with pytest.raises(DegenerateColumn) as err:
-            px.standardize(X, make_split(40, 0, 39))
+            px.standardize(X, px.HoldoutSplit(40, 0, 39))
         assert err.value.column_ids == ids
         assert str(err.value) == ("zero-variance column(s) over calibration rows: "
                                   + ", ".join(ids[:10]) + " ... and 1128 more")
@@ -159,7 +156,7 @@ class TestStandardize:
         step[start:start + n_v] = rng.standard_normal(n_v)
         data = np.column_stack([rng.standard_normal(n), step, rng.standard_normal(n)])
         X = px.ProxyMatrix(data, ("a", "step", "b"))
-        split = make_split(n, start, n_v)
+        split = px.HoldoutSplit(n, start, n_v)
         with pytest.raises(DegenerateColumn) as err:
             px.standardize(X, split)
         assert err.value.column_ids == ("step",)
@@ -171,19 +168,19 @@ class TestStandardize:
     def test_row_count_must_match_split(self):
         X = px.ProxyMatrix(np.arange(10.0).reshape(5, 2), ("a", "b"))
         with pytest.raises(LengthMismatch):
-            px.standardize(X, make_split(6, 2, 2))
+            px.standardize(X, px.HoldoutSplit(6, 2, 2))
 
     def test_drop_degenerate(self):
         data = np.column_stack([np.arange(4.0), np.full(4, 7.0)])
         X = px.ProxyMatrix(data, ("good", "flat"))
-        out = px.standardize(X, make_split(4, 2, 1), drop_degenerate=True)
+        out = px.standardize(X, px.HoldoutSplit(4, 2, 1), drop_degenerate=True)
         # only "good" is left: calibration rows {0, 1, 3} hold 0, 1, 3
         assert out.shape == (4, 1)
         np.testing.assert_allclose(out[:, 0], (np.arange(4.0) - 4 / 3) / np.sqrt(7 / 3),
                                    rtol=1e-14)
         all_flat = px.ProxyMatrix(np.full((4, 2), 7.0), ("f1", "f2"))
         with pytest.raises(DegenerateColumn):
-            px.standardize(all_flat, make_split(4, 2, 1), drop_degenerate=True)
+            px.standardize(all_flat, px.HoldoutSplit(4, 2, 1), drop_degenerate=True)
 
 
 class TestGramMatrix:
@@ -213,7 +210,7 @@ class TestGramMatrix:
         # mean of the calibration diagonal of S_p is (n_c - 1) / n_c exactly
         rng = np.random.default_rng(0)
         X = px.ProxyMatrix(rng.standard_normal((10, 6)), tuple(f"c{i}" for i in range(6)))
-        split = make_split(10, 3, 4)
+        split = px.HoldoutSplit(10, 3, 4)
         S = px.gram_matrix(px.standardize(X, split))
         got = np.diag(S)[split.calib_rows].sum() / split.n_c
         assert abs(got - (split.n_c - 1) / split.n_c) < 1e-12
@@ -221,7 +218,7 @@ class TestGramMatrix:
 
 class TestReconstruct:
     def test_decoupled_validation_returns_weighted_mean(self):
-        split = make_split(5, 3, 2)
+        split = px.HoldoutSplit(5, 3, 2)
         S = np.zeros((5, 5))
         S[:3, :3] = oracles.gram_by_accumulation(np.random.default_rng(1).standard_normal((3, 4)))
         S[3:, 3:] = np.eye(2)
@@ -233,7 +230,7 @@ class TestReconstruct:
     def test_huge_lambda_shrinks_to_intercept(self):
         rng = np.random.default_rng(2)
         S = oracles.gram_by_accumulation(rng.standard_normal((6, 5)))
-        split = make_split(6, 0, 2)
+        split = px.HoldoutSplit(6, 0, 2)
         y_c = rng.standard_normal(4)
         w = px.WeightVector.uniform(4)
         out = reconstruct_block(S, 1e12, w, y_c, split)
@@ -243,7 +240,7 @@ class TestReconstruct:
         # (S_cc + 0.1 I) z = y_c solves to z = (5/3, -5/3); S_vc z = -5/12
         S = np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
         out = reconstruct_block(S, 0.1, px.WeightVector.uniform(2),
-                             np.array([1.0, -1.0]), make_split(3, 2, 1))
+                             np.array([1.0, -1.0]), px.HoldoutSplit(3, 2, 1))
         np.testing.assert_allclose(out, [-5.0 / 12.0], rtol=1e-14)
 
     def test_matches_assembly_oracle(self):
@@ -252,7 +249,7 @@ class TestReconstruct:
             n = int(rng.integers(3, 9))
             n_v = int(rng.integers(1, n - 1))
             start = int(rng.integers(0, n - n_v + 1))
-            split = make_split(n, start, n_v)
+            split = px.HoldoutSplit(n, start, n_v)
             S = oracles.gram_by_accumulation(rng.standard_normal((n, int(rng.integers(1, 6)))))
             lam = float(10 ** rng.uniform(-4, 3))
             w = px.WeightVector(rng.dirichlet(np.ones(split.n_c)))
@@ -264,7 +261,7 @@ class TestReconstruct:
     @given(st.floats(-3, 3), st.floats(-5, 5), st.integers(0, 2**32))
     def test_affine_equivariance(self, a, b, seed):
         rng = np.random.default_rng(seed)
-        split = make_split(7, 2, 3)
+        split = px.HoldoutSplit(7, 2, 3)
         S = oracles.gram_by_accumulation(rng.standard_normal((7, 4)))
         y_c = rng.standard_normal(4)
         w = px.WeightVector.uniform(4)
@@ -274,7 +271,7 @@ class TestReconstruct:
 
     def test_linear_in_y(self):
         rng = np.random.default_rng(4)
-        split = make_split(6, 1, 2)
+        split = px.HoldoutSplit(6, 1, 2)
         S = oracles.gram_by_accumulation(rng.standard_normal((6, 3)))
         w = px.WeightVector.uniform(4)
         coeffs = rng.standard_normal(4)
@@ -285,7 +282,7 @@ class TestReconstruct:
 
     def test_zero_weight_drops_intercept(self):
         rng = np.random.default_rng(6)
-        split = make_split(5, 3, 2)
+        split = px.HoldoutSplit(5, 3, 2)
         S = oracles.gram_by_accumulation(rng.standard_normal((5, 3)))
         y_c = rng.standard_normal(3)
         got = reconstruct_block(S, 0.2, px.WeightVector.zero(3), y_c, split)
@@ -294,7 +291,7 @@ class TestReconstruct:
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_guards(self):
-        split = make_split(4, 2, 1)
+        split = px.HoldoutSplit(4, 2, 1)
         S_bad = np.diag([1.0, -5.0, 1.0, 1.0])   # negative entry on a calib row
         with pytest.raises(SingularSystem):
             reconstruct_block(S_bad, 0.1, px.WeightVector.uniform(3), np.ones(3), split)

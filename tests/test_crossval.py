@@ -2,14 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 import paleoxval as px
-from paleoxval.crossval import report_from_results
-from paleoxval.errors import BlockFailure, InvalidBlockLength
-from paleoxval.gcv import SEARCH_DOMAIN, minimize_gcv
+from paleoxval.errors import BlockFailure, DegenerateColumn, InvalidBlockLength, LengthMismatch
+from paleoxval.gcv import COARSE_GRID, SEARCH_DOMAIN, minimize_gcv
 
 
 class TestMakeBlocks:
@@ -47,7 +46,7 @@ class TestRunBlock:
     def test_exact_signal_beats_baseline_everywhere(self, y60, splits60):
         # the target itself as the single proxy column is recovered on every block
         X = px.ProxyMatrix(y60.values[:, None], ("target_copy",))
-        rep = px.run_curves([px.experiment_entry("self", X, y60)], splits60)[0][0]
+        rep = px.run_curves([px.experiment_entry("self", X, y60)], splits60)[0]
         baselines = np.array([oracles.constant_baseline_rmse(y60.values, s)
                               for s in splits60])
         assert np.all(rep.block_rmse <= baselines)
@@ -57,7 +56,7 @@ class TestRunBlock:
         ratios = []
         for seed in range(50):
             X = px.generate(px.NoiseSpec(kind="white", n=60, p=1, seed=1000 + seed))
-            rep = px.run_curves([px.experiment_entry("w1", X, y60)], splits60)[0][0]
+            rep = px.run_curves([px.experiment_entry("w1", X, y60)], splits60)[0]
             base = np.mean([oracles.constant_baseline_rmse(y60.values, s) for s in splits60])
             ratios.append(rep.mean_rmse / base)
         assert abs(np.mean(ratios) - 1.0) < 0.2
@@ -83,7 +82,7 @@ class TestRunBlock:
         lams = []
         kinds = (("white", None), ("ar1", 0.8), ("brownian", None))
         for (kind, phi), p, start in itertools.product(kinds, (6, 80), (8, 20)):
-            split = px.HoldoutSplit.make(60, start, 12)
+            split = px.HoldoutSplit(60, start, 12)
             X = px.generate(px.NoiseSpec(kind=kind, n=60, p=p, seed=77, phi=phi))
             result = px.run_block(X, y60, split)
             lams.append(result.lam)
@@ -98,7 +97,7 @@ class TestRunBlock:
         assert SEARCH_DOMAIN[0] in lams
 
     def test_lambda_comes_from_gcv_on_calibration_gram(self, y60):
-        split = px.HoldoutSplit.make(60, 0, 12)
+        split = px.HoldoutSplit(60, 0, 12)
         X = px.generate(px.NoiseSpec(kind="white", n=60, p=10, seed=3))
         result = px.run_block(X, y60, split)
         S = px.gram_matrix(px.standardize(X, split))
@@ -111,21 +110,21 @@ class TestRunBlock:
 class TestRunExperiment:
     def test_single_split(self, y60, splits60):
         X = px.generate(px.NoiseSpec(kind="white", n=60, p=5, seed=1))
-        rep = px.run_curves([px.experiment_entry("one", X, y60)], splits60[:1])[0][0]
+        rep = px.run_curves([px.experiment_entry("one", X, y60)], splits60[:1])[0]
         assert rep.n_blocks == 1
         assert rep.mean_rmse == rep.block_rmse[0]
 
     def test_deterministic(self, y60, splits60):
         X = px.generate(px.NoiseSpec(kind="ar1", n=60, p=8, seed=4, phi=0.9))
-        a = px.run_curves([px.experiment_entry("det", X, y60)], splits60)[0][0]
-        b = px.run_curves([px.experiment_entry("det", X, y60)], splits60)[0][0]
+        a = px.run_curves([px.experiment_entry("det", X, y60)], splits60)[0]
+        b = px.run_curves([px.experiment_entry("det", X, y60)], splits60)[0]
         assert np.array_equal(a.block_rmse, b.block_rmse)
         assert np.array_equal(a.per_block_lambda, b.per_block_lambda)
         assert a.mean_rmse == b.mean_rmse
 
     def test_full_curve_shape(self, y60, splits60):
         X = px.generate(px.NoiseSpec(kind="white", n=60, p=5, seed=2))
-        rep = px.run_curves([px.experiment_entry("shape", X, y60)], splits60)[0][0]
+        rep = px.run_curves([px.experiment_entry("shape", X, y60)], splits60)[0]
         assert rep.n_blocks == 60 - 12 + 1
         assert rep.mean_rmse == pytest.approx(rep.block_rmse.mean())
         assert np.array_equal(rep.block_starts, np.arange(49))
@@ -136,11 +135,11 @@ class TestRunExperiment:
         with pytest.raises(BlockFailure):
             px.run_curves([px.experiment_entry("bad", X, y60)], splits60)
         rep = px.run_curves([px.experiment_entry("bad", X, y60)], splits60,
-                            mode="permissive")[0][0]
+                            mode="permissive")[0]
         assert np.all(np.isnan(rep.block_rmse))
         assert np.isnan(rep.mean_rmse)
         rep2 = px.run_curves([px.experiment_entry("ok", X, y60, drop_degenerate=True)],
-                             splits60)[0][0]
+                             splits60)[0]
         assert np.all(np.isfinite(rep2.block_rmse))
 
 
@@ -148,23 +147,23 @@ class TestRunEnsemble:
     def test_single_member(self, y60, splits60):
         spec = px.NoiseSpec(kind="white", n=60, p=6, seed=40)
         done = px.run_curves(px.ensemble_entries(spec, y60, 1), splits60)
-        ens = px.ensemble_report(spec.label, [rep for rep, _ in done])
+        ens = px.ensemble_report(spec.label, done)
         assert np.array_equal(ens.mean_curve, ens.member_reports[0].block_rmse)
         assert np.all(ens.member_scatter == 0.0)
 
     def test_member_seeds_are_consecutive(self, y60, splits60):
         spec = px.NoiseSpec(kind="white", n=60, p=6, seed=40)
         X2 = px.generate(px.NoiseSpec(kind="white", n=60, p=6, seed=42))
-        *members, (direct, _) = px.run_curves(
+        *members, direct = px.run_curves(
             [*px.ensemble_entries(spec, y60, 3), px.experiment_entry("m2", X2, y60)], splits60)
-        assert [rep.label for rep, _ in members] == [
+        assert [rep.label for rep in members] == [
             "white_member000", "white_member001", "white_member002"]
-        assert np.array_equal(members[2][0].block_rmse, direct.block_rmse)
+        assert np.array_equal(members[2].block_rmse, direct.block_rmse)
 
     def test_scatter_positive_and_mean_consistent(self, y60, splits60):
         spec = px.NoiseSpec(kind="white", n=60, p=6, seed=50)
         done = px.run_curves(px.ensemble_entries(spec, y60, 20), splits60)
-        ens = px.ensemble_report(spec.label, [rep for rep, _ in done])
+        ens = px.ensemble_report(spec.label, done)
         assert np.all(ens.member_scatter > 0)
         curves = np.array([r.block_rmse for r in ens.member_reports])
         np.testing.assert_allclose(ens.mean_curve, curves.mean(axis=0), rtol=1e-15)
@@ -175,8 +174,8 @@ class TestRunEnsemble:
         m = 30
         done = px.run_curves([*px.ensemble_entries(spec_a, y60, m),
                               *px.ensemble_entries(spec_b, y60, m)], splits60)
-        means_a = np.array([rep.mean_rmse for rep, _ in done[:m]])
-        means_b = np.array([rep.mean_rmse for rep, _ in done[m:]])
+        means_a = np.array([rep.mean_rmse for rep in done[:m]])
+        means_b = np.array([rep.mean_rmse for rep in done[m:]])
         gap = abs(means_a.mean() - means_b.mean())
         se = np.sqrt(means_a.var(ddof=1) / m + means_b.var(ddof=1) / m)
         assert gap < 2 * se + 1e-12
@@ -186,12 +185,66 @@ class TestRunEnsemble:
         big = px.NoiseSpec(kind="ar1", n=60, p=300, seed=70, phi=0.99)
         done = px.run_curves([*px.ensemble_entries(small, y60, 8),
                               *px.ensemble_entries(big, y60, 8)], splits60)
-        e_small = px.ensemble_report("small", [rep for rep, _ in done[:8]])
-        e_big = px.ensemble_report("big", [rep for rep, _ in done[8:]])
+        e_small = px.ensemble_report("small", done[:8])
+        e_big = px.ensemble_report("big", done[8:])
         frac = np.mean(e_big.member_scatter < e_small.member_scatter)
         assert frac >= 0.9
 
 
-def test_report_from_results_requires_blocks():
+def test_run_curves_requires_splits_of_one_n_v(y60, splits60):
+    entry = px.experiment_entry("x", px.ProxyMatrix(y60.values[:, None], ("y",)), y60)
     with pytest.raises(ValueError):
-        report_from_results("empty", [])
+        px.run_curves([entry], [])
+    with pytest.raises(ValueError):
+        px.run_curves([], splits60)
+    with pytest.raises(ValueError, match="same n_v"):
+        px.run_curves([entry], [splits60[0], px.HoldoutSplit(60, 0, 11)])
+
+
+def test_wrong_length_prediction_is_a_length_mismatch(splits60):
+    def block(split):
+        return px.ReconstructionResult(y_hat_v=np.zeros(split.n_v + 1), lam=1.0, rmse=0.0)
+    for mode in ("strict", "permissive"):
+        with pytest.raises(LengthMismatch, match="predicted 13 values"):
+            px.run_curves([("long", block)], splits60, mode=mode)
+
+
+NOISE_KINDS = [("white", None), ("ar1", 0.9), ("brownian", None)]
+
+
+@settings(max_examples=30)
+@given(kind=st.sampled_from(NOISE_KINDS), n=st.integers(8, 20), narrow=st.booleans(),
+       longest=st.booleans(), seed=st.integers(0, 2**20))
+def test_run_curves_matches_oracles_over_noise_and_block_lengths(kind, n, narrow, longest, seed):
+    # the production block loop against the dense oracles, block by block,
+    # with S_cc lifted off its null direction as in perfbench's gate; p below
+    # n_c or above it; n_v = 2 or n - 1, whose one calibration row leaves every
+    # column degenerate. 30 examples run in about 2 s on 2 CPUs.
+    n_v = n - 1 if longest else 2
+    p = 3 if narrow else 2 * n
+    spec = px.NoiseSpec(kind=kind[0], n=n, p=p, seed=seed, phi=kind[1])
+    y = px.smooth_target(n, seed=seed)
+    splits = px.make_blocks(n, n_v)
+    entry = px.experiment_entry("sweep", spec, y)
+    if longest:
+        with pytest.raises(BlockFailure) as exc:
+            px.run_curves([entry], splits)
+        assert exc.value.block_start == 0 and isinstance(exc.value.cause, DegenerateColumn)
+        (rep,) = px.run_curves([entry], splits, mode="permissive")
+        assert rep.predictions.shape == (2, n_v) and np.all(np.isnan(rep.predictions))
+        assert np.all(np.isnan(rep.block_rmse)) and np.isnan(rep.mean_rmse)
+        return
+    (rep,) = px.run_curves([entry], splits)
+    X = px.generate(spec).data
+    for k, split in enumerate(splits):
+        calib, valid = split.calib_rows, split.valid_rows
+        S = oracles.lift_calibration_null(
+            oracles.gram_by_accumulation(oracles.standardize_by_loop(X, calib)), calib)
+        w, lam, y_c = px.WeightVector.uniform(split.n_c).w, rep.per_block_lambda[k], y.values[calib]
+        want = oracles.reconstruction_matrix(S, lam, w, calib, valid) @ y_c
+        np.testing.assert_allclose(rep.predictions[k], want, rtol=1e-8, atol=1e-10)
+        assert rep.block_rmse[k] == pytest.approx(
+            oracles.rmse_by_loop(rep.predictions[k], y.values[valid]), rel=1e-14)
+        S_cc = S[np.ix_(calib, calib)]
+        v_grid = min(oracles.gcv_value(S_cc, g, w, y_c) for g in COARSE_GRID)
+        assert oracles.gcv_value(S_cc, lam, w, y_c) <= v_grid * (1 + 1e-6)

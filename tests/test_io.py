@@ -186,46 +186,44 @@ class TestReports:
         vals = rng.uniform(0.1, 0.5, len(starts))
         return px.ExperimentReport(label=label, block_starts=starts, block_rmse=vals,
                                    per_block_lambda=rng.uniform(0.1, 10, len(starts)),
-                                   mean_rmse=float(vals.mean()))
+                                   predictions=rng.uniform(-1, 1, (len(starts), 3)))
 
-    def test_single_block_csv_has_two_lines(self, tmp_path):
-        paths = pio.write_report(self._report([4]), tmp_path)
-        text = paths[0].read_text()
+    def test_single_block_csv_has_two_lines(self, tmp_path, y60):
+        path = pio.write_report(self._report([4]), tmp_path, y60.years)
+        text = path.read_text()
         assert len(text.strip().splitlines()) == 2
-        assert text.splitlines()[0] == "block_start,block_rmse,lambda"
+        assert text.splitlines()[0] == "block_start,block_year,block_rmse,lambda"
 
     def test_round_trip_and_year_column(self, tmp_path, y60):
         rep = self._report(np.arange(10))
-        paths = pio.write_report(rep, tmp_path, years=y60.years)
-        cols = read_report(paths[0])
+        path = pio.write_report(rep, tmp_path, y60.years)
+        cols = read_report(path)
         assert np.array_equal(cols["block_rmse"], rep.block_rmse)
         assert np.array_equal(cols["lambda"], rep.per_block_lambda)
         assert cols["block_year"][0] == y60.years[0]
 
     def test_report_bytes(self, tmp_path):
         # the exact text every report writer produces: 17 significant digits,
-        # "nan" for a dropped block, "\n" line ends, block_year only with years
+        # "nan" for a dropped block, "\n" line ends
         rep = px.ExperimentReport(label="Demo Run", block_starts=[0, 1, 2],
                                   block_rmse=[0.1, np.nan, 0.25],
-                                  per_block_lambda=[1e-8, np.nan, 3.0], mean_rmse=0.175)
-        (plain,) = pio.write_report(rep, tmp_path / "plain")
-        assert plain.name == "blocks_demo_run.csv"
-        assert plain.read_text() == ("block_start,block_rmse,lambda\n"
-                                     "0,0.10000000000000001,1e-08\n"
-                                     "1,nan,nan\n"
-                                     "2,0.25,3\n")
-        (dated,) = pio.write_report(rep, tmp_path / "dated", years=[1850, 1851, 1852])
-        assert dated.read_text() == ("block_start,block_year,block_rmse,lambda\n"
-                                     "0,1850,0.10000000000000001,1e-08\n"
-                                     "1,1851,nan,nan\n"
-                                     "2,1852,0.25,3\n")
+                                  per_block_lambda=[1e-8, np.nan, 3.0],
+                                  predictions=[[0.5], [np.nan], [0.25]])
+        assert rep.mean_rmse == 0.175
+        path = pio.write_report(rep, tmp_path, [1850, 1851, 1852])
+        assert path.name == "blocks_demo_run.csv"
+        assert path.read_text() == ("block_start,block_year,block_rmse,lambda\n"
+                                    "0,1850,0.10000000000000001,1e-08\n"
+                                    "1,1851,nan,nan\n"
+                                    "2,1852,0.25,3\n")
         member = px.ExperimentReport(label="m", block_starts=[0, 1, 2],
                                      block_rmse=[0.3, 0.5, 1 / 3],
-                                     per_block_lambda=[1.0, 1.0, 1.0], mean_rmse=0.3)
+                                     per_block_lambda=[1.0, 1.0, 1.0],
+                                     predictions=[[0.0], [0.0], [0.0]])
         ens = px.EnsembleReport(label="White", member_reports=(rep, member),
                                 mean_curve=[0.2, np.nan, 7 / 24],
                                 member_scatter=[0.5, np.nan, 2e-17])
-        (ens_path,) = pio.write_report(ens, tmp_path / "ens", years=[1850, 1851, 1852])
+        ens_path = pio.write_report(ens, tmp_path, [1850, 1851, 1852])
         assert ens_path.name == "ensemble_white.csv"
         assert ens_path.read_text() == (
             "block_start,block_year,member_000,member_001,mean,scatter\n"
@@ -244,10 +242,10 @@ class TestReports:
     def test_ensemble_csv_layout(self, tmp_path, y60, splits60):
         spec = px.NoiseSpec(kind="white", n=60, p=4, seed=3)
         done = px.run_curves(px.ensemble_entries(spec, y60, 2), splits60[:4])
-        ens = px.ensemble_report(spec.label, [rep for rep, _ in done])
-        paths = pio.write_report(ens, tmp_path)
-        cols = read_report(paths[0])
-        assert set(cols) == {"block_start", "member_000", "member_001", "mean", "scatter"}
+        ens = px.ensemble_report(spec.label, done)
+        cols = read_report(pio.write_report(ens, tmp_path, y60.years))
+        assert set(cols) == {"block_start", "block_year", "member_000", "member_001", "mean",
+                             "scatter"}
         assert len(cols["mean"]) == 4
         np.testing.assert_allclose(cols["mean"],
                                    (cols["member_000"] + cols["member_001"]) / 2,

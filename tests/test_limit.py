@@ -30,7 +30,7 @@ def rms(a):
 
 @pytest.fixture(scope="module")
 def psi_white_20():
-    split = px.HoldoutSplit.make(20, 8, 5)
+    split = px.HoldoutSplit(20, 8, 5)
     return split, exact_psi(0.0, split)
 
 
@@ -38,7 +38,7 @@ class TestEstimatePsi:
     def test_requires_enough_columns(self):
         # one calibration row leaves Psi[:, calib] one column and s undefined
         with pytest.raises(DegenerateColumn):
-            exact_psi(0.5, px.HoldoutSplit.make(10, 0, 9))
+            exact_psi(0.5, px.HoldoutSplit(10, 0, 9))
 
     def test_white_noise_expectations(self, psi_white_20):
         # exact small-sample moments of standardized white noise:
@@ -71,14 +71,14 @@ class TestEstimatePsi:
 
     def test_half_split_diff_shrinks_like_sqrt_p(self):
         # the Monte Carlo oracle's diagnostic, which the agreement tests rely on
-        split = px.HoldoutSplit.make(15, 5, 4)
+        split = px.HoldoutSplit(15, 5, 4)
         r_p, r_2p = (np.mean([rms(oracles.psi_monte_carlo(ar1_pool(0.9, 15, P, s), split)[1])
                               for s in range(10)]) for P in (2000, 4000))
         ratio = r_p / r_2p
         assert np.sqrt(2) * 0.7 < ratio < np.sqrt(2) * 1.3
 
     def test_two_seeds_agree_within_diagnostic(self):
-        split = px.HoldoutSplit.make(20, 8, 5)
+        split = px.HoldoutSplit(20, 8, 5)
         a, diff = oracles.psi_monte_carlo(ar1_pool(0.9, 20, 20_000, 1), split)
         b, _ = oracles.psi_monte_carlo(ar1_pool(0.9, 20, 20_000, 2), split)
         assert rms(a - b) < 3 * rms(diff)
@@ -88,7 +88,7 @@ class TestEstimatePsi:
     @pytest.mark.parametrize("start", [0, 1], ids=["edge", "interior"])
     def test_matches_monte_carlo(self, phi, n_c, start):
         # n = 10 throughout, so one pool per phi serves every split
-        split = px.HoldoutSplit.make(10, start, 10 - n_c)
+        split = px.HoldoutSplit(10, start, 10 - n_c)
         c = split.calib_rows
         got = exact_psi(phi, split).columns
         mc, diff = oracles.psi_monte_carlo(ar1_pool(phi, 10, 40_000, 61), split)
@@ -102,7 +102,7 @@ class TestEstimatePsi:
     @pytest.mark.parametrize("start", [0, 5, 9])
     def test_matches_dense_oracle(self, start):
         pytest.importorskip("scipy")
-        split = px.HoldoutSplit.make(12, start, 3)
+        split = px.HoldoutSplit(12, start, 3)
         Phi = px.ar1_covariance(12, 0.8)
         want = oracles.psi_by_quad_vec(Phi, split.calib_rows)[:, split.calib_rows]
         np.testing.assert_allclose(px.psi_columns(Phi, split).columns, want,
@@ -117,23 +117,23 @@ class TestEstimatePsi:
     def test_constant_series_covariance_raises(self):
         # x = c 1 has zero calibration variance, so s and Psi are undefined
         with pytest.raises(SingularSystem):
-            px.psi_columns(np.ones((12, 12)), px.HoldoutSplit.make(12, 4, 3))
+            px.psi_columns(np.ones((12, 12)), px.HoldoutSplit(12, 4, 3))
 
     def test_split_must_match_pool_rows(self):
         # the covariance Phi is the per-curve input shared by every block
         with pytest.raises(LengthMismatch):
-            px.psi_columns(px.ar1_covariance(12, 0.5), px.HoldoutSplit.make(13, 4, 3))
+            px.psi_columns(px.ar1_covariance(12, 0.5), px.HoldoutSplit(13, 4, 3))
 
 
 class TestLimitReconstruction:
     def test_decoupled_identity_psi_gives_calibration_mean(self, y60):
-        split = px.HoldoutSplit.make(60, 30, 12)
+        split = px.HoldoutSplit(60, 30, 12)
         out = reconstruct_with_gcv(np.eye(60)[:, split.calib_rows], y60, split)[0]
         c = y60.values[split.calib_rows].mean()
         np.testing.assert_allclose(out.y_hat_v, np.full(12, c), atol=1e-12)
 
     def test_repeatable(self, y60):
-        split = px.HoldoutSplit.make(60, 10, 12)
+        split = px.HoldoutSplit(60, 10, 12)
         a = limit_reconstruction(0.9, y60, split)
         b = limit_reconstruction(0.9, y60, split)
         assert np.array_equal(a.y_hat_v, b.y_hat_v)
@@ -168,25 +168,25 @@ def kriging_with_nugget(phi, y, split, nugget):
 
 class TestSimpleKriging:
     def test_huge_nugget_shrinks_to_zero(self, y60):
-        split = px.HoldoutSplit.make(60, 20, 12)
+        split = px.HoldoutSplit(60, 20, 12)
         y_hat = kriging_with_nugget(0.9, y60, split, 1e12)
         assert np.max(np.abs(y_hat)) < 1e-9
 
     def test_tiny_phi_decorrelates(self, y60):
-        split = px.HoldoutSplit.make(60, 20, 12)
+        split = px.HoldoutSplit(60, 20, 12)
         y_hat = kriging_with_nugget(1e-12, y60, split, 0.1)
         assert np.max(np.abs(y_hat)) < 1e-9
 
     def test_small_system_matches_inverse_oracle(self):
         y = px.TimeSeries(years=np.arange(2000, 2004), values=[0.3, -0.1, 0.4, 0.2])
-        split = px.HoldoutSplit.make(4, 3, 1)
+        split = px.HoldoutSplit(4, 3, 1)
         want = oracles.kriging_by_inverse(px.ar1_covariance(4, 0.5), 0.1,
                                           y.values[split.calib_rows],
                                           split.calib_rows, split.valid_rows)
         np.testing.assert_allclose(kriging_with_nugget(0.5, y, split, 0.1), want, rtol=1e-12)
 
     def test_gcv_nugget_deterministic(self, y60):
-        split = px.HoldoutSplit.make(60, 5, 12)
+        split = px.HoldoutSplit(60, 5, 12)
         Phi = px.ar1_covariance(60, 0.99)
         a = px.simple_kriging(Phi, y60, split)
         b = px.simple_kriging(Phi, y60, split)
@@ -207,9 +207,9 @@ class TestSimpleKriging:
     def test_split_must_match_series(self, y60, n):
         # a longer split must not reach Phi's rows: it fails like a shorter one
         with pytest.raises(LengthMismatch):
-            px.simple_kriging(px.ar1_covariance(60, 0.9), y60, px.HoldoutSplit.make(n, 0, 12))
+            px.simple_kriging(px.ar1_covariance(60, 0.9), y60, px.HoldoutSplit(n, 0, 12))
         with pytest.raises(LengthMismatch):
-            px.simple_kriging(px.ar1_covariance(n, 0.9), y60, px.HoldoutSplit.make(n, 0, 12))
+            px.simple_kriging(px.ar1_covariance(n, 0.9), y60, px.HoldoutSplit(n, 0, 12))
 
 
 class TestRmsDifference:
@@ -219,7 +219,7 @@ class TestRmsDifference:
         return px.ExperimentReport(label=label, block_starts=starts,
                                    block_rmse=values,
                                    per_block_lambda=np.ones(len(values)),
-                                   mean_rmse=float(values.mean()))
+                                   predictions=np.zeros((len(values), 2)))
 
     def test_identical_reports(self):
         a = self._report([0.1, 0.2, 0.3])
@@ -245,28 +245,41 @@ class TestRmsDifference:
 
     def test_values_variant(self, y60, splits60):
         entry = px.kriging_entry(px.ar1_covariance(60, 0.9), y60, "kriging_ar1_0.9")
-        (_, krig), (_, krig2) = px.run_curves([entry, entry], splits60[:5])
+        krig, krig2 = px.run_curves([entry, entry], splits60[:5])
         assert px.rms_difference_values(krig, krig2) == 0.0
+        (shorter,) = px.run_curves([entry], splits60[1:5])
         with pytest.raises(BlockMismatch):
-            px.rms_difference_values(krig, krig2[1:])
+            px.rms_difference_values(krig, shorter)
+
+    def test_values_pool_the_per_split_predictions(self, y60, splits60):
+        # the pooled RMS gap is bit for bit the one over the predictions of
+        # simple_kriging and of the limit block, split by split, concatenated
+        Phi = px.ar1_covariance(60, 0.9)
+        some = splits60[::8]
+        lim, krig = px.run_curves([px.limit_entry(Phi, y60, "limit"),
+                                   px.kriging_entry(Phi, y60, "kriging")], some)
+        da = np.concatenate([limit_reconstruction(0.9, y60, s).y_hat_v for s in some])
+        db = np.concatenate([px.simple_kriging(Phi, y60, s).y_hat_v for s in some])
+        assert px.rms_difference_values(lim, krig) == float(np.sqrt(np.mean((da - db) ** 2)))
+        assert px.rms_difference_values(lim, krig) > 0.0
 
 
 class TestCurves:
     def test_limit_curve_matches_per_split_estimates(self, y60, splits60):
         some = splits60[:4]
         entry = px.limit_entry(px.ar1_covariance(60, 0.9), y60, "limit_ar1_0.9")
-        report, results = px.run_curves([entry], some)[0]
+        (report,) = px.run_curves([entry], some)
         assert report.label == "limit_ar1_0.9"
         assert report.n_blocks == 4
         direct = limit_reconstruction(0.9, y60, some[2])
         assert report.block_rmse[2] == direct.rmse
-        assert np.array_equal(results[2].y_hat_v, direct.y_hat_v)
+        assert np.array_equal(report.predictions[2], direct.y_hat_v)
 
     def test_kriging_curve_shape(self, y60, splits60):
         entry = px.kriging_entry(px.ar1_covariance(60, 0.95), y60, "kriging_ar1_0.95")
-        report, results = px.run_curves([entry], splits60[:3])[0]
+        (report,) = px.run_curves([entry], splits60[:3])
         assert report.label == "kriging_ar1_0.95"
-        assert report.n_blocks == 3 and len(results) == 3
+        assert report.n_blocks == 3 and report.predictions.shape == (3, 12)
         assert np.all(report.per_block_lambda > 0)
 
     def test_convergence_toward_limit_in_p(self, y60, splits60):
@@ -276,14 +289,14 @@ class TestCurves:
         for p, base in ((30, 700), (300, 800)):
             curves += px.ensemble_entries(
                 px.NoiseSpec(kind="ar1", n=60, p=p, seed=base, phi=0.99), y60, 5)
-        (limit_rep, _), *members = px.run_curves(curves, splits60)
-        diffs = [px.rms_difference(rep, limit_rep) for rep, _ in members]
+        limit_rep, *members = px.run_curves(curves, splits60)
+        diffs = [px.rms_difference(rep, limit_rep) for rep in members]
         assert np.median(diffs[5:]) < np.median(diffs[:5])
 
     def test_white_limit_is_the_calibration_mean(self, y60, splits60):
         # for white noise Psi_vc is a multiple of 1 1^T and Psi_cc 1 = 0, so
         # the limit predicts the calibration mean at every lambda
         entry = px.limit_entry(np.eye(60), y60, "limit_white")
-        report, _ = px.run_curves([entry], splits60)[0]
+        (report,) = px.run_curves([entry], splits60)
         baseline = [oracles.constant_baseline_rmse(y60.values, s) for s in splits60]
         np.testing.assert_allclose(report.block_rmse, baseline, rtol=0, atol=1e-12)

@@ -108,7 +108,7 @@ class TestGenerate:
     def test_standardization_preserves_ar1_shape(self):
         spec = px.NoiseSpec(kind="ar1", n=300, p=300, seed=13, phi=0.9)
         X = px.generate(spec)
-        split = px.HoldoutSplit.make(300, 270, 30)
+        split = px.HoldoutSplit(300, 270, 30)
         Xs = px.standardize(X, split)
         raw = oracles.lag1_autocorr(X.data[split.calib_rows])
         scaled = oracles.lag1_autocorr(Xs[split.calib_rows])

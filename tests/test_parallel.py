@@ -122,7 +122,7 @@ class TestRunCurve:
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="paleoxval"):
                 reports.append(px.run_curves([px.experiment_entry("experiment", X, y60)],
-                                             splits60, mode="permissive")[0][0])
+                                             splits60, mode="permissive")[0])
             logs.append([r.getMessage() for r in caplog.records])
             assert multiprocessing.active_children() == []
         assert logs[0] == logs[1] and len(logs[0]) == 1
@@ -155,12 +155,12 @@ class TestRunCurve:
         def run(w):
             cpus(w)
             return px.run_curves([entry], splits60)[0]
-        (rep1, res1), (rep2, res2) = run(1), run(2)
+        rep1, rep2 = run(1), run(2)
         assert np.array_equal(rep1.block_rmse, rep2.block_rmse)
         assert np.array_equal(rep1.per_block_lambda, rep2.per_block_lambda)
-        for a, b, split in zip(res1, res2, splits60):
-            assert np.array_equal(a.y_hat_v, b.y_hat_v)
-            assert b.split is split and not b.y_hat_v.flags.writeable
+        assert np.array_equal(rep1.predictions, rep2.predictions)
+        assert rep2.predictions.shape == (len(splits60), 12)
+        assert not rep2.predictions.flags.writeable
 
     def test_unpicklable_block_error_reaches_the_parent(self, y60, splits60, cpus):
         Phi = px.ar1_covariance(60, 0.9)
