@@ -49,17 +49,17 @@ def cmd_crossval(config: io.ExperimentConfig, y: TimeSeries, splits: list[Holdou
                  out_dir: Path) -> list[Path]:
     if isinstance(config.proxy_source, io.FileSource):
         X = io.load_proxies(config.proxy_source.file, expected_years=y.years)
-        curves = [experiment_entry("proxies", X, y, drop_degenerate=config.drop_degenerate)]
+        curves = [experiment_entry("proxies", X, drop_degenerate=config.drop_degenerate)]
     else:
         spec = config.proxy_source.spec(y.n, config.seed, config.noise_columns)
-        curves = [experiment_entry(spec.label, spec, y, drop_degenerate=config.drop_degenerate)]
+        curves = [experiment_entry(spec.label, spec, drop_degenerate=config.drop_degenerate)]
     seen = {curves[0][0]}
     for k, src in enumerate(config.noise_experiments):
         spec = src.spec(y.n, config.seed + SEED_STRIDE * (k + 1), config.noise_columns)
         label = spec.label if spec.label not in seen else f"{spec.label}_{k + 1}"
         seen.add(label)
-        curves.append(experiment_entry(label, spec, y, drop_degenerate=config.drop_degenerate))
-    reports = run_curves(curves, splits, mode=config.mode)
+        curves.append(experiment_entry(label, spec, drop_degenerate=config.drop_degenerate))
+    reports = run_curves(curves, y, splits, mode=config.mode)
     outputs = [io.write_report(report, out_dir, y.years) for report in reports]
 
     # a curve whose every block failed has a NaN mean and ranks last
@@ -88,14 +88,14 @@ def cmd_figure2(config: io.ExperimentConfig, y: TimeSeries, splits: list[Holdout
     curves = []
     if with_proxies := isinstance(config.proxy_source, io.FileSource):
         X = io.load_proxies(config.proxy_source.file, expected_years=y.years)
-        curves.append(experiment_entry("proxies", X, y, drop_degenerate=config.drop_degenerate))
-    curves += ensemble_entries(white_spec, y, m)
+        curves.append(experiment_entry("proxies", X, drop_degenerate=config.drop_degenerate))
+    curves += ensemble_entries(white_spec, m)
     for phi, spec in zip(config.phi_list, ar1_specs):
         Phi = ar1_covariance(y.n, phi)
         Phi.flags.writeable = False     # one matrix, read by the limit and kriging curves
-        curves += [*ensemble_entries(spec, y, m), limit_entry(Phi, y, f"limit_ar1_{phi:g}"),
-                   kriging_entry(Phi, y, f"kriging_ar1_{phi:g}")]
-    done = iter(run_curves(curves, splits, mode=config.mode))
+        curves += [*ensemble_entries(spec, m), limit_entry(f"limit_ar1_{phi:g}", Phi),
+                   kriging_entry(f"kriging_ar1_{phi:g}", Phi)]
+    done = iter(run_curves(curves, y, splits, mode=config.mode))
 
     proxy_report = next(done) if with_proxies else None
     white = ensemble_report(white_spec.label, [next(done) for _ in range(m)])
@@ -158,12 +158,12 @@ def cmd_limit(config: io.ExperimentConfig, y: TimeSeries, splits: list[HoldoutSp
     for i, phi in enumerate(config.phi_list):
         Phi = ar1_covariance(y.n, phi)
         Phi.flags.writeable = False
-        curves.append(limit_entry(Phi, y, f"limit_ar1_{phi:g}"))
+        curves.append(limit_entry(f"limit_ar1_{phi:g}", Phi))
         for k, p in enumerate(config.p_ladder):
             specs.append(NoiseSpec(kind="ar1", n=y.n, p=p, phi=phi, seed=config.seed
                                    + SEED_STRIDE * (1 + i * len(config.p_ladder) + k)))
-            curves += ensemble_entries(specs[-1], y, m)
-    done, specs = iter(run_curves(curves, splits, mode=config.mode)), iter(specs)
+            curves += ensemble_entries(specs[-1], m)
+    done, specs = iter(run_curves(curves, y, splits, mode=config.mode)), iter(specs)
 
     fmt = io.format_float
     table_rows, member_rows, scatter = [], [], []

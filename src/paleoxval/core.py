@@ -117,41 +117,6 @@ class HoldoutSplit:
 
 
 @dataclass(frozen=True, eq=False)
-class WeightVector:
-    """Calibration weight vector w.
-
-    Normally w sums to one (the intercept weights); the all-zero vector is a
-    documented special value that removes the intercept entirely, used by the
-    kriging nugget selection.
-    """
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", _frozen_array(self.w))
-        if not np.all(np.isfinite(self.w)):
-            raise ValueError("weights must be finite")
-        total = float(self.w.sum())
-        if not (abs(total - 1.0) <= 1e-12 or self.is_zero):
-            raise ValueError(f"weights must sum to 1 (or be all zero), got {total!r}")
-
-    @classmethod
-    def uniform(cls, n_c: int) -> "WeightVector":
-        return cls(np.full(n_c, 1.0 / n_c))
-
-    @classmethod
-    def zero(cls, n_c: int) -> "WeightVector":
-        return cls(np.zeros(n_c))
-
-    @property
-    def is_zero(self) -> bool:
-        return bool(np.all(self.w == 0.0))
-
-    def __len__(self) -> int:
-        return len(self.w)
-
-
-@dataclass(frozen=True, eq=False)
 class ReconstructionResult:
     """Predicted validation values for one holdout block."""
 
@@ -227,25 +192,26 @@ def gram_matrix(Xs: np.ndarray) -> np.ndarray:
 
 
 class ShiftedSystem:
-    """One calibration problem (S_cc, w, y_c), factored once.
+    """One calibration problem (S_cc, y_c), factored once.
 
     One eigendecomposition, S_cc = Q diag(sig) Q^T, serves every shift: the
     GCV search scores V(lam) from it, and ``reconstruct`` applies
     (S_cc + lam I)^-1 through it; ``eig = (sig, Q)`` passes a known one, as
-    exact Psi has. Stored are the spectral coordinates c = w^T y_c,
-    u = Q^T (y_c - c 1) and wq_1q = (Q^T w) * (Q^T 1). Roundoff-negative
-    eigenvalues of a PSD input are clipped to zero; a clearly negative one
-    raises SingularSystem, since S_cc + lam I may then be singular for some
-    lam > 0.
+    exact Psi has. The intercept weights are w = 1/n_c, or w = 0 with
+    ``intercept=False`` (kriging). Stored are the spectral coordinates
+    c = w^T y_c, u = Q^T (y_c - c 1) and wq_1q = (Q^T w) * (Q^T 1).
+    Roundoff-negative eigenvalues of a PSD input are clipped to zero; a
+    clearly negative one raises SingularSystem, since S_cc + lam I may then
+    be singular for some lam > 0.
     """
 
-    def __init__(self, S_cc: np.ndarray, w: WeightVector, y_c: np.ndarray,
-                 eig: tuple[np.ndarray, np.ndarray] | None = None):
+    def __init__(self, S_cc: np.ndarray, y_c: np.ndarray,
+                 eig: tuple[np.ndarray, np.ndarray] | None = None, *, intercept: bool = True):
         y_c = np.asarray(y_c, dtype=np.float64)
         S_cc = np.asarray(S_cc, dtype=np.float64)
         self.n_c = len(y_c)
-        if S_cc.shape != (self.n_c, self.n_c) or len(w) != self.n_c:
-            raise LengthMismatch(f"S_cc {S_cc.shape}, {len(w)} weights, {self.n_c} values")
+        if S_cc.shape != (self.n_c, self.n_c):
+            raise LengthMismatch(f"S_cc {S_cc.shape}, {self.n_c} values")
         try:
             sig, self.Q = np.linalg.eigh(S_cc) if eig is None else eig
         except np.linalg.LinAlgError as exc:
@@ -254,10 +220,11 @@ class ShiftedSystem:
         if sig[0] < floor:
             raise SingularSystem(f"S_cc is not PSD (eigenvalue {sig[0]:.3e})")
         self.sig = np.maximum(sig, 0.0)
-        self.c = float(w.w @ y_c)
+        w = np.full(self.n_c, 1.0 / self.n_c) if intercept else np.zeros(self.n_c)
+        self.c = float(w @ y_c)
         self.u = self.Q.T @ (y_c - self.c)
-        self.wq_1q = (self.Q.T @ w.w) * (self.Q.T @ np.ones(self.n_c))
-        self.w_sum = float(w.w.sum())
+        self.wq_1q = (self.Q.T @ w) * (self.Q.T @ np.ones(self.n_c))
+        self.w_sum = float(w.sum())
 
 
 def reconstruct(system: ShiftedSystem, S_vc: np.ndarray, lam: float) -> np.ndarray:
@@ -265,7 +232,7 @@ def reconstruct(system: ShiftedSystem, S_vc: np.ndarray, lam: float) -> np.ndarr
 
     S_vc holds the rows to predict against the calibration columns; with
     S_vc = S_cc this is the calibration-period hat operator H(lam). Linear in
-    y_c; with the all-zero weight vector the intercept term drops out.
+    y_c; without an intercept (w = 0) the intercept term drops out.
     """
     if lam <= 0:
         raise ValueError("ridge parameter must be positive")

@@ -1,12 +1,15 @@
 """Sliding-block cross-validation experiments and ensembles.
 
 ``run_curves`` is the one block loop for every curve (proxies, noise members,
-Psi, kriging). A command describes each curve by an entry, a (label, block)
-pair, and runs all of them in one call: whole curves, and contiguous ranges of
-the last curves' blocks, go to one ``fork`` process pool with one process per
-usable CPU, a noise member is generated by the process that uses it, and the
-parent replays log lines and raises in (curve, block) order, so results, log
-lines and errors are identical for any number of CPUs."""
+Psi, kriging). A command describes each curve by an entry, a (label, columns)
+pair whose function maps a holdout split to the ``Columns`` S[:, calib] the
+operator reads; ``reconstruct_with_gcv``, the one block tail, turns them into
+the block's lambda, predictions and RMSE. All curves run in one call: whole
+curves, and contiguous ranges of the last curves' blocks, go to one ``fork``
+process pool with one process per usable CPU, a noise member is generated by
+the process that uses it, and the parent replays log lines and raises in
+(curve, block) order, so results, log lines and errors are identical for any
+number of CPUs."""
 
 from __future__ import annotations
 
@@ -20,12 +23,12 @@ import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (HoldoutSplit, ProxyMatrix, ReconstructionResult, ShiftedSystem, TimeSeries,
-                   WeightVector, _frozen_array, gram_matrix, reconstruct, rmse, standardize)
+                   _frozen_array, gram_matrix, reconstruct, rmse, standardize)
 from .errors import BlockFailure, InvalidBlockLength, LengthMismatch, PaleoXvalError
 from .gcv import GcvResult, minimize_gcv
 from .noise import NoiseSpec, generate
@@ -98,23 +101,36 @@ def make_blocks(n: int, n_v: int) -> list[HoldoutSplit]:
     return [HoldoutSplit(n, start, n_v) for start in range(n - n_v + 1)]
 
 
-def reconstruct_with_gcv(S_c: np.ndarray, y: TimeSeries, split: HoldoutSplit,
-                         w: WeightVector | None = None, *,
-                         eig: tuple[np.ndarray, np.ndarray] | None = None,
-                         ) -> tuple[ReconstructionResult, GcvResult]:
-    """GCV-select lambda on S_cc, then predict.
+class Columns(NamedTuple):
+    """What one block feeds the operator: S_c = S[:, calib] (n x n_c), S_cc's
+    eigendecomposition (sig, Q) where it is known, whether the intercept
+    (w = 1/n_c) is fitted, and the quadrature's error estimate where S is
+    exact Psi (NaN elsewhere)."""
 
-    S_c = S[:, split.calib_rows], the only part of S the operator reads.
-    Shared tail of the proxy, probability-limit and kriging pipelines: they
-    differ only in where S comes from and in w. S_cc is factored once (or
-    ``eig`` is its known eigendecomposition); the GCV search and the
-    prediction share it.
+    S_c: np.ndarray
+    eig: tuple[np.ndarray, np.ndarray] | None = None
+    intercept: bool = True
+    quad_error: float = float("nan")
+
+
+def proxy_columns(X: ProxyMatrix, split: HoldoutSplit, *,
+                  drop_degenerate: bool = False) -> Columns:
+    """The Gram columns of X standardized over the split's calibration rows."""
+    S = gram_matrix(standardize(X, split, drop_degenerate=drop_degenerate))
+    return Columns(S[:, split.calib_rows])
+
+
+def reconstruct_with_gcv(columns: Columns, y: TimeSeries, split: HoldoutSplit,
+                         ) -> tuple[ReconstructionResult, GcvResult]:
+    """The one block tail: GCV-select lambda on S_cc, then predict and score.
+
+    Every curve (proxies, noise, Psi, kriging) ends here; they differ only in
+    their columns. S_cc is factored once (or ``columns.eig`` is its known
+    eigendecomposition); the GCV search and the prediction share it.
     """
-    if split.n != y.n:
-        raise LengthMismatch(f"split covers {split.n} rows, series has {y.n}")
-    if w is None:
-        w = WeightVector.uniform(split.n_c)
-    system = ShiftedSystem(S_c[split.calib_rows], w, y.values[split.calib_rows], eig)
+    S_c = columns.S_c
+    system = ShiftedSystem(S_c[split.calib_rows], y.values[split.calib_rows], columns.eig,
+                           intercept=columns.intercept)
     sel = minimize_gcv(system)
     if sel.flat:
         log.warning("flat GCV objective at block %d; using lambda = %.3e",
@@ -124,20 +140,11 @@ def reconstruct_with_gcv(S_c: np.ndarray, y: TimeSeries, split: HoldoutSplit,
     return ReconstructionResult(y_hat_v=y_hat, lam=sel.lambda_min, rmse=score), sel
 
 
-def run_block(X: ProxyMatrix, y: TimeSeries, split: HoldoutSplit, *,
-              drop_degenerate: bool = False) -> ReconstructionResult:
-    """Full single-block pipeline: standardize, Gram, GCV, reconstruct, score."""
-    if X.n != y.n:
-        raise LengthMismatch(f"proxy matrix has {X.n} rows, series has {y.n}")
-    S = gram_matrix(standardize(X, split, drop_degenerate=drop_degenerate))
-    result, _ = reconstruct_with_gcv(S[:, split.calib_rows], y, split)
-    return result
+# A curve is a (label, columns) pair; its function maps a holdout split to the
+# block's Columns.
+Curve = tuple[str, Callable[[HoldoutSplit], Columns]]
 
-
-# A curve is a (label, block) pair; its block maps a holdout split to a result.
-Curve = tuple[str, Callable[[HoldoutSplit], ReconstructionResult]]
-
-# Pool workers read the command's (curves, splits, mode) from _TASK, set by the
+# Pool workers read the command's (curves, y, splits, mode) from _TASK, set by the
 # pool initializer from its fork-inherited argument, so no matrix is pickled:
 # (curve, block range) tasks go out, per-block outcomes and the log records
 # _HELD collects come back. _MEMBER holds the one noise member in use.
@@ -187,12 +194,14 @@ def _one_blas_thread() -> None:
 
 
 def _run_range(c: int, lo: int, hi: int, task: tuple | None = None) -> list[tuple]:
-    """(result, error or None, held log records) for blocks lo..hi-1 of curve c."""
-    curves, splits, mode = task if task is not None else _TASK
+    """(result, error or None, held log records) for blocks lo..hi-1 of curve c:
+    the curve's columns, then the one tail."""
+    curves, y, splits, mode = task if task is not None else _TASK
     out = []
     for split in splits[lo:hi]:
         try:
-            result, error = curves[c][1](split), None
+            columns = curves[c][1](split)
+            result, error = reconstruct_with_gcv(columns, y, split)[0], None
         except Exception as exc:
             result, error = None, exc
             try:    # in a pool worker, an error the parent cannot rebuild breaks the pool
@@ -209,11 +218,12 @@ def _run_range(c: int, lo: int, hi: int, task: tuple | None = None) -> list[tupl
     return out
 
 
-def run_curves(curves: Sequence[Curve], splits: Sequence[HoldoutSplit], *,
+def run_curves(curves: Sequence[Curve], y: TimeSeries, splits: Sequence[HoldoutSplit], *,
                mode: str = "strict") -> list[ExperimentReport]:
-    """Every curve's block over every split, one report per curve: the one
-    block loop. The splits must share one n_v, and every block must predict
-    n_v values (LengthMismatch otherwise).
+    """Every curve's columns through the one tail over every split, one report
+    per curve: the one block loop. The splits must share one n_v (ValueError
+    otherwise) and cover the target's n rows (LengthMismatch otherwise), both
+    checked before any block runs.
 
     With n workers, each of the first len(curves) - n curves is one task and
     each of the last n is cut into RANGES_PER_WORKER x n block ranges, run in
@@ -227,6 +237,9 @@ def run_curves(curves: Sequence[Curve], splits: Sequence[HoldoutSplit], *,
     n_v = splits[0].n_v
     if any(split.n_v != n_v for split in splits):
         raise ValueError("every split must have the same n_v")
+    n_rows = {split.n for split in splits}
+    if n_rows != {y.n}:
+        raise LengthMismatch(f"the splits cover {sorted(n_rows)} rows, the target has {y.n}")
     if mode not in ("strict", "permissive"):
         raise ValueError(f"unknown mode {mode!r}")
     n = 1
@@ -237,7 +250,7 @@ def run_curves(curves: Sequence[Curve], splits: Sequence[HoldoutSplit], *,
     whole = max(len(curves) - n, 0)
     ranges = [(c, 0, len(splits)) for c in range(whole)]
     ranges += [(c, lo, hi) for c in range(whole, len(curves)) for lo, hi in zip(cuts, cuts[1:])]
-    task, pool, done = (curves, splits, mode), None, []
+    task, pool, done = (curves, y, splits, mode), None, []
     starts = [split.block_start for split in splits]
     try:
         if n == 1:
@@ -261,9 +274,6 @@ def run_curves(curves: Sequence[Curve], splits: Sequence[HoldoutSplit], *,
                         raise BlockFailure(split.block_start, error) from error
                     log.warning("dropping block %d (%s): %s", split.block_start, label, error)
                     continue
-                if len(result.y_hat_v) != n_v:
-                    raise LengthMismatch(f"block {split.block_start} of {label!r} predicted "
-                                         f"{len(result.y_hat_v)} values, its split has {n_v}")
                 rmses[k], lams[k], predictions[k] = result.rmse, result.lam, result.y_hat_v
             done.append(ExperimentReport(label, starts, rmses, lams, predictions))
     finally:
@@ -273,24 +283,25 @@ def run_curves(curves: Sequence[Curve], splits: Sequence[HoldoutSplit], *,
     return done
 
 
-def experiment_entry(label: str, source: ProxyMatrix | NoiseSpec, y: TimeSeries, *,
+def experiment_entry(label: str, source: ProxyMatrix | NoiseSpec, *,
                      drop_degenerate: bool = False) -> Curve:
-    """run_block over a proxy matrix, or over a NoiseSpec's member, drawn where it runs."""
-    def block(split: HoldoutSplit) -> ReconstructionResult:
-        if not isinstance(source, NoiseSpec):
-            return run_block(source, y, split, drop_degenerate=drop_degenerate)
-        if source not in _MEMBER:
-            _MEMBER.clear()     # drop the previous member before drawing the next
-            _MEMBER[source] = generate(source)
-        return run_block(_MEMBER[source], y, split, drop_degenerate=drop_degenerate)
-    return label, block
+    """proxy_columns of a proxy matrix, or of a NoiseSpec's member, drawn where it runs."""
+    def columns(split: HoldoutSplit) -> Columns:
+        X = source
+        if isinstance(source, NoiseSpec):
+            if source not in _MEMBER:
+                _MEMBER.clear()     # drop the previous member before drawing the next
+                _MEMBER[source] = generate(source)
+            X = _MEMBER[source]
+        return proxy_columns(X, split, drop_degenerate=drop_degenerate)
+    return label, columns
 
 
-def ensemble_entries(spec: NoiseSpec, y: TimeSeries, m: int) -> list[Curve]:
+def ensemble_entries(spec: NoiseSpec, m: int) -> list[Curve]:
     """The m member curves of an ensemble, seeds spec.seed + 0 ... + m - 1."""
     if m < 1:
         raise ValueError("ensemble size must be at least 1")
-    return [experiment_entry(f"{spec.label}_member{i:03d}", replace(spec, seed=spec.seed + i), y)
+    return [experiment_entry(f"{spec.label}_member{i:03d}", replace(spec, seed=spec.seed + i))
             for i in range(m)]
 
 

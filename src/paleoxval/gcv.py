@@ -5,15 +5,16 @@ The score minimized here is
     V(lam) = n_c * ||(I - H(lam)) y_c||^2 / tr(I - H(lam))^2,
 
 with H(lam) = S_cc (S_cc + lam I)^-1 (I - 1 w^T) + 1 w^T, the calibration-row
-restriction of the reconstruction operator including its intercept term. For
-the all-zero weight vector the intercept drops out and H reduces to
-S_cc (S_cc + lam I)^-1, which is the form used for kriging nugget selection.
+restriction of the reconstruction operator including its intercept term,
+w = 1/n_c. Without the intercept (w = 0) H reduces to S_cc (S_cc + lam I)^-1,
+which is the form used for kriging nugget selection.
 
 V is scored only through a ``core.ShiftedSystem``: the eigendecomposition of
 S_cc it holds is the one the prediction later reuses, and it turns every
 candidate lam into O(n_c) sums. ``gcv_scores`` evaluates a whole vector of
 candidates at once; ``minimize_gcv`` scores its coarse grid in one such call
-and refines the bracketed minimum by golden section.
+and refines the grid minimum by golden section. Every block runs it once,
+in the one block tail, ``crossval.reconstruct_with_gcv``.
 """
 
 from __future__ import annotations
@@ -49,14 +50,10 @@ class GcvResult:
     lambda_min: float
     score: float
     n_evals: int
-    bracket: tuple[float, float]
     flat: bool = False
     at_boundary: bool = False
 
     def __post_init__(self):
-        lo, hi = self.bracket
-        if not (lo <= self.lambda_min <= hi):
-            raise ValueError("bracket must contain lambda_min")
         if not np.isfinite(self.score):
             raise ValueError("score must be finite")
 
@@ -84,12 +81,11 @@ def gcv_scores(system: ShiftedSystem, lams) -> np.ndarray:
 def minimize_gcv(system: ShiftedSystem) -> GcvResult:
     """Find the GCV-minimizing ridge parameter.
 
-    The coarse logarithmic grid over SEARCH_DOMAIN, COARSE_GRID, brackets the
+    The coarse logarithmic grid over SEARCH_DOMAIN, COARSE_GRID, encloses the
     minimizer, then golden-section refinement on log(lam) narrows it to
     relative precision LOG_LAMBDA_TOL. Grid scores tying within TIE_REL resolve to the largest
     lam (strongest regularization). Deterministic for fixed inputs.
     """
-    lo, hi = SEARCH_DOMAIN
     grid = COARSE_GRID
     scores = gcv_scores(system, grid)
     evaluated = [(float(lam), float(v)) for lam, v in zip(grid, scores)]
@@ -99,23 +95,21 @@ def minimize_gcv(system: ShiftedSystem) -> GcvResult:
         evaluated.append((lam, v))
         return v
 
-    def finish(lam, score, bracket, *, flat=False, at_boundary=False):
+    def finish(lam, score, *, flat=False, at_boundary=False):
         return GcvResult(lambda_min=float(lam), score=float(score),
-                         n_evals=len(evaluated), bracket=bracket,
-                         flat=flat, at_boundary=at_boundary)
+                         n_evals=len(evaluated), flat=flat, at_boundary=at_boundary)
 
     vmax = float(scores.max())
     vmin = float(scores.min())
     if vmax - vmin < TIE_REL * vmax or vmax == 0.0:
-        return finish(grid[-1], scores[-1], (float(lo), float(hi)), flat=True)
+        return finish(grid[-1], scores[-1], flat=True)
 
     ties = np.flatnonzero(scores <= vmin + TIE_REL * abs(vmin))
     best = int(ties.max())
     if best == 0 or best == len(grid) - 1:
-        bracket = (float(grid[max(best - 1, 0)]), float(grid[min(best + 1, len(grid) - 1)]))
-        return finish(grid[best], scores[best], bracket, at_boundary=True)
+        return finish(grid[best], scores[best], at_boundary=True)
 
-    # Golden-section refinement on t = log(lam) within the grid bracket.
+    # Golden-section refinement on t = log(lam) between the grid neighbours.
     a, b = math.log(grid[best - 1]), math.log(grid[best + 1])
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
@@ -131,5 +125,4 @@ def minimize_gcv(system: ShiftedSystem) -> GcvResult:
             f2 = f(math.exp(x2))
 
     best_lam, best_score = min(evaluated, key=lambda e: (e[1], -e[0]))
-    bracket = (min(math.exp(a), best_lam), max(math.exp(b), best_lam))
-    return finish(best_lam, best_score, bracket)
+    return finish(best_lam, best_score)

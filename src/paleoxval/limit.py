@@ -9,21 +9,22 @@ eigenproblem of size n_c plus scalar integrals (Magnus 1986, Annales
 d'Economie et de Statistique 4), done by the exponentially convergent
 trapezoid rule in log t (Trefethen & Weideman 2014).
 
-The intercept-free, unstandardized analogue replaces Psi with Phi itself and
-reduces to simple kriging of the target series whose nugget is the
-GCV-selected ridge parameter; for AR(1) noise its semivariogram is
-exponential.
+The intercept-free, unstandardized analogue, ``kriging_columns``, replaces
+Psi with Phi itself and reduces to simple kriging of the target series whose
+nugget is the GCV-selected ridge parameter; for AR(1) noise its semivariogram
+is exponential. Both are only column sources: each block of their curves
+runs through the same tail as the proxy blocks,
+``crossval.reconstruct_with_gcv``.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import NamedTuple
 
 import numpy as np
 
-from .core import HoldoutSplit, ReconstructionResult, TimeSeries, WeightVector
-from .crossval import Curve, ExperimentReport, reconstruct_with_gcv
+from .core import HoldoutSplit
+from .crossval import Columns, Curve, ExperimentReport
 from .errors import BlockMismatch, DegenerateColumn, LengthMismatch, SingularSystem
 
 log = logging.getLogger(__name__)
@@ -53,17 +54,9 @@ def _quadrature(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _STEP * W.sum(axis=0), 2.0 * _STEP * W[::2].sum(axis=0)
 
 
-class PsiColumns(NamedTuple):
-    """Exact Psi[:, calib] for one split (n x n_c), Psi_cc's eigendecomposition
-    (sig, Q), and the quadrature's relative error estimate."""
-
-    columns: np.ndarray
-    eig: tuple[np.ndarray, np.ndarray]
-    quad_error: float
-
-
-def psi_columns(Phi: np.ndarray, split: HoldoutSplit) -> PsiColumns:
-    """Exact Psi[:, calib] for covariance Phi and one split.
+def psi_columns(Phi: np.ndarray, split: HoldoutSplit) -> Columns:
+    """Exact Psi[:, calib] for covariance Phi and one split, with Psi_cc's
+    eigendecomposition (sig, Q) and the quadrature's relative error estimate.
 
     Psi = E[z z^T] for x ~ N(0, Phi) standardized over the calibration rows.
     With C = P Phi_cc P = U diag(rho) U^T, P = I - 11^T / n_c, and
@@ -73,7 +66,8 @@ def psi_columns(Phi: np.ndarray, split: HoldoutSplit) -> PsiColumns:
         h_k = int_0^inf prod_l (1 + 2t rho_l)^-1/2 (1 + 2t rho_k)^-1 dt,
 
     so U also diagonalizes Psi_cc. The error estimate is the largest relative
-    change of h from the half rule to the full one. Psi_vv, which diverges
+    change of h from the half rule to the full one; one above QUAD_RTOL is
+    logged as a warning. Psi_vv, which diverges
     for n_c <= 3, is not formed. At n_c = 2, Psi_vc has no expectation and
     this is its symmetric principal value.
     """
@@ -95,40 +89,34 @@ def psi_columns(Phi: np.ndarray, split: HoldoutSplit) -> PsiColumns:
     out = np.empty((split.n, split.n_c))
     out[c] = (cc + cc.T) / 2.0
     out[v] = (Phi[np.ix_(v, c)] - mean) @ ((U * h_scaled) @ U.T)
-    return PsiColumns(out, (sig, Q), float(np.max(np.abs(h - h_half) / h)))
+    quad_error = float(np.max(np.abs(h - h_half) / h))
+    if quad_error > QUAD_RTOL:
+        log.warning("Psi quadrature error estimate %.1e at block %d exceeds %.0e",
+                    quad_error, split.block_start, QUAD_RTOL)
+    return Columns(out, (sig, Q), quad_error=quad_error)
 
 
-def limit_entry(Phi: np.ndarray, y: TimeSeries, label: str) -> Curve:
-    """The limit curve's entry: each block is driven by the exact Psi columns
-    of noise with the n x n covariance Phi."""
-    def block(split: HoldoutSplit) -> ReconstructionResult:
-        psi = psi_columns(Phi, split)
-        if psi.quad_error > QUAD_RTOL:
-            log.warning("Psi quadrature error estimate %.1e at block %d exceeds %.0e",
-                        psi.quad_error, split.block_start, QUAD_RTOL)
-        return reconstruct_with_gcv(psi.columns, y, split, eig=psi.eig)[0]
-    return label, block
+def kriging_columns(Phi: np.ndarray, split: HoldoutSplit) -> Columns:
+    """Simple kriging's columns Phi[:, calib] under the covariance Phi.
 
-
-def simple_kriging(Phi: np.ndarray, y: TimeSeries, split: HoldoutSplit) -> ReconstructionResult:
-    """Predict the holdout block by simple kriging under the covariance Phi.
-
-    y_hat_v = Phi_vc (Phi_cc + nugget I)^-1 y_c: no standardization, no
-    intercept, zero prior mean. This is the reconstruction operator with
-    S = Phi and the all-zero weight vector, run by ``reconstruct_with_gcv``,
-    so the nugget is the GCV minimizer for the hat operator
-    Phi_cc (Phi_cc + lam I)^-1.
+    Through the block tail they predict y_hat_v = Phi_vc (Phi_cc + nugget I)^-1
+    y_c: no standardization, no intercept, zero prior mean, and the nugget is
+    the GCV minimizer for the hat operator Phi_cc (Phi_cc + lam I)^-1.
     """
     if Phi.shape != (split.n, split.n):     # before Phi is indexed with the split's rows
         raise LengthMismatch(f"covariance is {Phi.shape}, split covers {split.n} rows")
-    result, _ = reconstruct_with_gcv(Phi[:, split.calib_rows], y, split,
-                                     WeightVector.zero(split.n_c))
-    return result
+    return Columns(Phi[:, split.calib_rows], intercept=False)
 
 
-def kriging_entry(Phi: np.ndarray, y: TimeSeries, label: str) -> Curve:
-    """The kriging curve's entry: simple_kriging per split (nugget re-selected)."""
-    return label, lambda split: simple_kriging(Phi, y, split)
+def limit_entry(label: str, Phi: np.ndarray) -> Curve:
+    """The limit curve's entry: each block is driven by the exact Psi columns
+    of noise with the n x n covariance Phi."""
+    return label, lambda split: psi_columns(Phi, split)
+
+
+def kriging_entry(label: str, Phi: np.ndarray) -> Curve:
+    """The kriging curve's entry: Phi's columns per split (nugget re-selected)."""
+    return label, lambda split: kriging_columns(Phi, split)
 
 
 def _check_aligned(a: ExperimentReport, b: ExperimentReport) -> None:

@@ -8,6 +8,11 @@ factorize-and-solve / eigendecomposition code paths.
 import numpy as np
 
 
+def weights(n_c: int, intercept: bool = True) -> np.ndarray:
+    """The calibration weights w: 1/n_c with the intercept, 0 without it."""
+    return np.full(n_c, 1.0 / n_c) if intercept else np.zeros(n_c)
+
+
 def centering_matrix(w: np.ndarray) -> np.ndarray:
     n = len(w)
     return np.eye(n) - np.outer(np.ones(n), w)

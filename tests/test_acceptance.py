@@ -55,26 +55,21 @@ def test_a2_operator_oracle_equivalence(capsys):
         split = px.HoldoutSplit(n, start, n_v)
         S = oracles.gram_by_accumulation(rng.standard_normal((n, p)))
         lam = float(10 ** rng.uniform(-4, 3))
-        kind = case % 3
-        if kind == 0:
-            w = px.WeightVector.uniform(split.n_c)
-        elif kind == 1:
-            w = px.WeightVector(rng.dirichlet(np.ones(split.n_c)))
-        else:
-            w = px.WeightVector.zero(split.n_c)
+        intercept = case % 2 == 0
+        w = oracles.weights(split.n_c, intercept)
         y_c = rng.standard_normal(split.n_c)
 
         S_cc = S[np.ix_(split.calib_rows, split.calib_rows)]
-        system = px.ShiftedSystem(S_cc, w, y_c)
-        R = oracles.reconstruction_matrix(S, lam, w.w, split.calib_rows, split.valid_rows)
+        system = px.ShiftedSystem(S_cc, y_c, intercept=intercept)
+        R = oracles.reconstruction_matrix(S, lam, w, split.calib_rows, split.valid_rows)
         got = px.reconstruct(system, S[np.ix_(split.valid_rows, split.calib_rows)], lam)
         np.testing.assert_allclose(got, R @ y_c, rtol=1e-10, atol=1e-12)
 
-        H = oracles.hat_matrix(S_cc, lam, w.w)
+        H = oracles.hat_matrix(S_cc, lam, w)
         np.testing.assert_allclose(px.reconstruct(system, S_cc, lam), H @ y_c,
                                    rtol=1e-10, atol=1e-12)
 
-        v_want = oracles.gcv_value(S_cc, lam, w.w, y_c)
+        v_want = oracles.gcv_value(S_cc, lam, w, y_c)
         v_got = float(px.gcv_scores(system, [lam])[0])
         rel = abs(v_got - v_want) / max(v_want, 1e-300)
         worst = max(worst, rel)
@@ -86,8 +81,8 @@ def test_a3_figure1_ordering(capsys, target, splits):
     m, p = 100, 1138
     white_spec = px.NoiseSpec(kind="white", n=N, p=p, seed=10_000_000)
     ar1_spec = px.NoiseSpec(kind="ar1", n=N, p=p, seed=20_000_000, phi=0.99)
-    done = px.run_curves([*px.ensemble_entries(white_spec, target, m),
-                          *px.ensemble_entries(ar1_spec, target, m)], splits)
+    done = px.run_curves([*px.ensemble_entries(white_spec, m),
+                          *px.ensemble_entries(ar1_spec, m)], target, splits)
     white = px.ensemble_report(white_spec.label, done[:m])
     ar1 = px.ensemble_report(ar1_spec.label, done[m:])
     assert white.member_scatter.min() > 0 and ar1.member_scatter.min() > 0
@@ -106,10 +101,10 @@ def test_a4_probability_limit_convergence(capsys, target, splits):
     ladder, m = (100, 1000, 10_000), 10
     specs = [px.NoiseSpec(kind="ar1", n=N, p=p, seed=30_000_000 + 1_000_000 * k, phi=0.99)
              for k, p in enumerate(ladder)]
-    curves = [px.limit_entry(px.ar1_covariance(N, 0.99), target, "limit_ar1_0.99")]
+    curves = [px.limit_entry("limit_ar1_0.99", px.ar1_covariance(N, 0.99))]
     for spec in specs:
-        curves += px.ensemble_entries(spec, target, m)
-    limit_rep, *done = px.run_curves(curves, splits)
+        curves += px.ensemble_entries(spec, m)
+    limit_rep, *done = px.run_curves(curves, target, splits)
 
     scatters, median_diffs = {}, {}
     for k, (p, spec) in enumerate(zip(ladder, specs)):
@@ -135,7 +130,7 @@ def test_a5_kriging_equivalence(capsys, target, splits):
     Phi = px.ar1_covariance(N, phi)
     worst = 0.0
     for split in splits:
-        krig = px.simple_kriging(Phi, target, split)
+        krig, _ = px.reconstruct_with_gcv(px.kriging_columns(Phi, split), target, split)
         direct = oracles.kriging_by_inverse(Phi, krig.lam, target.values[split.calib_rows],
                                             split.calib_rows, split.valid_rows)
         worst = max(worst, float(np.max(np.abs(krig.y_hat_v - direct))))
@@ -151,11 +146,10 @@ def test_a6_gcv_optimizer_against_dense_grid(capsys):
         n = int(rng.integers(5, 13))
         S_cc = oracles.gram_by_accumulation(rng.standard_normal((n, int(rng.integers(2, 7)))))
         y_c = rng.standard_normal(n) + rng.uniform(0, 2) * np.sin(np.linspace(0, 3, n))
-        w = px.WeightVector.uniform(n)
-        res = minimize_gcv(px.ShiftedSystem(S_cc, w, y_c))
+        res = minimize_gcv(px.ShiftedSystem(S_cc, y_c))
         # lambda is compared against every grid point tying the grid minimum:
         # under a flat bottom the grid argmin itself is an arbitrary tie-break
-        cands, v_grid = oracles.dense_grid_gcv_ties(S_cc, w.w, y_c)
+        cands, v_grid = oracles.dense_grid_gcv_ties(S_cc, oracles.weights(n), y_c)
         rel_lam = float(np.min(np.abs(res.lambda_min - cands) / cands))
         rel_score = abs(res.score - v_grid) / v_grid
         worst_lam, worst_score = max(worst_lam, rel_lam), max(worst_score, rel_score)

@@ -8,9 +8,10 @@ import paleoxval as px
 from paleoxval.errors import (DegenerateColumn, LengthMismatch, SingularSystem)
 
 
-def reconstruct_block(S, lam, w, y_c, split):
+def reconstruct_block(S, lam, y_c, split, intercept=True):
     """The production route: factor S_cc once, then predict the block rows."""
-    system = px.ShiftedSystem(S[np.ix_(split.calib_rows, split.calib_rows)], w, y_c)
+    system = px.ShiftedSystem(S[np.ix_(split.calib_rows, split.calib_rows)], y_c,
+                              intercept=intercept)
     return px.reconstruct(system, S[np.ix_(split.valid_rows, split.calib_rows)], lam)
 
 
@@ -55,14 +56,6 @@ class TestTypes:
         split = px.HoldoutSplit(5, 3, 2)
         assert list(split.calib_rows) == [0, 1, 2] and list(split.valid_rows) == [3, 4]
         assert not split.calib_rows.flags.writeable and not split.valid_rows.flags.writeable
-
-    def test_weight_vector(self):
-        e = px.WeightVector.uniform(4)
-        assert abs(e.w.sum() - 1.0) <= 1e-12
-        assert px.WeightVector.zero(3).is_zero
-        px.WeightVector([0.5, 0.25, 0.25])
-        with pytest.raises(ValueError):
-            px.WeightVector([0.5, 0.2])
 
 
 class TestStandardize:
@@ -223,8 +216,7 @@ class TestReconstruct:
         S[:3, :3] = oracles.gram_by_accumulation(np.random.default_rng(1).standard_normal((3, 4)))
         S[3:, 3:] = np.eye(2)
         y_c = np.array([0.4, -1.0, 2.2])
-        w = px.WeightVector.uniform(3)
-        out = reconstruct_block(S, 0.7, w, y_c, split)
+        out = reconstruct_block(S, 0.7, y_c, split)
         np.testing.assert_allclose(out, np.full(2, y_c.mean()), atol=1e-14)
 
     def test_huge_lambda_shrinks_to_intercept(self):
@@ -232,30 +224,29 @@ class TestReconstruct:
         S = oracles.gram_by_accumulation(rng.standard_normal((6, 5)))
         split = px.HoldoutSplit(6, 0, 2)
         y_c = rng.standard_normal(4)
-        w = px.WeightVector.uniform(4)
-        out = reconstruct_block(S, 1e12, w, y_c, split)
+        out = reconstruct_block(S, 1e12, y_c, split)
         np.testing.assert_allclose(out, np.full(2, y_c.mean()), atol=1e-6)
 
     def test_small_system_hand_value(self):
         # (S_cc + 0.1 I) z = y_c solves to z = (5/3, -5/3); S_vc z = -5/12
         S = np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
-        out = reconstruct_block(S, 0.1, px.WeightVector.uniform(2),
-                             np.array([1.0, -1.0]), px.HoldoutSplit(3, 2, 1))
+        out = reconstruct_block(S, 0.1, np.array([1.0, -1.0]), px.HoldoutSplit(3, 2, 1))
         np.testing.assert_allclose(out, [-5.0 / 12.0], rtol=1e-14)
 
     def test_matches_assembly_oracle(self):
         rng = np.random.default_rng(9)
-        for _ in range(20):
+        for case in range(40):
+            intercept = case % 2 == 0
             n = int(rng.integers(3, 9))
             n_v = int(rng.integers(1, n - 1))
             start = int(rng.integers(0, n - n_v + 1))
             split = px.HoldoutSplit(n, start, n_v)
             S = oracles.gram_by_accumulation(rng.standard_normal((n, int(rng.integers(1, 6)))))
             lam = float(10 ** rng.uniform(-4, 3))
-            w = px.WeightVector(rng.dirichlet(np.ones(split.n_c)))
+            w = oracles.weights(split.n_c, intercept)
             y_c = rng.standard_normal(split.n_c)
-            R = oracles.reconstruction_matrix(S, lam, w.w, split.calib_rows, split.valid_rows)
-            got = reconstruct_block(S, lam, w, y_c, split)
+            R = oracles.reconstruction_matrix(S, lam, w, split.calib_rows, split.valid_rows)
+            got = reconstruct_block(S, lam, y_c, split, intercept)
             np.testing.assert_allclose(got, R @ y_c, rtol=1e-10, atol=1e-12)
 
     @given(st.floats(-3, 3), st.floats(-5, 5), st.integers(0, 2**32))
@@ -264,19 +255,17 @@ class TestReconstruct:
         split = px.HoldoutSplit(7, 2, 3)
         S = oracles.gram_by_accumulation(rng.standard_normal((7, 4)))
         y_c = rng.standard_normal(4)
-        w = px.WeightVector.uniform(4)
-        base = reconstruct_block(S, 0.3, w, y_c, split)
-        shifted = reconstruct_block(S, 0.3, w, a * y_c + b, split)
+        base = reconstruct_block(S, 0.3, y_c, split)
+        shifted = reconstruct_block(S, 0.3, a * y_c + b, split)
         np.testing.assert_allclose(shifted, a * base + b, rtol=1e-9, atol=1e-9)
 
     def test_linear_in_y(self):
         rng = np.random.default_rng(4)
         split = px.HoldoutSplit(6, 1, 2)
         S = oracles.gram_by_accumulation(rng.standard_normal((6, 3)))
-        w = px.WeightVector.uniform(4)
         coeffs = rng.standard_normal(4)
-        combined = reconstruct_block(S, 0.5, w, coeffs, split)
-        by_basis = sum(coeffs[i] * reconstruct_block(S, 0.5, w, np.eye(4)[i], split)
+        combined = reconstruct_block(S, 0.5, coeffs, split)
+        by_basis = sum(coeffs[i] * reconstruct_block(S, 0.5, np.eye(4)[i], split)
                        for i in range(4))
         np.testing.assert_allclose(combined, by_basis, atol=1e-10)
 
@@ -285,8 +274,8 @@ class TestReconstruct:
         split = px.HoldoutSplit(5, 3, 2)
         S = oracles.gram_by_accumulation(rng.standard_normal((5, 3)))
         y_c = rng.standard_normal(3)
-        got = reconstruct_block(S, 0.2, px.WeightVector.zero(3), y_c, split)
-        want = oracles.reconstruction_matrix(S, 0.2, np.zeros(3),
+        got = reconstruct_block(S, 0.2, y_c, split, intercept=False)
+        want = oracles.reconstruction_matrix(S, 0.2, oracles.weights(3, intercept=False),
                                              split.calib_rows, split.valid_rows) @ y_c
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -294,18 +283,19 @@ class TestReconstruct:
         split = px.HoldoutSplit(4, 2, 1)
         S_bad = np.diag([1.0, -5.0, 1.0, 1.0])   # negative entry on a calib row
         with pytest.raises(SingularSystem):
-            reconstruct_block(S_bad, 0.1, px.WeightVector.uniform(3), np.ones(3), split)
+            reconstruct_block(S_bad, 0.1, np.ones(3), split)
         with pytest.raises(ValueError):
-            reconstruct_block(np.eye(4), 0.0, px.WeightVector.uniform(3), np.ones(3), split)
+            reconstruct_block(np.eye(4), 0.0, np.ones(3), split)
 
     def test_length_mismatch(self):
-        w = px.WeightVector.uniform(3)
-        with pytest.raises(LengthMismatch):
-            px.ShiftedSystem(np.eye(3), w, np.ones(4))
-        with pytest.raises(LengthMismatch):
-            px.ShiftedSystem(np.eye(4), w, np.ones(4))
-        with pytest.raises(LengthMismatch):
-            px.reconstruct(px.ShiftedSystem(np.eye(3), w, np.ones(3)), np.ones((2, 4)), 0.1)
+        for intercept in (True, False):
+            with pytest.raises(LengthMismatch):
+                px.ShiftedSystem(np.eye(3), np.ones(4), intercept=intercept)
+            with pytest.raises(LengthMismatch):
+                px.ShiftedSystem(np.ones((3, 4)), np.ones(3), intercept=intercept)
+            with pytest.raises(LengthMismatch):
+                px.reconstruct(px.ShiftedSystem(np.eye(3), np.ones(3), intercept=intercept),
+                               np.ones((2, 4)), 0.1)
 
     def test_ridge_predict_onto_calibration_matches_hat(self):
         # predicting back onto the calibration rows of a non-contiguous row
@@ -314,10 +304,10 @@ class TestReconstruct:
         S = oracles.gram_by_accumulation(rng.standard_normal((6, 4)))
         calib = np.array([0, 1, 3, 5])
         y_c = rng.standard_normal(4)
-        w = px.WeightVector.uniform(4)
         S_cc = S[np.ix_(calib, calib)]
-        back = px.reconstruct(px.ShiftedSystem(S_cc, w, y_c), S_cc, 0.4)
-        np.testing.assert_allclose(back, oracles.hat_matrix(S_cc, 0.4, w.w) @ y_c, atol=1e-10)
+        back = px.reconstruct(px.ShiftedSystem(S_cc, y_c), S_cc, 0.4)
+        np.testing.assert_allclose(back, oracles.hat_matrix(S_cc, 0.4, oracles.weights(4)) @ y_c,
+                                   atol=1e-10)
 
 
 class TestRmse:
@@ -342,5 +332,4 @@ class TestRmse:
 def test_solve_shifted_raises_singular():
     # an indefinite S_cc: S_cc + lam I is singular at lam = 9
     with pytest.raises(SingularSystem):
-        px.ShiftedSystem(np.array([[1.0, 0.0], [0.0, -9.0]]), px.WeightVector.uniform(2),
-                         np.ones(2))
+        px.ShiftedSystem(np.array([[1.0, 0.0], [0.0, -9.0]]), np.ones(2))

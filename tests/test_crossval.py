@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -9,6 +10,11 @@ import oracles
 import paleoxval as px
 from paleoxval.errors import BlockFailure, DegenerateColumn, InvalidBlockLength, LengthMismatch
 from paleoxval.gcv import COARSE_GRID, SEARCH_DOMAIN, minimize_gcv
+
+
+def run_block(X, y, split):
+    """One proxy block: its Gram columns through the block tail."""
+    return px.reconstruct_with_gcv(px.proxy_columns(X, split), y, split)[0]
 
 
 class TestMakeBlocks:
@@ -46,7 +52,7 @@ class TestRunBlock:
     def test_exact_signal_beats_baseline_everywhere(self, y60, splits60):
         # the target itself as the single proxy column is recovered on every block
         X = px.ProxyMatrix(y60.values[:, None], ("target_copy",))
-        rep = px.run_curves([px.experiment_entry("self", X, y60)], splits60)[0]
+        rep = px.run_curves([px.experiment_entry("self", X)], y60, splits60)[0]
         baselines = np.array([oracles.constant_baseline_rmse(y60.values, s)
                               for s in splits60])
         assert np.all(rep.block_rmse <= baselines)
@@ -56,7 +62,7 @@ class TestRunBlock:
         ratios = []
         for seed in range(50):
             X = px.generate(px.NoiseSpec(kind="white", n=60, p=1, seed=1000 + seed))
-            rep = px.run_curves([px.experiment_entry("w1", X, y60)], splits60)[0]
+            rep = px.run_curves([px.experiment_entry("w1", X)], y60, splits60)[0]
             base = np.mean([oracles.constant_baseline_rmse(y60.values, s) for s in splits60])
             ratios.append(rep.mean_rmse / base)
         assert abs(np.mean(ratios) - 1.0) < 0.2
@@ -70,7 +76,7 @@ class TestRunBlock:
         S = px.gram_matrix(px.standardize(X, split))
         Sp = px.gram_matrix(px.standardize(Xp, split))
         assert np.max(np.abs(S - Sp)) < 1e-12
-        a, b = px.run_block(X, y60, split), px.run_block(Xp, y60, split)
+        a, b = run_block(X, y60, split), run_block(Xp, y60, split)
         np.testing.assert_allclose(a.y_hat_v, b.y_hat_v, rtol=0, atol=1e-12)
         assert abs(a.rmse - b.rmse) < 1e-12
 
@@ -78,13 +84,13 @@ class TestRunBlock:
         # brute-force recomputation of one block: loop standardization, loop
         # Gram accumulation, explicit operator assembly at the library's lam;
         # AR(1) at p = 80 > n_c on block 8 selects the lower edge of the domain
-        w = px.WeightVector.uniform(48).w
+        w = oracles.weights(48)
         lams = []
         kinds = (("white", None), ("ar1", 0.8), ("brownian", None))
         for (kind, phi), p, start in itertools.product(kinds, (6, 80), (8, 20)):
             split = px.HoldoutSplit(60, start, 12)
             X = px.generate(px.NoiseSpec(kind=kind, n=60, p=p, seed=77, phi=phi))
-            result = px.run_block(X, y60, split)
+            result = run_block(X, y60, split)
             lams.append(result.lam)
 
             Xs = oracles.standardize_by_loop(X.data, split.calib_rows)
@@ -99,10 +105,9 @@ class TestRunBlock:
     def test_lambda_comes_from_gcv_on_calibration_gram(self, y60):
         split = px.HoldoutSplit(60, 0, 12)
         X = px.generate(px.NoiseSpec(kind="white", n=60, p=10, seed=3))
-        result = px.run_block(X, y60, split)
+        result = run_block(X, y60, split)
         S = px.gram_matrix(px.standardize(X, split))
         sel = minimize_gcv(px.ShiftedSystem(S[np.ix_(split.calib_rows, split.calib_rows)],
-                                            px.WeightVector.uniform(split.n_c),
                                             y60.values[split.calib_rows]))
         assert result.lam == sel.lambda_min
 
@@ -110,21 +115,21 @@ class TestRunBlock:
 class TestRunExperiment:
     def test_single_split(self, y60, splits60):
         X = px.generate(px.NoiseSpec(kind="white", n=60, p=5, seed=1))
-        rep = px.run_curves([px.experiment_entry("one", X, y60)], splits60[:1])[0]
+        rep = px.run_curves([px.experiment_entry("one", X)], y60, splits60[:1])[0]
         assert rep.n_blocks == 1
         assert rep.mean_rmse == rep.block_rmse[0]
 
     def test_deterministic(self, y60, splits60):
         X = px.generate(px.NoiseSpec(kind="ar1", n=60, p=8, seed=4, phi=0.9))
-        a = px.run_curves([px.experiment_entry("det", X, y60)], splits60)[0]
-        b = px.run_curves([px.experiment_entry("det", X, y60)], splits60)[0]
+        a = px.run_curves([px.experiment_entry("det", X)], y60, splits60)[0]
+        b = px.run_curves([px.experiment_entry("det", X)], y60, splits60)[0]
         assert np.array_equal(a.block_rmse, b.block_rmse)
         assert np.array_equal(a.per_block_lambda, b.per_block_lambda)
         assert a.mean_rmse == b.mean_rmse
 
     def test_full_curve_shape(self, y60, splits60):
         X = px.generate(px.NoiseSpec(kind="white", n=60, p=5, seed=2))
-        rep = px.run_curves([px.experiment_entry("shape", X, y60)], splits60)[0]
+        rep = px.run_curves([px.experiment_entry("shape", X)], y60, splits60)[0]
         assert rep.n_blocks == 60 - 12 + 1
         assert rep.mean_rmse == pytest.approx(rep.block_rmse.mean())
         assert np.array_equal(rep.block_starts, np.arange(49))
@@ -133,20 +138,20 @@ class TestRunExperiment:
         data = np.column_stack([np.arange(60.0), np.full(60, 1.0)])
         X = px.ProxyMatrix(data, ("trend", "flat"))
         with pytest.raises(BlockFailure):
-            px.run_curves([px.experiment_entry("bad", X, y60)], splits60)
-        rep = px.run_curves([px.experiment_entry("bad", X, y60)], splits60,
+            px.run_curves([px.experiment_entry("bad", X)], y60, splits60)
+        rep = px.run_curves([px.experiment_entry("bad", X)], y60, splits60,
                             mode="permissive")[0]
         assert np.all(np.isnan(rep.block_rmse))
         assert np.isnan(rep.mean_rmse)
-        rep2 = px.run_curves([px.experiment_entry("ok", X, y60, drop_degenerate=True)],
-                             splits60)[0]
+        rep2 = px.run_curves([px.experiment_entry("ok", X, drop_degenerate=True)],
+                             y60, splits60)[0]
         assert np.all(np.isfinite(rep2.block_rmse))
 
 
 class TestRunEnsemble:
     def test_single_member(self, y60, splits60):
         spec = px.NoiseSpec(kind="white", n=60, p=6, seed=40)
-        done = px.run_curves(px.ensemble_entries(spec, y60, 1), splits60)
+        done = px.run_curves(px.ensemble_entries(spec, 1), y60, splits60)
         ens = px.ensemble_report(spec.label, done)
         assert np.array_equal(ens.mean_curve, ens.member_reports[0].block_rmse)
         assert np.all(ens.member_scatter == 0.0)
@@ -155,14 +160,14 @@ class TestRunEnsemble:
         spec = px.NoiseSpec(kind="white", n=60, p=6, seed=40)
         X2 = px.generate(px.NoiseSpec(kind="white", n=60, p=6, seed=42))
         *members, direct = px.run_curves(
-            [*px.ensemble_entries(spec, y60, 3), px.experiment_entry("m2", X2, y60)], splits60)
+            [*px.ensemble_entries(spec, 3), px.experiment_entry("m2", X2)], y60, splits60)
         assert [rep.label for rep in members] == [
             "white_member000", "white_member001", "white_member002"]
         assert np.array_equal(members[2].block_rmse, direct.block_rmse)
 
     def test_scatter_positive_and_mean_consistent(self, y60, splits60):
         spec = px.NoiseSpec(kind="white", n=60, p=6, seed=50)
-        done = px.run_curves(px.ensemble_entries(spec, y60, 20), splits60)
+        done = px.run_curves(px.ensemble_entries(spec, 20), y60, splits60)
         ens = px.ensemble_report(spec.label, done)
         assert np.all(ens.member_scatter > 0)
         curves = np.array([r.block_rmse for r in ens.member_reports])
@@ -172,8 +177,8 @@ class TestRunEnsemble:
         spec_a = px.NoiseSpec(kind="white", n=60, p=30, seed=600)
         spec_b = px.NoiseSpec(kind="white", n=60, p=30, seed=9600)
         m = 30
-        done = px.run_curves([*px.ensemble_entries(spec_a, y60, m),
-                              *px.ensemble_entries(spec_b, y60, m)], splits60)
+        done = px.run_curves([*px.ensemble_entries(spec_a, m),
+                              *px.ensemble_entries(spec_b, m)], y60, splits60)
         means_a = np.array([rep.mean_rmse for rep in done[:m]])
         means_b = np.array([rep.mean_rmse for rep in done[m:]])
         gap = abs(means_a.mean() - means_b.mean())
@@ -183,8 +188,8 @@ class TestRunEnsemble:
     def test_scatter_shrinks_with_p(self, y60, splits60):
         small = px.NoiseSpec(kind="ar1", n=60, p=30, seed=60, phi=0.99)
         big = px.NoiseSpec(kind="ar1", n=60, p=300, seed=70, phi=0.99)
-        done = px.run_curves([*px.ensemble_entries(small, y60, 8),
-                              *px.ensemble_entries(big, y60, 8)], splits60)
+        done = px.run_curves([*px.ensemble_entries(small, 8),
+                              *px.ensemble_entries(big, 8)], y60, splits60)
         e_small = px.ensemble_report("small", done[:8])
         e_big = px.ensemble_report("big", done[8:])
         frac = np.mean(e_big.member_scatter < e_small.member_scatter)
@@ -192,21 +197,32 @@ class TestRunEnsemble:
 
 
 def test_run_curves_requires_splits_of_one_n_v(y60, splits60):
-    entry = px.experiment_entry("x", px.ProxyMatrix(y60.values[:, None], ("y",)), y60)
+    entry = px.experiment_entry("x", px.ProxyMatrix(y60.values[:, None], ("y",)))
     with pytest.raises(ValueError):
-        px.run_curves([entry], [])
+        px.run_curves([entry], y60, [])
     with pytest.raises(ValueError):
-        px.run_curves([], splits60)
+        px.run_curves([], y60, splits60)
     with pytest.raises(ValueError, match="same n_v"):
-        px.run_curves([entry], [splits60[0], px.HoldoutSplit(60, 0, 11)])
+        px.run_curves([entry], y60, [splits60[0], px.HoldoutSplit(60, 0, 11)])
 
 
-def test_wrong_length_prediction_is_a_length_mismatch(splits60):
-    def block(split):
-        return px.ReconstructionResult(y_hat_v=np.zeros(split.n_v + 1), lam=1.0, rmse=0.0)
+def test_target_of_another_length_fails_once_before_any_block(y60, splits60, caplog):
+    # a 50-year target on 60-row splits: one LengthMismatch in either mode,
+    # with no block run and no "dropping block" line
+    y50 = px.TimeSeries(years=y60.years[:50], values=y60.values[:50])
+    X = px.ProxyMatrix(y60.values[:, None], ("y",))
+    ran = []
+
+    def columns(split):
+        ran.append(split.block_start)
+        return px.proxy_columns(X, split)
     for mode in ("strict", "permissive"):
-        with pytest.raises(LengthMismatch, match="predicted 13 values"):
-            px.run_curves([("long", block)], splits60, mode=mode)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="paleoxval"):
+            with pytest.raises(LengthMismatch, match="target has 50"):
+                px.run_curves([("short", columns)], y50, splits60, mode=mode)
+        assert caplog.records == []
+    assert ran == []
 
 
 NOISE_KINDS = [("white", None), ("ar1", 0.9), ("brownian", None)]
@@ -225,22 +241,22 @@ def test_run_curves_matches_oracles_over_noise_and_block_lengths(kind, n, narrow
     spec = px.NoiseSpec(kind=kind[0], n=n, p=p, seed=seed, phi=kind[1])
     y = px.smooth_target(n, seed=seed)
     splits = px.make_blocks(n, n_v)
-    entry = px.experiment_entry("sweep", spec, y)
+    entry = px.experiment_entry("sweep", spec)
     if longest:
         with pytest.raises(BlockFailure) as exc:
-            px.run_curves([entry], splits)
+            px.run_curves([entry], y, splits)
         assert exc.value.block_start == 0 and isinstance(exc.value.cause, DegenerateColumn)
-        (rep,) = px.run_curves([entry], splits, mode="permissive")
+        (rep,) = px.run_curves([entry], y, splits, mode="permissive")
         assert rep.predictions.shape == (2, n_v) and np.all(np.isnan(rep.predictions))
         assert np.all(np.isnan(rep.block_rmse)) and np.isnan(rep.mean_rmse)
         return
-    (rep,) = px.run_curves([entry], splits)
+    (rep,) = px.run_curves([entry], y, splits)
     X = px.generate(spec).data
     for k, split in enumerate(splits):
         calib, valid = split.calib_rows, split.valid_rows
         S = oracles.lift_calibration_null(
             oracles.gram_by_accumulation(oracles.standardize_by_loop(X, calib)), calib)
-        w, lam, y_c = px.WeightVector.uniform(split.n_c).w, rep.per_block_lambda[k], y.values[calib]
+        w, lam, y_c = oracles.weights(split.n_c), rep.per_block_lambda[k], y.values[calib]
         want = oracles.reconstruction_matrix(S, lam, w, calib, valid) @ y_c
         np.testing.assert_allclose(rep.predictions[k], want, rtol=1e-8, atol=1e-10)
         assert rep.block_rmse[k] == pytest.approx(

@@ -241,7 +241,7 @@ class TestReports:
 
     def test_ensemble_csv_layout(self, tmp_path, y60, splits60):
         spec = px.NoiseSpec(kind="white", n=60, p=4, seed=3)
-        done = px.run_curves(px.ensemble_entries(spec, y60, 2), splits60[:4])
+        done = px.run_curves(px.ensemble_entries(spec, 2), y60, splits60[:4])
         ens = px.ensemble_report(spec.label, done)
         cols = read_report(pio.write_report(ens, tmp_path, y60.years))
         assert set(cols) == {"block_start", "block_year", "member_000", "member_001", "mean",

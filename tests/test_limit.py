@@ -5,7 +5,6 @@ import pytest
 
 import oracles
 import paleoxval as px
-from paleoxval.crossval import reconstruct_with_gcv
 from paleoxval.errors import BlockMismatch, DegenerateColumn, LengthMismatch, SingularSystem
 
 
@@ -15,8 +14,12 @@ def exact_psi(phi, split):
 
 def limit_reconstruction(phi, y, split):
     """Reconstruction driven by the exact Psi instead of a finite-p Gram matrix."""
-    psi = exact_psi(phi, split)
-    return reconstruct_with_gcv(psi.columns, y, split, eig=psi.eig)[0]
+    return px.reconstruct_with_gcv(exact_psi(phi, split), y, split)[0]
+
+
+def kriging(Phi, y, split):
+    """One simple-kriging block: Phi's columns through the block tail."""
+    return px.reconstruct_with_gcv(px.kriging_columns(Phi, split), y, split)[0]
 
 
 @lru_cache(maxsize=None)
@@ -46,16 +49,16 @@ class TestEstimatePsi:
         #   valid-calib:              0
         split, psi = psi_white_20
         n_c = split.n_c
-        cc = psi.columns[split.calib_rows]
+        cc = psi.S_c[split.calib_rows]
         off_cc = cc[~np.eye(n_c, dtype=bool)]
         assert np.max(np.abs(off_cc - (-1.0 / n_c))) < 1e-12
-        assert np.max(np.abs(psi.columns[split.valid_rows])) < 1e-12
+        assert np.max(np.abs(psi.S_c[split.valid_rows])) < 1e-12
 
     def test_psd_and_symmetric(self, psi_white_20):
         split, _ = psi_white_20
         for phi in (0.0, 0.9):
             psi = exact_psi(phi, split)
-            cc = psi.columns[split.calib_rows]
+            cc = psi.S_c[split.calib_rows]
             assert np.array_equal(cc, cc.T)
             sig, Q = psi.eig
             assert sig.min() >= 0.0
@@ -64,10 +67,10 @@ class TestEstimatePsi:
     def test_calibration_diagonal_is_exact(self, psi_white_20):
         # every standardized column has sum of squares n_c - 1 over calib rows
         split, psi = psi_white_20
-        diag = np.diag(psi.columns[split.calib_rows])
+        diag = np.diag(psi.S_c[split.calib_rows])
         assert np.max(np.abs(diag - (split.n_c - 1) / split.n_c)) < 1e-12
         ar1 = exact_psi(0.9, split)
-        assert abs(np.trace(ar1.columns[split.calib_rows]) - (split.n_c - 1)) < 1e-12
+        assert abs(np.trace(ar1.S_c[split.calib_rows]) - (split.n_c - 1)) < 1e-12
 
     def test_half_split_diff_shrinks_like_sqrt_p(self):
         # the Monte Carlo oracle's diagnostic, which the agreement tests rely on
@@ -90,7 +93,7 @@ class TestEstimatePsi:
         # n = 10 throughout, so one pool per phi serves every split
         split = px.HoldoutSplit(10, start, 10 - n_c)
         c = split.calib_rows
-        got = exact_psi(phi, split).columns
+        got = exact_psi(phi, split).S_c
         mc, diff = oracles.psi_monte_carlo(ar1_pool(phi, 10, 40_000, 61), split)
         assert rms(got - mc[:, c]) < 3 * rms(diff[:, c])
         if n_c == 2:
@@ -105,7 +108,7 @@ class TestEstimatePsi:
         split = px.HoldoutSplit(12, start, 3)
         Phi = px.ar1_covariance(12, 0.8)
         want = oracles.psi_by_quad_vec(Phi, split.calib_rows)[:, split.calib_rows]
-        np.testing.assert_allclose(px.psi_columns(Phi, split).columns, want,
+        np.testing.assert_allclose(px.psi_columns(Phi, split).S_c, want,
                                    rtol=0, atol=1e-12)
 
     def test_quad_error_estimate_at_reference_design(self):
@@ -128,7 +131,7 @@ class TestEstimatePsi:
 class TestLimitReconstruction:
     def test_decoupled_identity_psi_gives_calibration_mean(self, y60):
         split = px.HoldoutSplit(60, 30, 12)
-        out = reconstruct_with_gcv(np.eye(60)[:, split.calib_rows], y60, split)[0]
+        out = px.reconstruct_with_gcv(px.Columns(np.eye(60)[:, split.calib_rows]), y60, split)[0]
         c = y60.values[split.calib_rows].mean()
         np.testing.assert_allclose(out.y_hat_v, np.full(12, c), atol=1e-12)
 
@@ -143,8 +146,8 @@ class TestLimitReconstruction:
         # Psi's own eigendecomposition stands in for eigh of Psi_cc
         for split in splits60[::8]:
             psi = exact_psi(0.99, split)
-            given = reconstruct_with_gcv(psi.columns, y60, split, eig=psi.eig)[0]
-            fresh = reconstruct_with_gcv(psi.columns, y60, split)[0]
+            given = px.reconstruct_with_gcv(psi, y60, split)[0]
+            fresh = px.reconstruct_with_gcv(psi._replace(eig=None), y60, split)[0]
             assert given.lam == pytest.approx(fresh.lam, rel=1e-6)
             np.testing.assert_allclose(given.y_hat_v, fresh.y_hat_v, rtol=0, atol=1e-9)
 
@@ -153,16 +156,16 @@ class TestLimitReconstruction:
         # on each sampled block
         X = px.generate(px.NoiseSpec(kind="ar1", n=60, p=100_000, seed=250, phi=0.99))
         for split in splits60[::12]:
-            direct = px.run_block(X, y60, split)
+            direct = px.reconstruct_with_gcv(px.proxy_columns(X, split), y60, split)[0]
             lim = limit_reconstruction(0.99, y60, split)
             assert abs(direct.rmse - lim.rmse) < 0.05 * lim.rmse
 
 
 def kriging_with_nugget(phi, y, split, nugget):
-    """The production operator at a fixed nugget: S = Phi, all-zero weights."""
+    """The production operator at a fixed nugget: S = Phi, no intercept."""
     Phi = px.ar1_covariance(y.n, phi)
     c, v = split.calib_rows, split.valid_rows
-    system = px.ShiftedSystem(Phi[np.ix_(c, c)], px.WeightVector.zero(split.n_c), y.values[c])
+    system = px.ShiftedSystem(Phi[np.ix_(c, c)], y.values[c], intercept=False)
     return px.reconstruct(system, Phi[np.ix_(v, c)], nugget)
 
 
@@ -188,8 +191,8 @@ class TestSimpleKriging:
     def test_gcv_nugget_deterministic(self, y60):
         split = px.HoldoutSplit(60, 5, 12)
         Phi = px.ar1_covariance(60, 0.99)
-        a = px.simple_kriging(Phi, y60, split)
-        b = px.simple_kriging(Phi, y60, split)
+        a = kriging(Phi, y60, split)
+        b = kriging(Phi, y60, split)
         assert a.lam == b.lam
         assert np.array_equal(a.y_hat_v, b.y_hat_v)
 
@@ -198,7 +201,7 @@ class TestSimpleKriging:
         # equals the direct kriging formula on every block
         Phi = px.ar1_covariance(60, 0.99)
         for split in splits60[::6]:
-            krig = px.simple_kriging(Phi, y60, split)
+            krig = kriging(Phi, y60, split)
             direct = oracles.kriging_by_inverse(Phi, krig.lam, y60.values[split.calib_rows],
                                                 split.calib_rows, split.valid_rows)
             np.testing.assert_allclose(krig.y_hat_v, direct, rtol=0, atol=1e-8)
@@ -207,9 +210,11 @@ class TestSimpleKriging:
     def test_split_must_match_series(self, y60, n):
         # a longer split must not reach Phi's rows: it fails like a shorter one
         with pytest.raises(LengthMismatch):
-            px.simple_kriging(px.ar1_covariance(60, 0.9), y60, px.HoldoutSplit(n, 0, 12))
+            px.kriging_columns(px.ar1_covariance(60, 0.9), px.HoldoutSplit(n, 0, 12))
+        # a covariance that fits the splits but not the target fails in run_curves
         with pytest.raises(LengthMismatch):
-            px.simple_kriging(px.ar1_covariance(n, 0.9), y60, px.HoldoutSplit(n, 0, 12))
+            px.run_curves([px.kriging_entry("kriging", px.ar1_covariance(n, 0.9))], y60,
+                          px.make_blocks(n, 12))
 
 
 class TestRmsDifference:
@@ -244,22 +249,22 @@ class TestRmsDifference:
                               self._report([0.1, 0.2], starts=[0, 2]))
 
     def test_values_variant(self, y60, splits60):
-        entry = px.kriging_entry(px.ar1_covariance(60, 0.9), y60, "kriging_ar1_0.9")
-        krig, krig2 = px.run_curves([entry, entry], splits60[:5])
+        entry = px.kriging_entry("kriging_ar1_0.9", px.ar1_covariance(60, 0.9))
+        krig, krig2 = px.run_curves([entry, entry], y60, splits60[:5])
         assert px.rms_difference_values(krig, krig2) == 0.0
-        (shorter,) = px.run_curves([entry], splits60[1:5])
+        (shorter,) = px.run_curves([entry], y60, splits60[1:5])
         with pytest.raises(BlockMismatch):
             px.rms_difference_values(krig, shorter)
 
     def test_values_pool_the_per_split_predictions(self, y60, splits60):
         # the pooled RMS gap is bit for bit the one over the predictions of
-        # simple_kriging and of the limit block, split by split, concatenated
+        # the kriging and the limit blocks, split by split, concatenated
         Phi = px.ar1_covariance(60, 0.9)
         some = splits60[::8]
-        lim, krig = px.run_curves([px.limit_entry(Phi, y60, "limit"),
-                                   px.kriging_entry(Phi, y60, "kriging")], some)
+        lim, krig = px.run_curves([px.limit_entry("limit", Phi),
+                                   px.kriging_entry("kriging", Phi)], y60, some)
         da = np.concatenate([limit_reconstruction(0.9, y60, s).y_hat_v for s in some])
-        db = np.concatenate([px.simple_kriging(Phi, y60, s).y_hat_v for s in some])
+        db = np.concatenate([kriging(Phi, y60, s).y_hat_v for s in some])
         assert px.rms_difference_values(lim, krig) == float(np.sqrt(np.mean((da - db) ** 2)))
         assert px.rms_difference_values(lim, krig) > 0.0
 
@@ -267,8 +272,8 @@ class TestRmsDifference:
 class TestCurves:
     def test_limit_curve_matches_per_split_estimates(self, y60, splits60):
         some = splits60[:4]
-        entry = px.limit_entry(px.ar1_covariance(60, 0.9), y60, "limit_ar1_0.9")
-        (report,) = px.run_curves([entry], some)
+        entry = px.limit_entry("limit_ar1_0.9", px.ar1_covariance(60, 0.9))
+        (report,) = px.run_curves([entry], y60, some)
         assert report.label == "limit_ar1_0.9"
         assert report.n_blocks == 4
         direct = limit_reconstruction(0.9, y60, some[2])
@@ -276,8 +281,8 @@ class TestCurves:
         assert np.array_equal(report.predictions[2], direct.y_hat_v)
 
     def test_kriging_curve_shape(self, y60, splits60):
-        entry = px.kriging_entry(px.ar1_covariance(60, 0.95), y60, "kriging_ar1_0.95")
-        (report,) = px.run_curves([entry], splits60[:3])
+        entry = px.kriging_entry("kriging_ar1_0.95", px.ar1_covariance(60, 0.95))
+        (report,) = px.run_curves([entry], y60, splits60[:3])
         assert report.label == "kriging_ar1_0.95"
         assert report.n_blocks == 3 and report.predictions.shape == (3, 12)
         assert np.all(report.per_block_lambda > 0)
@@ -285,18 +290,18 @@ class TestCurves:
     def test_convergence_toward_limit_in_p(self, y60, splits60):
         # medians over 5 seeds of the curve-level RMS distance to the limit
         # shrink as p grows
-        curves = [px.limit_entry(px.ar1_covariance(60, 0.99), y60, "limit_ar1_0.99")]
+        curves = [px.limit_entry("limit_ar1_0.99", px.ar1_covariance(60, 0.99))]
         for p, base in ((30, 700), (300, 800)):
             curves += px.ensemble_entries(
-                px.NoiseSpec(kind="ar1", n=60, p=p, seed=base, phi=0.99), y60, 5)
-        limit_rep, *members = px.run_curves(curves, splits60)
+                px.NoiseSpec(kind="ar1", n=60, p=p, seed=base, phi=0.99), 5)
+        limit_rep, *members = px.run_curves(curves, y60, splits60)
         diffs = [px.rms_difference(rep, limit_rep) for rep in members]
         assert np.median(diffs[5:]) < np.median(diffs[:5])
 
     def test_white_limit_is_the_calibration_mean(self, y60, splits60):
         # for white noise Psi_vc is a multiple of 1 1^T and Psi_cc 1 = 0, so
         # the limit predicts the calibration mean at every lambda
-        entry = px.limit_entry(np.eye(60), y60, "limit_white")
-        (report,) = px.run_curves([entry], splits60)
+        entry = px.limit_entry("limit_white", np.eye(60))
+        (report,) = px.run_curves([entry], y60, splits60)
         baseline = [oracles.constant_baseline_rmse(y60.values, s) for s in splits60]
         np.testing.assert_allclose(report.block_rmse, baseline, rtol=0, atol=1e-12)

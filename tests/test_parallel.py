@@ -106,7 +106,7 @@ class TestRunCurve:
             "for w in (1, 2):\n"
             "    os.sched_getaffinity = lambda pid: set(range(w))\n"
             "    try:\n"
-            "        px.run_curves([px.experiment_entry('x', X, y)], px.make_blocks(60, 12))\n"
+            "        px.run_curves([px.experiment_entry('x', X)], y, px.make_blocks(60, 12))\n"
             "    except px.errors.BlockFailure as exc:\n"
             "        print(w, exc.block_start, type(exc.cause).__name__, exc)\n")
         lines = out.strip().splitlines()
@@ -121,8 +121,8 @@ class TestRunCurve:
             cpus(w)
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="paleoxval"):
-                reports.append(px.run_curves([px.experiment_entry("experiment", X, y60)],
-                                             splits60, mode="permissive")[0])
+                reports.append(px.run_curves([px.experiment_entry("experiment", X)],
+                                             y60, splits60, mode="permissive")[0])
             logs.append([r.getMessage() for r in caplog.records])
             assert multiprocessing.active_children() == []
         assert logs[0] == logs[1] and len(logs[0]) == 1
@@ -140,7 +140,7 @@ class TestRunCurve:
             "X = px.generate(px.NoiseSpec(kind='white', n=60, p=8, seed=4))\n"
             "for w in (1, 3):\n"
             "    os.sched_getaffinity = lambda pid: set(range(w))\n"
-            "    px.run_curves([px.experiment_entry('x', X, y)], px.make_blocks(60, 12))\n"
+            "    px.run_curves([px.experiment_entry('x', X)], y, px.make_blocks(60, 12))\n"
             "    print('end', w, flush=True)\n")
         one, three = out.split("end 1\n")
         assert three.endswith("end 3\n") and one == three[:-len("end 3\n")]
@@ -150,11 +150,11 @@ class TestRunCurve:
 
     @pytest.mark.parametrize("curve", ["limit", "kriging"])
     def test_limit_and_kriging_results_identical(self, y60, splits60, curve, cpus):
-        entry = getattr(px, f"{curve}_entry")(px.ar1_covariance(60, 0.9), y60, curve)
+        entry = getattr(px, f"{curve}_entry")(curve, px.ar1_covariance(60, 0.9))
 
         def run(w):
             cpus(w)
-            return px.run_curves([entry], splits60)[0]
+            return px.run_curves([entry], y60, splits60)[0]
         rep1, rep2 = run(1), run(2)
         assert np.array_equal(rep1.block_rmse, rep2.block_rmse)
         assert np.array_equal(rep1.per_block_lambda, rep2.per_block_lambda)
@@ -168,13 +168,13 @@ class TestRunCurve:
         def block(split):
             if split.block_start == 30:
                 raise Unrebuildable("bad ", "block")
-            return px.simple_kriging(Phi, y60, split)
+            return px.kriging_columns(Phi, split)
         cpus(1)
         with pytest.raises(Unrebuildable, match="bad block"):
-            px.run_curves([("x", block)], splits60)
+            px.run_curves([("x", block)], y60, splits60)
         cpus(2)
         with pytest.raises(RuntimeError) as exc:
-            px.run_curves([("x", block)], splits60)
+            px.run_curves([("x", block)], y60, splits60)
         message = str(exc.value)
         assert f"{__name__}.Unrebuildable: bad block" in message
         assert "worker traceback" in message and 'raise Unrebuildable("bad ", "block")' in message
@@ -190,13 +190,13 @@ class TestRunCurve:
             "def failing(split):\n"
             "    if split.block_start >= 30:\n"
             "        raise px.errors.SingularSystem(f'made to fail at {split.block_start}')\n"
-            "    return px.simple_kriging(Phi, y, split)\n"
-            "curves = [px.kriging_entry(Phi, y, 'kriging'), ('failing', failing),\n"
-            "          px.limit_entry(Phi, y, 'limit')]\n"
+            "    return px.kriging_columns(Phi, split)\n"
+            "curves = [px.kriging_entry('kriging', Phi), ('failing', failing),\n"
+            "          px.limit_entry('limit', Phi)]\n"
             "for w in (1, 2, 3):\n"
             "    os.sched_getaffinity = lambda pid: set(range(w))\n"
             "    try:\n"
-            "        px.run_curves(curves, px.make_blocks(60, 12))\n"
+            "        px.run_curves(curves, y, px.make_blocks(60, 12))\n"
             "    except px.errors.BlockFailure as exc:\n"
             "        print(exc.block_start, type(exc.cause).__name__, exc,\n"
             "              len(multiprocessing.active_children()))\n")
@@ -214,7 +214,7 @@ class TestRunCurve:
                             lambda spec: held.append(len(crossval._MEMBER)) or real(spec))
         cpus(1)
         spec = px.NoiseSpec(kind="ar1", n=60, p=8, seed=5, phi=0.5)
-        px.run_curves(px.ensemble_entries(spec, y60, 3), splits60)
+        px.run_curves(px.ensemble_entries(spec, 3), y60, splits60)
         assert held == [0, 0, 0] and crossval._MEMBER == {}
 
     def test_only_the_last_curves_are_split_across_workers(self, y60, splits60, cpus,
@@ -228,12 +228,12 @@ class TestRunCurve:
                 calls.value += 1
             return real(spec)
         monkeypatch.setattr(crossval, "generate", generate)
-        entries = px.ensemble_entries(px.NoiseSpec(kind="white", n=60, p=8, seed=5), y60, 6)
+        entries = px.ensemble_entries(px.NoiseSpec(kind="white", n=60, p=8, seed=5), 6)
         drawn = []
         for w in (1, 2):
             cpus(w)
             calls.value = 0
-            px.run_curves(entries, splits60)
+            px.run_curves(entries, y60, splits60)
             drawn.append(calls.value)
         assert drawn[0] == 6 and 6 <= drawn[1] <= 8
 
@@ -241,10 +241,10 @@ class TestRunCurve:
         sizes, real = [], crossval.ProcessPoolExecutor
         monkeypatch.setattr(crossval, "ProcessPoolExecutor",
                             lambda n, *args: sizes.append(n) or real(n, *args))
-        entry = px.kriging_entry(px.ar1_covariance(60, 0.9), y60, "kriging")
+        entry = px.kriging_entry("kriging", px.ar1_covariance(60, 0.9))
         for k, splits in ((64, splits60), (3, splits60[:2]), (1, splits60)):
             cpus(k)
-            px.run_curves([entry], splits)
+            px.run_curves([entry], y60, splits)
         assert sizes == [crossval.MAX_WORKERS, 2]
 
 
@@ -297,8 +297,8 @@ def test_no_worker_outlives_a_killed_command():
             "X = px.generate(px.NoiseSpec(kind='white', n=60, p=4, seed=1))\n"
             "def slow(split):\n"
             "    time.sleep(0.1)\n"
-            "    return px.run_block(X, y, split)\n"
-            "px.run_curves([('a', slow), ('b', slow), ('c', slow)], px.make_blocks(60, 12))\n")
+            "    return px.proxy_columns(X, split)\n"
+            "px.run_curves([('a', slow), ('b', slow), ('c', slow)], y, px.make_blocks(60, 12))\n")
     env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
     child = subprocess.Popen([sys.executable, "-c", code], env=env)
     workers: dict[int, str] = {}
@@ -353,6 +353,27 @@ class TestCliWorkers:
                     caplog)
             counts.append(pools[:])
         assert counts == [[], [2], [3]]
+
+    @pytest.mark.parametrize("command", ["crossval", "figure2", "limit"])
+    def test_every_block_runs_the_one_tail(self, tmp_path, y60, caplog, cpus, monkeypatch,
+                                           command):
+        # each curve's 49 blocks go through crossval.reconstruct_with_gcv once:
+        # crossval has the noise source and one AR(1) run; figure2 two white
+        # and two AR(1) members, the limit and the kriging curve; limit the
+        # limit curve and 3 members at each of 2 rungs of the p ladder
+        curves = {"crossval": 2, "figure2": 6, "limit": 7}[command]
+        starts, real = [], crossval.reconstruct_with_gcv
+
+        def tail(columns, y, split):
+            starts.append(split.block_start)
+            return real(columns, y, split)
+        monkeypatch.setattr(crossval, "reconstruct_with_gcv", tail)
+        target = pio.save_target(y60, tmp_path / "t.csv")
+        config = write_config(tmp_path / "c.json", target,
+                              noise_experiments=[{"kind": "ar1", "phi": 0.9}])
+        cpus(1)
+        run_cli([command, "--config", str(config), "--out", str(tmp_path / "out")], caplog)
+        assert starts == list(range(49)) * curves
 
     @pytest.mark.parametrize("command", ["crossval", "figure2", "limit"])
     def test_outputs_and_logs_identical(self, tmp_path, y60, caplog, cpus, command):
