@@ -27,11 +27,11 @@ import numpy as np
 
 from . import io
 from ._version import __version__
-from .core import HoldoutSplit, TimeSeries
+from .core import HoldoutSplit, TimeSeries, rmse
 from .crossval import (ensemble_entries, ensemble_report, experiment_entry, make_blocks,
                        run_curves)
 from .errors import PaleoXvalError
-from .limit import kriging_entry, limit_entry, rms_difference, rms_difference_values
+from .limit import kriging_entry, limit_entry
 from .noise import NoiseSpec, ar1_covariance
 from .svgplot import PlotSpec, Series, write_svg
 
@@ -92,7 +92,6 @@ def cmd_figure2(config: io.ExperimentConfig, y: TimeSeries, splits: list[Holdout
     curves += ensemble_entries(white_spec, m)
     for phi, spec in zip(config.phi_list, ar1_specs):
         Phi = ar1_covariance(y.n, phi)
-        Phi.flags.writeable = False     # one matrix, read by the limit and kriging curves
         curves += [*ensemble_entries(spec, m), limit_entry(f"limit_ar1_{phi:g}", Phi),
                    kriging_entry(f"kriging_ar1_{phi:g}", Phi)]
     done = iter(run_curves(curves, y, splits, mode=config.mode))
@@ -109,13 +108,12 @@ def cmd_figure2(config: io.ExperimentConfig, y: TimeSeries, splits: list[Holdout
         per_phi.append((phi, ens, lim_rep, krig_rep))
         outputs += [io.write_report(rep, out_dir, y.years) for rep in (ens, lim_rep, krig_rep)]
 
-        ens_vs_lim = float(np.sqrt(np.mean((ens.mean_curve - lim_rep.block_rmse) ** 2)))
         print(f"phi={phi:g}: RMS difference, ensemble-mean RMSE vs limit RMSE: "
-              f"{ens_vs_lim:.6g} degC")
+              f"{rmse(ens.mean_curve, lim_rep.block_rmse):.6g} degC")
         print(f"phi={phi:g}: RMS difference, limit vs kriging (RMSE curves):  "
-              f"{rms_difference(lim_rep, krig_rep):.6g} degC")
+              f"{rmse(lim_rep.block_rmse, krig_rep.block_rmse):.6g} degC")
         print(f"phi={phi:g}: RMS difference, limit vs kriging (predictions):  "
-              f"{rms_difference_values(lim_rep, krig_rep):.6g} degC")
+              f"{rmse(lim_rep.predictions.ravel(), krig_rep.predictions.ravel()):.6g} degC")
 
     cols = [] if proxy_report is None else [("proxies", proxy_report.block_rmse)]
     cols += [("white_mean", white.mean_curve), ("white_scatter", white.member_scatter)]
@@ -157,7 +155,6 @@ def cmd_limit(config: io.ExperimentConfig, y: TimeSeries, splits: list[HoldoutSp
     curves, specs = [], []
     for i, phi in enumerate(config.phi_list):
         Phi = ar1_covariance(y.n, phi)
-        Phi.flags.writeable = False
         curves.append(limit_entry(f"limit_ar1_{phi:g}", Phi))
         for k, p in enumerate(config.p_ladder):
             specs.append(NoiseSpec(kind="ar1", n=y.n, p=p, phi=phi, seed=config.seed
@@ -173,7 +170,7 @@ def cmd_limit(config: io.ExperimentConfig, y: TimeSeries, splits: list[HoldoutSp
         outputs.append(io.write_report(lim_rep, out_dir, y.years))
         for p in config.p_ladder:
             ens = ensemble_report(next(specs).label, [next(done) for _ in range(m)])
-            diffs = [rms_difference(rep, lim_rep) for rep in ens.member_reports]
+            diffs = [rmse(rep.block_rmse, lim_rep.block_rmse) for rep in ens.member_reports]
             median_diff = float(np.median(diffs))
             mean_scatter = float(ens.member_scatter.mean())
             table_rows.append([fmt(phi), p, fmt(median_diff), fmt(mean_scatter)])

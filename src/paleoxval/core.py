@@ -116,18 +116,6 @@ class HoldoutSplit:
         return self.n - self.n_v
 
 
-@dataclass(frozen=True, eq=False)
-class ReconstructionResult:
-    """Predicted validation values for one holdout block."""
-
-    y_hat_v: np.ndarray
-    lam: float
-    rmse: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "y_hat_v", _frozen_array(self.y_hat_v))
-
-
 def _standardize_calib(data: np.ndarray, split: HoldoutSplit) -> np.ndarray:
     """Column-standardize an n x p array over the split's calibration rows.
 

@@ -27,8 +27,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (HoldoutSplit, ProxyMatrix, ReconstructionResult, ShiftedSystem, TimeSeries,
-                   _frozen_array, gram_matrix, reconstruct, rmse, standardize)
+from .core import (HoldoutSplit, ProxyMatrix, ShiftedSystem, TimeSeries, _frozen_array,
+                   gram_matrix, reconstruct, rmse, standardize)
 from .errors import BlockFailure, InvalidBlockLength, LengthMismatch, PaleoXvalError
 from .gcv import GcvResult, minimize_gcv
 from .noise import NoiseSpec, generate
@@ -64,10 +64,6 @@ class ExperimentReport:
         if not (len(self.block_starts) == len(self.block_rmse) == len(self.per_block_lambda)
                 == len(self.predictions)):
             raise LengthMismatch("per-block arrays must be equally long")
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.block_rmse)
 
     @property
     def mean_rmse(self) -> float:
@@ -121,9 +117,11 @@ def proxy_columns(X: ProxyMatrix, split: HoldoutSplit, *,
 
 
 def reconstruct_with_gcv(columns: Columns, y: TimeSeries, split: HoldoutSplit,
-                         ) -> tuple[ReconstructionResult, GcvResult]:
+                         ) -> tuple[np.ndarray, float, GcvResult]:
     """The one block tail: GCV-select lambda on S_cc, then predict and score.
 
+    Returns the n_v predicted validation values, their RMSE against the
+    target, and the GCV search, whose ``lambda_min`` is the block's lambda.
     Every curve (proxies, noise, Psi, kriging) ends here; they differ only in
     their columns. S_cc is factored once (or ``columns.eig`` is its known
     eigendecomposition); the GCV search and the prediction share it.
@@ -136,8 +134,7 @@ def reconstruct_with_gcv(columns: Columns, y: TimeSeries, split: HoldoutSplit,
         log.warning("flat GCV objective at block %d; using lambda = %.3e",
                     split.block_start, sel.lambda_min)
     y_hat = reconstruct(system, S_c[split.valid_rows], sel.lambda_min)
-    score = rmse(y_hat, y.values[split.valid_rows])
-    return ReconstructionResult(y_hat_v=y_hat, lam=sel.lambda_min, rmse=score), sel
+    return y_hat, rmse(y_hat, y.values[split.valid_rows]), sel
 
 
 # A curve is a (label, columns) pair; its function maps a holdout split to the
@@ -193,15 +190,21 @@ def _one_blas_thread() -> None:
                 getattr(lib, name)(1)
 
 
+def _droppable(error: Exception) -> bool:
+    # a LengthMismatch is the source's, not the block's: every block fails alike
+    return isinstance(error, PaleoXvalError) and not isinstance(error, LengthMismatch)
+
+
 def _run_range(c: int, lo: int, hi: int, task: tuple | None = None) -> list[tuple]:
-    """(result, error or None, held log records) for blocks lo..hi-1 of curve c:
-    the curve's columns, then the one tail."""
+    """((y_hat_v, rmse, lambda), error or None, held log records) for blocks
+    lo..hi-1 of curve c: the curve's columns, then the one tail."""
     curves, y, splits, mode = task if task is not None else _TASK
     out = []
     for split in splits[lo:hi]:
         try:
             columns = curves[c][1](split)
-            result, error = reconstruct_with_gcv(columns, y, split)[0], None
+            y_hat, score, sel = reconstruct_with_gcv(columns, y, split)
+            result, error = (y_hat, score, sel.lambda_min), None
         except Exception as exc:
             result, error = None, exc
             try:    # in a pool worker, an error the parent cannot rebuild breaks the pool
@@ -213,7 +216,7 @@ def _run_range(c: int, lo: int, hi: int, task: tuple | None = None) -> list[tupl
         out.append((result, error, _HELD[:]))
         _HELD.clear()
         # the parent raises here, so later outcomes would never be read
-        if error is not None and (mode == "strict" or not isinstance(error, PaleoXvalError)):
+        if error is not None and (mode == "strict" or not _droppable(error)):
             break
     return out
 
@@ -231,7 +234,8 @@ def run_curves(curves: Sequence[Curve], y: TimeSeries, splits: Sequence[HoldoutS
     the block count and MAX_WORKERS) or, with one CPU or no fork, here.
     Outcomes are taken in (curve, block) order: strict mode raises
     BlockFailure for the first failing block and cancels the tasks not yet
-    started; permissive mode logs it and records NaN."""
+    started; permissive mode logs it and records NaN. A LengthMismatch, a
+    source whose rows do not fit the target, is raised as it is in both."""
     if not curves or not splits:
         raise ValueError("need at least one curve and one split")
     n_v = splits[0].n_v
@@ -268,13 +272,13 @@ def run_curves(curves: Sequence[Curve], y: TimeSeries, splits: Sequence[HoldoutS
                 for record in records:
                     logging.getLogger(record.name).handle(record)
                 if error is not None:
-                    if not isinstance(error, PaleoXvalError):
+                    if not _droppable(error):
                         raise error
                     if mode == "strict":
                         raise BlockFailure(split.block_start, error) from error
                     log.warning("dropping block %d (%s): %s", split.block_start, label, error)
                     continue
-                rmses[k], lams[k], predictions[k] = result.rmse, result.lam, result.y_hat_v
+                predictions[k], rmses[k], lams[k] = result
             done.append(ExperimentReport(label, starts, rmses, lams, predictions))
     finally:
         _MEMBER.clear()

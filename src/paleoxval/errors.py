@@ -39,10 +39,6 @@ class InvalidBlockLength(PaleoXvalError):
     """Holdout block length outside 2 <= n_v < n."""
 
 
-class BlockMismatch(PaleoXvalError):
-    """Two reports do not share the same block structure."""
-
-
 class BlockFailure(PaleoXvalError):
     """A holdout block failed during a strict-mode experiment run."""
 

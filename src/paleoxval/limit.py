@@ -24,8 +24,8 @@ import logging
 import numpy as np
 
 from .core import HoldoutSplit
-from .crossval import Columns, Curve, ExperimentReport
-from .errors import BlockMismatch, DegenerateColumn, LengthMismatch, SingularSystem
+from .crossval import Columns, Curve
+from .errors import DegenerateColumn, LengthMismatch, SingularSystem
 
 log = logging.getLogger(__name__)
 
@@ -118,24 +118,3 @@ def kriging_entry(label: str, Phi: np.ndarray) -> Curve:
     """The kriging curve's entry: Phi's columns per split (nugget re-selected)."""
     return label, lambda split: kriging_columns(Phi, split)
 
-
-def _check_aligned(a: ExperimentReport, b: ExperimentReport) -> None:
-    if (a.predictions.shape != b.predictions.shape
-            or not np.array_equal(a.block_starts, b.block_starts)):
-        raise BlockMismatch(f"{a.label!r} and {b.label!r} have different block structure")
-
-
-def rms_difference(a: ExperimentReport, b: ExperimentReport) -> float:
-    """RMS gap between two per-block RMSE curves."""
-    _check_aligned(a, b)
-    return float(np.sqrt(np.mean((a.block_rmse - b.block_rmse) ** 2)))
-
-
-def rms_difference_values(a: ExperimentReport, b: ExperimentReport) -> float:
-    """RMS gap between two reports' pooled predicted values.
-
-    Companion to ``rms_difference``: the same comparison on raw predictions
-    rather than on RMSE curves.
-    """
-    _check_aligned(a, b)
-    return float(np.sqrt(np.mean((a.predictions.ravel() - b.predictions.ravel()) ** 2)))

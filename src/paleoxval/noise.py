@@ -132,13 +132,16 @@ def ar1_covariance(n: int, phi: float) -> np.ndarray:
     """Stationary AR(1) covariance: entry (i, j) = phi^|i-j|.
 
     Exactly Toeplitz with unit diagonal; positive definite for 0 <= phi < 1.
+    Read-only, so one matrix can feed every block of the curves that share it.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 <= phi < 1.0:
         raise ValueError("phi must be in [0, 1)")
     lags = np.arange(n)
-    return (phi ** lags.astype(np.float64))[np.abs(lags[:, None] - lags[None, :])]
+    Phi = (phi ** lags.astype(np.float64))[np.abs(lags[:, None] - lags[None, :])]
+    Phi.flags.writeable = False
+    return Phi
 
 
 def smooth_target(n: int, seed: int, *, phi: float = 0.95, window: int = 11,

@@ -111,7 +111,7 @@ def test_a4_probability_limit_convergence(capsys, target, splits):
         ens = px.ensemble_report(spec.label, done[m * k:m * (k + 1)])
         scatters[p] = ens.member_scatter
         median_diffs[p] = float(np.median(
-            [px.rms_difference(rep, limit_rep) for rep in ens.member_reports]))
+            [px.rmse(rep.block_rmse, limit_rep.block_rmse) for rep in ens.member_reports]))
 
     monotone = (scatters[100] > scatters[1000]) & (scatters[1000] > scatters[10_000])
     frac = float(np.mean(monotone))
@@ -130,11 +130,11 @@ def test_a5_kriging_equivalence(capsys, target, splits):
     Phi = px.ar1_covariance(N, phi)
     worst = 0.0
     for split in splits:
-        krig, _ = px.reconstruct_with_gcv(px.kriging_columns(Phi, split), target, split)
-        direct = oracles.kriging_by_inverse(Phi, krig.lam, target.values[split.calib_rows],
+        krig, _, gcv = px.reconstruct_with_gcv(px.kriging_columns(Phi, split), target, split)
+        direct = oracles.kriging_by_inverse(Phi, gcv.lambda_min, target.values[split.calib_rows],
                                             split.calib_rows, split.valid_rows)
-        worst = max(worst, float(np.max(np.abs(krig.y_hat_v - direct))))
-        assert np.allclose(krig.y_hat_v, direct, rtol=0, atol=1e-8)
+        worst = max(worst, float(np.max(np.abs(krig - direct))))
+        assert np.allclose(krig, direct, rtol=0, atol=1e-8)
     ok(capsys, "A5", f"operator route equals direct kriging on all 120 blocks "
        f"(worst abs diff {worst:.2e})")
 

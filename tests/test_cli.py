@@ -154,6 +154,25 @@ class TestFigure2:
         rms = np.sqrt(np.mean((lim - krig) ** 2))
         assert rms < 0.1 * lim.mean()
 
+    def test_printed_rms_differences(self, tmp_path, capsys, y60, splits60):
+        # the curve lines are rmse over figure2.csv's columns, whose 17 digits
+        # are exact; the predictions line pools the limit and kriging blocks
+        config = write_config(tmp_path / "c.json", pio.save_target(y60, tmp_path / "t.csv"))
+        assert main(["figure2", "--config", str(config)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if "RMS difference" in line]
+        cols = read_report(tmp_path / "out" / "figure2.csv")
+        Phi = px.ar1_covariance(60, 0.99)
+        lim, krig = px.run_curves([px.limit_entry("limit", Phi), px.kriging_entry("kriging", Phi)],
+                                  y60, splits60)
+        curves = px.rmse(cols["ar1_0_99_mean"], cols["limit_ar1_0_99"])
+        lim_krig = px.rmse(cols["limit_ar1_0_99"], cols["kriging_ar1_0_99"])
+        pooled = px.rmse(lim.predictions.ravel(), krig.predictions.ravel())
+        assert lines == [
+            f"phi=0.99: RMS difference, ensemble-mean RMSE vs limit RMSE: {curves:.6g} degC",
+            f"phi=0.99: RMS difference, limit vs kriging (RMSE curves):  {lim_krig:.6g} degC",
+            f"phi=0.99: RMS difference, limit vs kriging (predictions):  {pooled:.6g} degC",
+        ]
+
     def test_deterministic_rerun(self, tmp_path):
         target = pio.save_target(px.smooth_target(60, seed=21), tmp_path / "t.csv")
         config = write_config(tmp_path / "c.json", target)

@@ -13,8 +13,9 @@ from paleoxval.gcv import COARSE_GRID, SEARCH_DOMAIN, minimize_gcv
 
 
 def run_block(X, y, split):
-    """One proxy block: its Gram columns through the block tail."""
-    return px.reconstruct_with_gcv(px.proxy_columns(X, split), y, split)[0]
+    """One proxy block: its Gram columns through the block tail, which
+    returns (y_hat_v, rmse, GcvResult)."""
+    return px.reconstruct_with_gcv(px.proxy_columns(X, split), y, split)
 
 
 class TestMakeBlocks:
@@ -76,9 +77,10 @@ class TestRunBlock:
         S = px.gram_matrix(px.standardize(X, split))
         Sp = px.gram_matrix(px.standardize(Xp, split))
         assert np.max(np.abs(S - Sp)) < 1e-12
-        a, b = run_block(X, y60, split), run_block(Xp, y60, split)
-        np.testing.assert_allclose(a.y_hat_v, b.y_hat_v, rtol=0, atol=1e-12)
-        assert abs(a.rmse - b.rmse) < 1e-12
+        a_hat, a_rmse, _ = run_block(X, y60, split)
+        b_hat, b_rmse, _ = run_block(Xp, y60, split)
+        np.testing.assert_allclose(a_hat, b_hat, rtol=0, atol=1e-12)
+        assert abs(a_rmse - b_rmse) < 1e-12
 
     def test_matches_end_to_end_oracle(self, y60):
         # brute-force recomputation of one block: loop standardization, loop
@@ -90,33 +92,33 @@ class TestRunBlock:
         for (kind, phi), p, start in itertools.product(kinds, (6, 80), (8, 20)):
             split = px.HoldoutSplit(60, start, 12)
             X = px.generate(px.NoiseSpec(kind=kind, n=60, p=p, seed=77, phi=phi))
-            result = run_block(X, y60, split)
-            lams.append(result.lam)
+            y_hat, score, gcv = run_block(X, y60, split)
+            lams.append(gcv.lambda_min)
 
             Xs = oracles.standardize_by_loop(X.data, split.calib_rows)
             S = oracles.lift_calibration_null(oracles.gram_by_accumulation(Xs), split.calib_rows)
-            R = oracles.reconstruction_matrix(S, result.lam, w, split.calib_rows, split.valid_rows)
+            R = oracles.reconstruction_matrix(S, gcv.lambda_min, w, split.calib_rows,
+                                              split.valid_rows)
             want = R @ y60.values[split.calib_rows]
-            np.testing.assert_allclose(result.y_hat_v, want, rtol=1e-8, atol=1e-10)
-            assert abs(result.rmse - oracles.rmse_by_loop(result.y_hat_v,
-                                                          y60.values[split.valid_rows])) < 1e-14
+            np.testing.assert_allclose(y_hat, want, rtol=1e-8, atol=1e-10)
+            assert abs(score - oracles.rmse_by_loop(y_hat, y60.values[split.valid_rows])) < 1e-14
         assert SEARCH_DOMAIN[0] in lams
 
     def test_lambda_comes_from_gcv_on_calibration_gram(self, y60):
         split = px.HoldoutSplit(60, 0, 12)
         X = px.generate(px.NoiseSpec(kind="white", n=60, p=10, seed=3))
-        result = run_block(X, y60, split)
+        _, _, gcv = run_block(X, y60, split)
         S = px.gram_matrix(px.standardize(X, split))
         sel = minimize_gcv(px.ShiftedSystem(S[np.ix_(split.calib_rows, split.calib_rows)],
                                             y60.values[split.calib_rows]))
-        assert result.lam == sel.lambda_min
+        assert gcv.lambda_min == sel.lambda_min
 
 
 class TestRunExperiment:
     def test_single_split(self, y60, splits60):
         X = px.generate(px.NoiseSpec(kind="white", n=60, p=5, seed=1))
         rep = px.run_curves([px.experiment_entry("one", X)], y60, splits60[:1])[0]
-        assert rep.n_blocks == 1
+        assert len(rep.block_rmse) == 1
         assert rep.mean_rmse == rep.block_rmse[0]
 
     def test_deterministic(self, y60, splits60):
@@ -130,7 +132,7 @@ class TestRunExperiment:
     def test_full_curve_shape(self, y60, splits60):
         X = px.generate(px.NoiseSpec(kind="white", n=60, p=5, seed=2))
         rep = px.run_curves([px.experiment_entry("shape", X)], y60, splits60)[0]
-        assert rep.n_blocks == 60 - 12 + 1
+        assert len(rep.block_rmse) == 60 - 12 + 1
         assert rep.mean_rmse == pytest.approx(rep.block_rmse.mean())
         assert np.array_equal(rep.block_starts, np.arange(49))
 

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 import paleoxval as px
-from paleoxval.errors import BlockMismatch, DegenerateColumn, LengthMismatch, SingularSystem
+from paleoxval.errors import DegenerateColumn, LengthMismatch, SingularSystem
 
 
 def exact_psi(phi, split):
@@ -13,13 +13,14 @@ def exact_psi(phi, split):
 
 
 def limit_reconstruction(phi, y, split):
-    """Reconstruction driven by the exact Psi instead of a finite-p Gram matrix."""
-    return px.reconstruct_with_gcv(exact_psi(phi, split), y, split)[0]
+    """Reconstruction driven by the exact Psi instead of a finite-p Gram
+    matrix: the block tail's (y_hat_v, rmse, GcvResult)."""
+    return px.reconstruct_with_gcv(exact_psi(phi, split), y, split)
 
 
 def kriging(Phi, y, split):
     """One simple-kriging block: Phi's columns through the block tail."""
-    return px.reconstruct_with_gcv(px.kriging_columns(Phi, split), y, split)[0]
+    return px.reconstruct_with_gcv(px.kriging_columns(Phi, split), y, split)
 
 
 @lru_cache(maxsize=None)
@@ -131,34 +132,35 @@ class TestEstimatePsi:
 class TestLimitReconstruction:
     def test_decoupled_identity_psi_gives_calibration_mean(self, y60):
         split = px.HoldoutSplit(60, 30, 12)
-        out = px.reconstruct_with_gcv(px.Columns(np.eye(60)[:, split.calib_rows]), y60, split)[0]
+        y_hat, _, _ = px.reconstruct_with_gcv(px.Columns(np.eye(60)[:, split.calib_rows]),
+                                              y60, split)
         c = y60.values[split.calib_rows].mean()
-        np.testing.assert_allclose(out.y_hat_v, np.full(12, c), atol=1e-12)
+        np.testing.assert_allclose(y_hat, np.full(12, c), atol=1e-12)
 
     def test_repeatable(self, y60):
         split = px.HoldoutSplit(60, 10, 12)
-        a = limit_reconstruction(0.9, y60, split)
-        b = limit_reconstruction(0.9, y60, split)
-        assert np.array_equal(a.y_hat_v, b.y_hat_v)
-        assert a.lam == b.lam and a.rmse == b.rmse
+        a_hat, a_rmse, a_gcv = limit_reconstruction(0.9, y60, split)
+        b_hat, b_rmse, b_gcv = limit_reconstruction(0.9, y60, split)
+        assert np.array_equal(a_hat, b_hat)
+        assert a_gcv.lambda_min == b_gcv.lambda_min and a_rmse == b_rmse
 
     def test_known_eig_matches_eigh(self, y60, splits60):
         # Psi's own eigendecomposition stands in for eigh of Psi_cc
         for split in splits60[::8]:
             psi = exact_psi(0.99, split)
-            given = px.reconstruct_with_gcv(psi, y60, split)[0]
-            fresh = px.reconstruct_with_gcv(psi._replace(eig=None), y60, split)[0]
-            assert given.lam == pytest.approx(fresh.lam, rel=1e-6)
-            np.testing.assert_allclose(given.y_hat_v, fresh.y_hat_v, rtol=0, atol=1e-9)
+            given_hat, _, given = px.reconstruct_with_gcv(psi, y60, split)
+            fresh_hat, _, fresh = px.reconstruct_with_gcv(psi._replace(eig=None), y60, split)
+            assert given.lambda_min == pytest.approx(fresh.lambda_min, rel=1e-6)
+            np.testing.assert_allclose(given_hat, fresh_hat, rtol=0, atol=1e-9)
 
     def test_close_to_large_p_run(self, y60, splits60):
         # a p = 1e5 noise reconstruction should sit within 5% of the limit
         # on each sampled block
         X = px.generate(px.NoiseSpec(kind="ar1", n=60, p=100_000, seed=250, phi=0.99))
         for split in splits60[::12]:
-            direct = px.reconstruct_with_gcv(px.proxy_columns(X, split), y60, split)[0]
-            lim = limit_reconstruction(0.99, y60, split)
-            assert abs(direct.rmse - lim.rmse) < 0.05 * lim.rmse
+            _, direct, _ = px.reconstruct_with_gcv(px.proxy_columns(X, split), y60, split)
+            _, lim, _ = limit_reconstruction(0.99, y60, split)
+            assert abs(direct - lim) < 0.05 * lim
 
 
 def kriging_with_nugget(phi, y, split, nugget):
@@ -191,20 +193,20 @@ class TestSimpleKriging:
     def test_gcv_nugget_deterministic(self, y60):
         split = px.HoldoutSplit(60, 5, 12)
         Phi = px.ar1_covariance(60, 0.99)
-        a = kriging(Phi, y60, split)
-        b = kriging(Phi, y60, split)
-        assert a.lam == b.lam
-        assert np.array_equal(a.y_hat_v, b.y_hat_v)
+        a_hat, _, a_gcv = kriging(Phi, y60, split)
+        b_hat, _, b_gcv = kriging(Phi, y60, split)
+        assert a_gcv.lambda_min == b_gcv.lambda_min
+        assert np.array_equal(a_hat, b_hat)
 
     def test_operator_route_reproduces_kriging(self, y60, splits60):
         # the intercept-free, unstandardized operator route with exact Phi
         # equals the direct kriging formula on every block
         Phi = px.ar1_covariance(60, 0.99)
         for split in splits60[::6]:
-            krig = kriging(Phi, y60, split)
-            direct = oracles.kriging_by_inverse(Phi, krig.lam, y60.values[split.calib_rows],
+            y_hat, _, gcv = kriging(Phi, y60, split)
+            direct = oracles.kriging_by_inverse(Phi, gcv.lambda_min, y60.values[split.calib_rows],
                                                 split.calib_rows, split.valid_rows)
-            np.testing.assert_allclose(krig.y_hat_v, direct, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(y_hat, direct, rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("n", [59, 61])
     def test_split_must_match_series(self, y60, n):
@@ -218,43 +220,36 @@ class TestSimpleKriging:
 
 
 class TestRmsDifference:
-    def _report(self, values, starts=None, label="r"):
+    def _report(self, values):
         values = np.asarray(values, dtype=float)
-        starts = np.arange(len(values)) if starts is None else np.asarray(starts)
-        return px.ExperimentReport(label=label, block_starts=starts,
+        return px.ExperimentReport(label="r", block_starts=np.arange(len(values)),
                                    block_rmse=values,
                                    per_block_lambda=np.ones(len(values)),
                                    predictions=np.zeros((len(values), 2)))
 
     def test_identical_reports(self):
-        a = self._report([0.1, 0.2, 0.3])
-        assert px.rms_difference(a, self._report([0.1, 0.2, 0.3])) == 0.0
+        a, b = self._report([0.1, 0.2, 0.3]), self._report([0.1, 0.2, 0.3])
+        assert px.rmse(a.block_rmse, b.block_rmse) == 0.0
 
     def test_constant_offset(self):
         a = self._report([0.1, 0.2, 0.3])
         b = self._report([0.35, 0.45, 0.55])
-        assert px.rms_difference(a, b) == pytest.approx(0.25, rel=1e-12)
+        assert px.rmse(a.block_rmse, b.block_rmse) == pytest.approx(0.25, rel=1e-12)
 
     def test_matches_loop(self):
         rng = np.random.default_rng(15)
         x, z = rng.uniform(0, 1, 9), rng.uniform(0, 1, 9)
         want = oracles.rmse_by_loop(x, z)
-        assert px.rms_difference(self._report(x), self._report(z)) == pytest.approx(want)
-
-    def test_block_mismatch(self):
-        with pytest.raises(BlockMismatch):
-            px.rms_difference(self._report([0.1, 0.2]), self._report([0.1, 0.2, 0.3]))
-        with pytest.raises(BlockMismatch):
-            px.rms_difference(self._report([0.1, 0.2], starts=[0, 1]),
-                              self._report([0.1, 0.2], starts=[0, 2]))
+        a, b = self._report(x), self._report(z)
+        assert px.rmse(a.block_rmse, b.block_rmse) == pytest.approx(want)
 
     def test_values_variant(self, y60, splits60):
         entry = px.kriging_entry("kriging_ar1_0.9", px.ar1_covariance(60, 0.9))
         krig, krig2 = px.run_curves([entry, entry], y60, splits60[:5])
-        assert px.rms_difference_values(krig, krig2) == 0.0
+        assert px.rmse(krig.predictions.ravel(), krig2.predictions.ravel()) == 0.0
         (shorter,) = px.run_curves([entry], y60, splits60[1:5])
-        with pytest.raises(BlockMismatch):
-            px.rms_difference_values(krig, shorter)
+        with pytest.raises(LengthMismatch):
+            px.rmse(krig.predictions.ravel(), shorter.predictions.ravel())
 
     def test_values_pool_the_per_split_predictions(self, y60, splits60):
         # the pooled RMS gap is bit for bit the one over the predictions of
@@ -263,10 +258,11 @@ class TestRmsDifference:
         some = splits60[::8]
         lim, krig = px.run_curves([px.limit_entry("limit", Phi),
                                    px.kriging_entry("kriging", Phi)], y60, some)
-        da = np.concatenate([limit_reconstruction(0.9, y60, s).y_hat_v for s in some])
-        db = np.concatenate([kriging(Phi, y60, s).y_hat_v for s in some])
-        assert px.rms_difference_values(lim, krig) == float(np.sqrt(np.mean((da - db) ** 2)))
-        assert px.rms_difference_values(lim, krig) > 0.0
+        da = np.concatenate([limit_reconstruction(0.9, y60, s)[0] for s in some])
+        db = np.concatenate([kriging(Phi, y60, s)[0] for s in some])
+        pooled = px.rmse(lim.predictions.ravel(), krig.predictions.ravel())
+        assert pooled == px.rmse(da, db)
+        assert pooled > 0.0
 
 
 class TestCurves:
@@ -275,16 +271,17 @@ class TestCurves:
         entry = px.limit_entry("limit_ar1_0.9", px.ar1_covariance(60, 0.9))
         (report,) = px.run_curves([entry], y60, some)
         assert report.label == "limit_ar1_0.9"
-        assert report.n_blocks == 4
-        direct = limit_reconstruction(0.9, y60, some[2])
-        assert report.block_rmse[2] == direct.rmse
-        assert np.array_equal(report.predictions[2], direct.y_hat_v)
+        assert len(report.block_rmse) == 4
+        y_hat, score, gcv = limit_reconstruction(0.9, y60, some[2])
+        assert report.block_rmse[2] == score
+        assert report.per_block_lambda[2] == gcv.lambda_min
+        assert np.array_equal(report.predictions[2], y_hat)
 
     def test_kriging_curve_shape(self, y60, splits60):
         entry = px.kriging_entry("kriging_ar1_0.95", px.ar1_covariance(60, 0.95))
         (report,) = px.run_curves([entry], y60, splits60[:3])
         assert report.label == "kriging_ar1_0.95"
-        assert report.n_blocks == 3 and report.predictions.shape == (3, 12)
+        assert len(report.block_rmse) == 3 and report.predictions.shape == (3, 12)
         assert np.all(report.per_block_lambda > 0)
 
     def test_convergence_toward_limit_in_p(self, y60, splits60):
@@ -295,7 +292,7 @@ class TestCurves:
             curves += px.ensemble_entries(
                 px.NoiseSpec(kind="ar1", n=60, p=p, seed=base, phi=0.99), 5)
         limit_rep, *members = px.run_curves(curves, y60, splits60)
-        diffs = [px.rms_difference(rep, limit_rep) for rep in members]
+        diffs = [px.rmse(rep.block_rmse, limit_rep.block_rmse) for rep in members]
         assert np.median(diffs[5:]) < np.median(diffs[:5])
 
     def test_white_limit_is_the_calibration_mean(self, y60, splits60):

@@ -194,6 +194,12 @@ class TestAr1Covariance:
         sample = X.data @ X.data.T / X.p
         assert np.max(np.abs(sample - px.ar1_covariance(50, 0.99))) < 0.02
 
+    def test_read_only(self):
+        # one matrix feeds every block of the limit and kriging curves
+        Phi = px.ar1_covariance(4, 0.5)
+        with pytest.raises(ValueError):
+            Phi[0, 1] = 0.0
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             px.ar1_covariance(5, 1.0)

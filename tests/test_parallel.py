@@ -130,6 +130,22 @@ class TestRunCurve:
         assert np.array_equal(reports[0].block_rmse, reports[1].block_rmse, equal_nan=True)
         assert np.isnan(reports[1].block_rmse[20]) and np.isfinite(reports[1].mean_rmse)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_source_of_another_length_fails_once(self, y60, splits60, caplog, cpus, workers):
+        # 59-row sources under a 60-year target fail every block alike: the
+        # first block's LengthMismatch is raised as it is in either mode, with
+        # no "dropping block" line
+        X59 = px.generate(px.NoiseSpec(kind="white", n=59, p=5, seed=1))
+        curves = [px.experiment_entry("x", X59), px.kriging_entry("k", px.ar1_covariance(59, 0.9))]
+        cpus(workers)
+        for mode in ("strict", "permissive"):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="paleoxval"):
+                with pytest.raises(errors.LengthMismatch, match="array has 59 rows"):
+                    px.run_curves(curves, y60, splits60, mode=mode)
+            assert caplog.records == []
+            assert multiprocessing.active_children() == []
+
     def test_flat_gcv_lines_reach_the_parent_once_in_block_order(self):
         # the workers log inside reconstruct_with_gcv; the parent must replay
         # each line once, and no worker may print its own copy
