@@ -239,7 +239,7 @@ def main(argv=None) -> int:
         mean, std = float(y.values.mean()), float(y.values.std())
         if config.center_target:
             y = TimeSeries(years=y.years, values=y.values - mean)
-        elif std > 0 and abs(mean) > 0.1 * std:
+        elif args.command == "figure2" and std > 0 and abs(mean) > 0.1 * std:
             log.warning("target mean %.4g is large next to its std %.4g; the kriging "
                         "curve assumes a zero-mean target (consider --center-target)",
                         mean, std)

@@ -7,9 +7,9 @@ operator reads; ``reconstruct_with_gcv``, the one block tail, turns them into
 the block's lambda, predictions and RMSE. All curves run in one call: whole
 curves, and contiguous ranges of the last curves' blocks, go to one ``fork``
 process pool with one process per usable CPU, a noise member is generated by
-the process that uses it, and the parent replays log lines and raises in
-(curve, block) order, so results, log lines and errors are identical for any
-number of CPUs."""
+the process that uses it, and blocks only return facts: the parent logs and
+raises in (curve, block) order, so results, log lines and errors are
+identical for any number of CPUs."""
 
 from __future__ import annotations
 
@@ -39,6 +39,7 @@ log = logging.getLogger(__name__)
 # 2 vCPUs) are paid once per run; the best cap for many CPUs is not measured.
 MAX_WORKERS = 8
 RANGES_PER_WORKER = 4       # ranges per worker of each last curve: workers finish together
+QUAD_RTOL = 1e-4            # the largest Columns.quad_error not logged as a warning
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +102,7 @@ class Columns(NamedTuple):
     """What one block feeds the operator: S_c = S[:, calib] (n x n_c), S_cc's
     eigendecomposition (sig, Q) where it is known, whether the intercept
     (w = 1/n_c) is fitted, and the quadrature's error estimate where S is
-    exact Psi (NaN elsewhere)."""
+    exact Psi (NaN elsewhere; run_curves logs one above QUAD_RTOL)."""
 
     S_c: np.ndarray
     eig: tuple[np.ndarray, np.ndarray] | None = None
@@ -121,18 +122,15 @@ def reconstruct_with_gcv(columns: Columns, y: TimeSeries, split: HoldoutSplit,
     """The one block tail: GCV-select lambda on S_cc, then predict and score.
 
     Returns the n_v predicted validation values, their RMSE against the
-    target, and the GCV search, whose ``lambda_min`` is the block's lambda.
-    Every curve (proxies, noise, Psi, kriging) ends here; they differ only in
-    their columns. S_cc is factored once (or ``columns.eig`` is its known
+    target, and the GCV search, whose ``lambda_min`` is the block's lambda;
+    it logs nothing. Every curve ends here, differing only in its columns.
+    S_cc is factored once (or ``columns.eig`` is its known
     eigendecomposition); the GCV search and the prediction share it.
     """
     S_c = columns.S_c
     system = ShiftedSystem(S_c[split.calib_rows], y.values[split.calib_rows], columns.eig,
                            intercept=columns.intercept)
     sel = minimize_gcv(system)
-    if sel.flat:
-        log.warning("flat GCV objective at block %d; using lambda = %.3e",
-                    split.block_start, sel.lambda_min)
     y_hat = reconstruct(system, S_c[split.valid_rows], sel.lambda_min)
     return y_hat, rmse(y_hat, y.values[split.valid_rows]), sel
 
@@ -143,17 +141,10 @@ Curve = tuple[str, Callable[[HoldoutSplit], Columns]]
 
 # Pool workers read the command's (curves, y, splits, mode) from _TASK, set by the
 # pool initializer from its fork-inherited argument, so no matrix is pickled:
-# (curve, block range) tasks go out, per-block outcomes and the log records
-# _HELD collects come back. _MEMBER holds the one noise member in use.
+# (curve, block range) tasks go out, per-block outcomes come back. _MEMBER
+# holds the one noise member in use.
 _TASK = None
-_HELD: list[logging.LogRecord] = []
 _MEMBER: dict[NoiseSpec, ProxyMatrix] = {}
-
-
-class _HoldRecords(logging.Handler):
-    def emit(self, record: logging.LogRecord) -> None:
-        record.msg, record.args, record.exc_info = record.getMessage(), None, None
-        _HELD.append(record)
 
 
 def _adopt(task: tuple, parent: int | None = None) -> None:
@@ -169,8 +160,6 @@ def _adopt(task: tuple, parent: int | None = None) -> None:
             prctl(1, signal.SIGKILL)    # PR_SET_PDEATHSIG; fails only for a bad signal
         if os.getppid() != parent:
             os._exit(1)
-    package = logging.getLogger(__package__)
-    package.handlers, package.propagate = [_HoldRecords()], False
     _one_blas_thread()
 
 
@@ -196,15 +185,17 @@ def _droppable(error: Exception) -> bool:
 
 
 def _run_range(c: int, lo: int, hi: int, task: tuple | None = None) -> list[tuple]:
-    """((y_hat_v, rmse, lambda), error or None, held log records) for blocks
-    lo..hi-1 of curve c: the curve's columns, then the one tail."""
+    """((y_hat_v, rmse, GcvResult) or None, quad_error, error or None) for blocks
+    lo..hi-1 of curve c: the curve's columns, then the one tail. quad_error is
+    NaN without columns; the columns are never sent (S_c is n x n_c floats)."""
     curves, y, splits, mode = task if task is not None else _TASK
     out = []
     for split in splits[lo:hi]:
+        quad_error = float("nan")
         try:
             columns = curves[c][1](split)
-            y_hat, score, sel = reconstruct_with_gcv(columns, y, split)
-            result, error = (y_hat, score, sel.lambda_min), None
+            quad_error = columns.quad_error
+            result, error = reconstruct_with_gcv(columns, y, split), None
         except Exception as exc:
             result, error = None, exc
             try:    # in a pool worker, an error the parent cannot rebuild breaks the pool
@@ -213,8 +204,7 @@ def _run_range(c: int, lo: int, hi: int, task: tuple | None = None) -> list[tupl
             except Exception:
                 error = RuntimeError(f"{type(exc).__module__}.{type(exc).__qualname__}: {exc}\n"
                                      "worker traceback:\n" + "".join(traceback.format_exception(exc)))
-        out.append((result, error, _HELD[:]))
-        _HELD.clear()
+        out.append((result, quad_error, error))
         # the parent raises here, so later outcomes would never be read
         if error is not None and (mode == "strict" or not _droppable(error)):
             break
@@ -235,7 +225,8 @@ def run_curves(curves: Sequence[Curve], y: TimeSeries, splits: Sequence[HoldoutS
     Outcomes are taken in (curve, block) order: strict mode raises
     BlockFailure for the first failing block and cancels the tasks not yet
     started; permissive mode logs it and records NaN. A LengthMismatch, a
-    source whose rows do not fit the target, is raised as it is in both."""
+    source whose rows do not fit the target, is raised as it is in both.
+    A block's quadrature warning comes before its drop or flat GCV line."""
     if not curves or not splits:
         raise ValueError("need at least one curve and one split")
     n_v = splits[0].n_v
@@ -268,9 +259,10 @@ def run_curves(curves: Sequence[Curve], y: TimeSeries, splits: Sequence[HoldoutS
             # dropped blocks keep their NaN row
             rmses, lams = np.full(len(splits), np.nan), np.full(len(splits), np.nan)
             predictions = np.full((len(splits), n_v), np.nan)
-            for k, (split, (result, error, records)) in enumerate(zip(splits, outcomes)):
-                for record in records:
-                    logging.getLogger(record.name).handle(record)
+            for k, (split, (result, quad_error, error)) in enumerate(zip(splits, outcomes)):
+                if quad_error > QUAD_RTOL:
+                    log.warning("Psi quadrature error estimate %.1e at block %d exceeds %.0e",
+                                quad_error, split.block_start, QUAD_RTOL)
                 if error is not None:
                     if not _droppable(error):
                         raise error
@@ -278,7 +270,11 @@ def run_curves(curves: Sequence[Curve], y: TimeSeries, splits: Sequence[HoldoutS
                         raise BlockFailure(split.block_start, error) from error
                     log.warning("dropping block %d (%s): %s", split.block_start, label, error)
                     continue
-                predictions[k], rmses[k], lams[k] = result
+                predictions[k], rmses[k], sel = result
+                lams[k] = sel.lambda_min
+                if sel.flat:
+                    log.warning("flat GCV objective at block %d; using lambda = %.3e",
+                                split.block_start, sel.lambda_min)
             done.append(ExperimentReport(label, starts, rmses, lams, predictions))
     finally:
         _MEMBER.clear()

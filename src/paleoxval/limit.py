@@ -19,15 +19,11 @@ runs through the same tail as the proxy blocks,
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .core import HoldoutSplit
 from .crossval import Columns, Curve
 from .errors import DegenerateColumn, LengthMismatch, SingularSystem
-
-log = logging.getLogger(__name__)
 
 # Trapezoid nodes in u = log t; the even ones form the half rule. For n = 149
 # and 400, phi in [0, 0.999] and n_v in [2, n - 4], the half rule moved h by at
@@ -35,7 +31,6 @@ log = logging.getLogger(__name__)
 _U = np.linspace(-60.0, 200.0, 801)
 _T = np.exp(_U)
 _STEP = float(_U[1] - _U[0])
-QUAD_RTOL = 1e-4        # a larger error estimate is logged as a warning
 
 
 def _quadrature(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -66,10 +61,10 @@ def psi_columns(Phi: np.ndarray, split: HoldoutSplit) -> Columns:
         h_k = int_0^inf prod_l (1 + 2t rho_l)^-1/2 (1 + 2t rho_k)^-1 dt,
 
     so U also diagonalizes Psi_cc. The error estimate is the largest relative
-    change of h from the half rule to the full one; one above QUAD_RTOL is
-    logged as a warning. Psi_vv, which diverges
-    for n_c <= 3, is not formed. At n_c = 2, Psi_vc has no expectation and
-    this is its symmetric principal value.
+    change of h from the half rule to the full one; ``run_curves`` logs one
+    above ``crossval.QUAD_RTOL``. Psi_vv, which diverges for n_c <= 3, is not
+    formed. At n_c = 2, Psi_vc has no expectation and this is its symmetric
+    principal value.
     """
     if Phi.shape != (split.n, split.n):
         raise LengthMismatch(f"covariance is {Phi.shape}, split covers {split.n} rows")
@@ -90,9 +85,6 @@ def psi_columns(Phi: np.ndarray, split: HoldoutSplit) -> Columns:
     out[c] = (cc + cc.T) / 2.0
     out[v] = (Phi[np.ix_(v, c)] - mean) @ ((U * h_scaled) @ U.T)
     quad_error = float(np.max(np.abs(h - h_half) / h))
-    if quad_error > QUAD_RTOL:
-        log.warning("Psi quadrature error estimate %.1e at block %d exceeds %.0e",
-                    quad_error, split.block_start, QUAD_RTOL)
     return Columns(out, (sig, Q), quad_error=quad_error)
 
 

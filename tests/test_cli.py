@@ -1,4 +1,5 @@
 import json
+import logging
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -308,3 +309,19 @@ class TestOverridesAndErrors:
                      "--center-target", "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["center_target"] is True
+
+    def test_target_mean_warning_only_where_kriging_runs(self, tmp_path, y60, caplog):
+        # ridge with an intercept scores a shifted target alike, so only
+        # figure2, whose kriging curve assumes a zero mean, warns about it
+        shifted = px.TimeSeries(years=y60.years, values=y60.values + 10.0 * y60.values.std())
+        config = write_config(tmp_path / "c.json", pio.save_target(shifted, tmp_path / "t.csv"))
+        warned = {}
+        for command in ("crossval", "limit", "figure2"):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="paleoxval"):
+                assert main([command, "--config", str(config),
+                             "--out", str(tmp_path / command)]) == 0
+            warned[command] = [r.getMessage() for r in caplog.records
+                               if "zero-mean target" in r.getMessage()]
+        assert warned["crossval"] == warned["limit"] == []
+        assert len(warned["figure2"]) == 1

@@ -79,6 +79,20 @@ def one_degenerate_block(n: int, start: int, n_v: int, p: int = 5, seed: int = 3
     return px.ProxyMatrix(data, X.column_ids)
 
 
+def permissive_log(curve, y, splits, caplog, cpus) -> list[tuple[str, str]]:
+    """(logger, message) of each warning a permissive run of one curve logs,
+    checked to be the same at 1 and 2 workers."""
+    logs = []
+    for w in (1, 2):
+        cpus(w)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="paleoxval"):
+            px.run_curves([curve], y, splits, mode="permissive")
+        logs.append([(r.name, r.getMessage()) for r in caplog.records])
+    assert logs[0] == logs[1]
+    return logs[0]
+
+
 class TestErrorsPickle:
     @pytest.mark.parametrize("cls", all_error_classes(), ids=lambda c: c.__name__)
     def test_round_trip(self, cls):
@@ -147,8 +161,8 @@ class TestRunCurve:
             assert multiprocessing.active_children() == []
 
     def test_flat_gcv_lines_reach_the_parent_once_in_block_order(self):
-        # the workers log inside reconstruct_with_gcv; the parent must replay
-        # each line once, and no worker may print its own copy
+        # the workers send back each block's GCV search and log nothing; the
+        # parent must log each flat one once, and no worker may print a copy
         out = run_python(
             "import logging, os, sys, numpy as np, paleoxval as px\n"
             "logging.basicConfig(stream=sys.stdout, format='%(name)s %(message)s')\n"
@@ -163,6 +177,41 @@ class TestRunCurve:
         lines = one.splitlines()
         assert [m.split()[0] for m in lines] == ["paleoxval.crossval"] * 49
         assert [m.split()[6] for m in lines] == [f"{start};" for start in range(49)]
+
+    def test_log_order_does_not_depend_on_the_worker_count(self, y60, splits60, caplog, cpus):
+        # block 3 fails and block 5's all-zero columns flatten its GCV
+        # objective; in-process or in a worker, the lines come in block order
+        Phi = px.ar1_covariance(60, 0.9)
+
+        def block(split):
+            if split.block_start == 3:
+                raise errors.DegenerateColumn(["col0"])
+            if split.block_start == 5:
+                return px.Columns(np.zeros((split.n, split.n_c)))
+            return px.kriging_columns(Phi, split)
+        lines = permissive_log(("probe", block), y60, splits60, caplog, cpus)
+        assert [m.split(" (")[0].split(";")[0] for _, m in lines] == [
+            "dropping block 3", "flat GCV objective at block 5"]
+
+    def test_quadrature_warning_precedes_the_blocks_other_lines(self, y60, splits60, caplog,
+                                                                 cpus):
+        # blocks 10 and 30 carry a large quadrature error estimate, and block
+        # 30's columns are not PSD, so its tail raises after the columns exist
+        Phi = px.ar1_covariance(60, 0.9)
+
+        def block(split):
+            columns = px.kriging_columns(Phi, split)
+            if split.block_start == 30:
+                columns = columns._replace(S_c=-columns.S_c)
+            if split.block_start in (10, 30):
+                columns = columns._replace(quad_error=1e-3)
+            return columns
+        lines = permissive_log(("probe", block), y60, splits60, caplog, cpus)
+        assert [name for name, _ in lines] == ["paleoxval.crossval"] * 3
+        assert [m for _, m in lines][:2] == [
+            f"Psi quadrature error estimate 1.0e-03 at block {start} exceeds 1e-04"
+            for start in (10, 30)]
+        assert lines[2][1].startswith("dropping block 30 (probe): S_cc is not PSD")
 
     @pytest.mark.parametrize("curve", ["limit", "kriging"])
     def test_limit_and_kriging_results_identical(self, y60, splits60, curve, cpus):
