@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""End-to-end demo: synthetic target, then all three CLI commands.
+"""End-to-end demo: synthetic target, then all three CLI commands, then one
+permissive crossval run on a proxy CSV whose first column is flat over the
+calibration rows of some blocks, so that those blocks are dropped and logged.
 
 Runs at a reduced scale by default (minutes of compute instead of the full
 100-member / 1138-column design); pass --full for the reference-scale run.
@@ -9,9 +11,9 @@ import argparse
 import json
 from pathlib import Path
 
-from paleoxval import smooth_target
+from paleoxval import NoiseSpec, ProxyMatrix, generate, smooth_target
 from paleoxval.cli import main as cli_main
-from paleoxval.io import save_target
+from paleoxval.io import save_proxies, save_target
 
 
 def main() -> int:
@@ -26,7 +28,8 @@ def main() -> int:
     work = Path(args.workdir)
     work.mkdir(parents=True, exist_ok=True)
     n = 149 if args.full else 80
-    target = save_target(smooth_target(n, seed=77), work / "target.csv")
+    series = smooth_target(n, seed=77)
+    target = save_target(series, work / "target.csv")
 
     config = {
         "target": str(target),
@@ -49,11 +52,24 @@ def main() -> int:
     config_path.write_text(json.dumps(config, indent=2))
     print(f"config: {config_path}")
 
-    for command, out in (("crossval", "out_crossval"),
-                         ("figure2", "out_figure2"),
-                         ("limit", "out_limit")):
+    # column 0 is constant outside rows 40-45: every block holding all six
+    # rows sees it flat over its calibration rows and fails with
+    # DegenerateColumn, which permissive mode logs and drops
+    X = generate(NoiseSpec(kind="ar1", n=n, p=config["noise_columns"], seed=8, phi=0.9))
+    data = X.data.copy()
+    data[:40, 0] = data[46:, 0] = 0.0
+    proxies = save_proxies(ProxyMatrix(data, X.column_ids), series.years, work / "proxies.csv")
+    permissive_path = work / "config_permissive.json"
+    permissive_path.write_text(json.dumps(
+        {**config, "proxy_source": {"file": str(proxies)}, "noise_experiments": [],
+         "mode": "permissive"}, indent=2))
+
+    for command, path, out in (("crossval", config_path, "out_crossval"),
+                               ("figure2", config_path, "out_figure2"),
+                               ("limit", config_path, "out_limit"),
+                               ("crossval", permissive_path, "out_permissive")):
         print(f"\n=== paleo-xval {command} ===")
-        code = cli_main([command, "--config", str(config_path),
+        code = cli_main([command, "--config", str(path),
                          "--out", str(work / out)])
         if code != 0:
             return code

@@ -116,14 +116,29 @@ class HoldoutSplit:
         return self.n - self.n_v
 
 
-def _standardize_calib(data: np.ndarray, split: HoldoutSplit) -> np.ndarray:
-    """Column-standardize an n x p array over the split's calibration rows.
+def standardize(X: ProxyMatrix, split: HoldoutSplit, *,
+                drop_degenerate: bool = False) -> np.ndarray:
+    """Standardize every column using calibration-period statistics only.
 
-    Reads the two calibration segments around the block as views and centres
-    a new array before summing squares, so large offsets cancel first. Stds
-    have denominator n_c - 1; raises DegenerateColumn (column indices as
-    ids) on any std <= DEGENERATE_STD.
+    Each column's mean and sample standard deviation (denominator n_c - 1)
+    are computed over ``split.calib_rows``; the whole column, validation rows
+    included, is then transformed by (x - mean) / std. The two calibration
+    segments around the block are read as views, and a new array is centred
+    before the squares are summed, so large offsets cancel first. Returns a
+    read-only n x p float64 array, narrower when degenerate columns are
+    dropped.
+
+    Parameters
+    ----------
+    X : ProxyMatrix
+    split : HoldoutSplit
+    drop_degenerate : bool
+        When False (strict, the default) a calibration std <= 1e-12 raises
+        DegenerateColumn naming those columns. When True they are silently
+        removed from the centred array; raises, naming every column, only if
+        nothing is left.
     """
+    data = X.data
     if data.shape[0] != split.n:
         raise LengthMismatch(f"array has {data.shape[0]} rows, split covers {split.n}")
     segments = slice(0, split.block_start), slice(split.block_start + split.n_v, None)
@@ -132,41 +147,14 @@ def _standardize_calib(data: np.ndarray, split: HoldoutSplit) -> np.ndarray:
     sum_sq = sum(np.einsum("ij,ij->j", out[rows], out[rows]) for rows in segments)
     # one calibration row (n_c = 1) leaves sum_sq = 0: every column is degenerate
     stds = np.sqrt(sum_sq / max(split.n_c - 1, 1))
-    bad = np.flatnonzero(stds <= DEGENERATE_STD)
-    if len(bad):
-        raise DegenerateColumn([str(j) for j in bad])
+    bad = stds <= DEGENERATE_STD
+    if bad.any():
+        if not drop_degenerate or bad.all():
+            raise DegenerateColumn([X.column_ids[j] for j in np.flatnonzero(bad)])
+        out, stds = out[:, ~bad], stds[~bad]
     out /= stds
+    out.flags.writeable = False
     return out
-
-
-def standardize(X: ProxyMatrix, split: HoldoutSplit, *,
-                drop_degenerate: bool = False) -> np.ndarray:
-    """Standardize every column using calibration-period statistics only.
-
-    Each column's mean and sample standard deviation (denominator n_c - 1)
-    are computed over ``split.calib_rows``; the whole column, validation rows
-    included, is then transformed by (x - mean) / std. Returns a read-only
-    n x p float64 array, narrower when degenerate columns are dropped.
-
-    Parameters
-    ----------
-    X : ProxyMatrix
-    split : HoldoutSplit
-    drop_degenerate : bool
-        When False (strict, the default) a calibration std <= 1e-12 raises
-        DegenerateColumn. When True such columns are silently removed;
-        raises only if nothing is left.
-    """
-    try:
-        scaled = _standardize_calib(X.data, split)
-    except DegenerateColumn as exc:
-        keep = np.ones(X.p, dtype=bool)
-        keep[[int(j) for j in exc.column_ids]] = False
-        if not drop_degenerate or not np.any(keep):
-            raise DegenerateColumn([X.column_ids[j] for j in np.flatnonzero(~keep)]) from None
-        scaled = _standardize_calib(X.data[:, keep], split)
-    scaled.flags.writeable = False
-    return scaled
 
 
 def gram_matrix(Xs: np.ndarray) -> np.ndarray:

@@ -273,18 +273,16 @@ def write_csv(path, header, rows) -> Path:
     return path
 
 
-def save_target(series: TimeSeries, path) -> Path:
-    return write_csv(path, ["year", "value"],
-                     ([int(year), format_float(value)]
-                      for year, value in zip(series.years, series.values)))
-
-
 def save_proxies(X: ProxyMatrix, years, path) -> Path:
     if len(years) != X.n:
         raise YearMismatch(f"{len(years)} years for {X.n} rows")
     return write_csv(path, ["year", *X.column_ids],
                      ([int(year), *map(format_float, row.tolist())]
                       for year, row in zip(years, X.data)))
+
+
+def save_target(series: TimeSeries, path) -> Path:
+    return save_proxies(ProxyMatrix(series.values[:, None], ("value",)), series.years, path)
 
 
 def _slug(label: str) -> str:

@@ -172,8 +172,30 @@ class TestStandardize:
         np.testing.assert_allclose(out[:, 0], (np.arange(4.0) - 4 / 3) / np.sqrt(7 / 3),
                                    rtol=1e-14)
         all_flat = px.ProxyMatrix(np.full((4, 2), 7.0), ("f1", "f2"))
-        with pytest.raises(DegenerateColumn):
+        with pytest.raises(DegenerateColumn) as err:
             px.standardize(all_flat, px.HoldoutSplit(4, 2, 1), drop_degenerate=True)
+        assert err.value.column_ids == ("f1", "f2")
+
+    def test_drop_matches_strict_on_kept_columns(self):
+        # reference design, 120 blocks; column 0 is flat outside rows 40-45,
+        # so it is degenerate exactly on the blocks that hold all six rows
+        X = px.generate(px.NoiseSpec(kind="ar1", n=149, p=1138, seed=8, phi=0.9))
+        data = X.data.copy()
+        data[:40, 0] = data[46:, 0] = 1.5
+        X = px.ProxyMatrix(data, X.column_ids)
+        kept = px.ProxyMatrix(data[:, 1:], X.column_ids[1:])
+        dropped = 0
+        for split in px.make_blocks(149, 30):
+            out = px.standardize(X, split, drop_degenerate=True)
+            if split.block_start <= 40 and split.block_start + 30 >= 46:
+                dropped += 1
+                # the means and stds are sums over a wider array, so they may
+                # differ from the kept columns' own in the last bits
+                np.testing.assert_allclose(out, px.standardize(kept, split),
+                                           rtol=0, atol=4e-15)
+            else:
+                assert np.array_equal(out, px.standardize(X, split))
+        assert dropped == 25
 
 
 class TestGramMatrix:
