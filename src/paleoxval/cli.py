@@ -33,7 +33,7 @@ from .crossval import (ensemble_entries, ensemble_report, experiment_entry, make
 from .errors import PaleoXvalError
 from .limit import kriging_entry, limit_entry
 from .noise import NoiseSpec, ar1_covariance
-from .svgplot import PlotSpec, Series, write_svg
+from .svgplot import Series, write_svg
 
 # Experiments within one command draw from seeds this far apart; members
 # within an ensemble use consecutive seeds, so ensembles never overlap.
@@ -80,69 +80,59 @@ def cmd_figure2(config: io.ExperimentConfig, y: TimeSeries, splits: list[Holdout
     starts = np.array([s.block_start for s in splits])
     x_years = y.years[starts].astype(float)
 
-    white_spec = NoiseSpec(kind="white", n=y.n, p=config.noise_columns,
-                           seed=config.seed + SEED_STRIDE)
-    ar1_specs = [NoiseSpec(kind="ar1", n=y.n, p=config.noise_columns, phi=phi,
-                           seed=config.seed + SEED_STRIDE * (2 + i))
-                 for i, phi in enumerate(config.phi_list)]
+    specs = [NoiseSpec(kind="white", n=y.n, p=config.noise_columns,
+                       seed=config.seed + SEED_STRIDE)]
+    specs += [NoiseSpec(kind="ar1", n=y.n, p=config.noise_columns, phi=phi,
+                        seed=config.seed + SEED_STRIDE * (2 + i))
+              for i, phi in enumerate(config.phi_list)]
     curves = []
     if with_proxies := isinstance(config.proxy_source, io.FileSource):
         X = io.load_proxies(config.proxy_source.file, expected_years=y.years)
         curves.append(experiment_entry("proxies", X, drop_degenerate=config.drop_degenerate))
-    curves += ensemble_entries(white_spec, m)
-    for phi, spec in zip(config.phi_list, ar1_specs):
-        Phi = ar1_covariance(y.n, phi)
-        curves += [*ensemble_entries(spec, m), limit_entry(f"limit_ar1_{phi:g}", Phi),
-                   kriging_entry(f"kriging_ar1_{phi:g}", Phi)]
+    for spec in specs:
+        curves += ensemble_entries(spec, m)
+        if spec.kind == "ar1":      # only AR(1) has a covariance yet, for limit and kriging
+            Phi = ar1_covariance(y.n, spec.phi)
+            curves += [limit_entry(f"limit_{spec.label}", Phi),
+                       kriging_entry(f"kriging_{spec.label}", Phi)]
     done = iter(run_curves(curves, y, splits, mode=config.mode))
 
-    proxy_report = next(done) if with_proxies else None
-    white = ensemble_report(white_spec.label, [next(done) for _ in range(m)])
-    outputs = [io.write_report(rep, out_dir, y.years) for rep in (proxy_report, white)
-               if rep is not None]
-
-    per_phi = []
-    for phi, spec in zip(config.phi_list, ar1_specs):
+    outputs, cols, members, lines = [], [], [], []
+    if with_proxies:
+        proxy_report = next(done)
+        outputs.append(io.write_report(proxy_report, out_dir, y.years))
+        cols.append(("proxies", proxy_report.block_rmse))
+        lines.append(Series("proxies", x_years, proxy_report.block_rmse, color="red"))
+    for spec in specs:
         ens = ensemble_report(spec.label, [next(done) for _ in range(m)])
+        outputs.append(io.write_report(ens, out_dir, y.years))
+        white = spec.kind == "white"
+        name, tag = "white" if white else f"ar1({spec.phi:g})", spec.label.replace(".", "_")
+        cols += [(f"{tag}_mean", ens.mean_curve), (f"{tag}_scatter", ens.member_scatter)]
+        members += [Series(f"{name} members", x_years, rep.block_rmse,
+                           color="magenta" if white else "gold", kind="dots", opacity=0.5)
+                    for rep in ens.member_reports]
+        lines.append(Series(f"{name} mean", x_years, ens.mean_curve,
+                            color="blue" if white else "black"))
+        if spec.kind != "ar1":
+            continue
         lim_rep, krig_rep = next(done), next(done)
-        per_phi.append((phi, ens, lim_rep, krig_rep))
-        outputs += [io.write_report(rep, out_dir, y.years) for rep in (ens, lim_rep, krig_rep)]
-
-        print(f"phi={phi:g}: RMS difference, ensemble-mean RMSE vs limit RMSE: "
+        outputs += [io.write_report(rep, out_dir, y.years) for rep in (lim_rep, krig_rep)]
+        cols += [(f"limit_{tag}", lim_rep.block_rmse), (f"kriging_{tag}", krig_rep.block_rmse)]
+        lines += [Series(f"limit {name}", x_years, lim_rep.block_rmse,
+                         color="magenta", kind="dashes"),
+                  Series(f"kriging {name}", x_years, krig_rep.block_rmse, color="green")]
+        print(f"phi={spec.phi:g}: RMS difference, ensemble-mean RMSE vs limit RMSE: "
               f"{rmse(ens.mean_curve, lim_rep.block_rmse):.6g} degC")
-        print(f"phi={phi:g}: RMS difference, limit vs kriging (RMSE curves):  "
+        print(f"phi={spec.phi:g}: RMS difference, limit vs kriging (RMSE curves):  "
               f"{rmse(lim_rep.block_rmse, krig_rep.block_rmse):.6g} degC")
-        print(f"phi={phi:g}: RMS difference, limit vs kriging (predictions):  "
+        print(f"phi={spec.phi:g}: RMS difference, limit vs kriging (predictions):  "
               f"{rmse(lim_rep.predictions.ravel(), krig_rep.predictions.ravel()):.6g} degC")
 
-    cols = [] if proxy_report is None else [("proxies", proxy_report.block_rmse)]
-    cols += [("white_mean", white.mean_curve), ("white_scatter", white.member_scatter)]
-    for phi, ens, lim_rep, krig_rep in per_phi:
-        tag = f"ar1_{phi:g}".replace(".", "_")
-        cols += [(f"{tag}_mean", ens.mean_curve), (f"{tag}_scatter", ens.member_scatter),
-                 (f"limit_{tag}", lim_rep.block_rmse), (f"kriging_{tag}", krig_rep.block_rmse)]
     outputs.append(io.write_block_table(out_dir / "figure2.csv", starts, y.years, cols))
-
-    series: list[Series] = []
-    for rep in white.member_reports:
-        series.append(Series("white members", x_years, rep.block_rmse,
-                             color="magenta", kind="dots", opacity=0.5))
-    for phi, ens, _, _ in per_phi:
-        for rep in ens.member_reports:
-            series.append(Series(f"ar1({phi:g}) members", x_years, rep.block_rmse,
-                                 color="gold", kind="dots", opacity=0.5))
-    if proxy_report is not None:
-        series.append(Series("proxies", x_years, proxy_report.block_rmse, color="red"))
-    series.append(Series("white mean", x_years, white.mean_curve, color="blue"))
-    for phi, ens, lim_rep, krig_rep in per_phi:
-        series.append(Series(f"ar1({phi:g}) mean", x_years, ens.mean_curve, color="black"))
-        series.append(Series(f"limit ar1({phi:g})", x_years, lim_rep.block_rmse,
-                             color="magenta", kind="dashes"))
-        series.append(Series(f"kriging ar1({phi:g})", x_years, krig_rep.block_rmse,
-                             color="green"))
-    outputs.append(write_svg(PlotSpec(series=tuple(series), title="Holdout RMSE by block start",
-                                      x_label="block start year", y_label="RMSE (degC)"),
-                             out_dir / "figure2.svg"))
+    outputs.append(write_svg(members + lines, out_dir / "figure2.svg",
+                             title="Holdout RMSE by block start",
+                             x_label="block start year", y_label="RMSE (degC)"))
     return outputs
 
 
@@ -152,15 +142,14 @@ def cmd_limit(config: io.ExperimentConfig, y: TimeSeries, splits: list[HoldoutSp
     outputs: list[Path] = []
 
     m = config.limit_repeats
-    curves, specs = [], []
+    curves = []
     for i, phi in enumerate(config.phi_list):
-        Phi = ar1_covariance(y.n, phi)
-        curves.append(limit_entry(f"limit_ar1_{phi:g}", Phi))
+        curves.append(limit_entry(f"limit_ar1_{phi:g}", ar1_covariance(y.n, phi)))
         for k, p in enumerate(config.p_ladder):
-            specs.append(NoiseSpec(kind="ar1", n=y.n, p=p, phi=phi, seed=config.seed
-                                   + SEED_STRIDE * (1 + i * len(config.p_ladder) + k)))
-            curves += ensemble_entries(specs[-1], m)
-    done, specs = iter(run_curves(curves, y, splits, mode=config.mode)), iter(specs)
+            spec = NoiseSpec(kind="ar1", n=y.n, p=p, phi=phi,
+                             seed=config.seed + SEED_STRIDE * (1 + i * len(config.p_ladder) + k))
+            curves += ensemble_entries(spec, m)
+    done = iter(run_curves(curves, y, splits, mode=config.mode))
 
     fmt = io.format_float
     table_rows, member_rows, scatter = [], [], []
@@ -169,7 +158,7 @@ def cmd_limit(config: io.ExperimentConfig, y: TimeSeries, splits: list[HoldoutSp
         lim_rep = next(done)
         outputs.append(io.write_report(lim_rep, out_dir, y.years))
         for p in config.p_ladder:
-            ens = ensemble_report(next(specs).label, [next(done) for _ in range(m)])
+            ens = ensemble_report(f"ar1_{phi:g}", [next(done) for _ in range(m)])
             diffs = [rmse(rep.block_rmse, lim_rep.block_rmse) for rep in ens.member_reports]
             median_diff = float(np.median(diffs))
             mean_scatter = float(ens.member_scatter.mean())

@@ -2,8 +2,9 @@
 reconstruction operator on one factored calibration system.
 
 Everything here is a pure function of immutable inputs. Arrays stored on the
-value types are float64 (or int64 for indices) and read-only, copied unless
-already owned and read-only, so instances are safe to share across threads.
+value types are float64 (or int64 for indices), read-only and row-major,
+copied unless already owned, read-only and row-major, so instances are safe
+to share across threads and results do not depend on the caller's memory order.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ DEGENERATE_STD = 1e-12
 
 def _frozen_array(x, dtype=np.float64, ndim=1):
     # nothing can write to an owned read-only array, so sharing it is safe
-    owned_frozen = isinstance(x, np.ndarray) and x.base is None and not x.flags.writeable
-    a = x if owned_frozen and x.dtype == dtype else np.array(x, dtype=dtype)
+    owned_frozen = (isinstance(x, np.ndarray) and x.base is None and not x.flags.writeable
+                    and x.flags.c_contiguous)
+    a = x if owned_frozen and x.dtype == dtype else np.array(x, dtype=dtype, order="C")
     if a.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array, got shape {a.shape}")
     a.flags.writeable = False

@@ -44,21 +44,6 @@ class Series:
         object.__setattr__(self, "y", y)
 
 
-@dataclass(frozen=True)
-class PlotSpec:
-    """A titled chart: several series sharing one x-domain."""
-
-    series: tuple[Series, ...]
-    title: str = ""
-    x_label: str = ""
-    y_label: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "series", tuple(self.series))
-        if not self.series:
-            raise ValueError("a plot needs at least one series")
-
-
 def _ticks(lo: float, hi: float, count: int = 6) -> np.ndarray:
     if hi <= lo:
         hi = lo + 1.0
@@ -69,13 +54,13 @@ def _ticks(lo: float, hi: float, count: int = 6) -> np.ndarray:
     return np.arange(start, hi + step / 2, step)
 
 
-def _fmt_tick(v: float) -> str:
-    return f"{v:g}"
-
-
-def render_svg(spec: PlotSpec) -> str:
-    finite_x = np.concatenate([s.x[np.isfinite(s.y)] for s in spec.series])
-    finite_y = np.concatenate([s.y[np.isfinite(s.y)] for s in spec.series])
+def render_svg(series: list[Series], *, title: str = "", x_label: str = "",
+               y_label: str = "") -> str:
+    """A titled chart of several series sharing one x-domain."""
+    if not series:
+        raise ValueError("a plot needs at least one series")
+    finite_x = np.concatenate([s.x[np.isfinite(s.y)] for s in series])
+    finite_y = np.concatenate([s.y[np.isfinite(s.y)] for s in series])
     if len(finite_x) == 0:
         finite_x, finite_y = np.array([0.0, 1.0]), np.array([0.0, 1.0])
     x_lo, x_hi = float(finite_x.min()), float(finite_x.max())
@@ -97,7 +82,7 @@ def render_svg(spec: PlotSpec) -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:g}" height="{HEIGHT:g}" '
         f'viewBox="0 0 {WIDTH:g} {HEIGHT:g}">',
-        f"<title>{escape(spec.title)}</title>",
+        f"<title>{escape(title)}</title>",
         '<rect width="100%" height="100%" fill="white"/>',
     ]
 
@@ -107,29 +92,28 @@ def render_svg(spec: PlotSpec) -> str:
     parts.append(f'<g class="axes"><line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y0:.2f}" {axis}/>'
                  f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x0:.2f}" y2="{y1:.2f}" {axis}/></g>')
 
-    tick_parts = ['<g class="ticks" font-size="11" font-family="sans-serif" fill="black">']
+    parts.append('<g class="ticks" font-size="11" font-family="sans-serif" fill="black">')
     for t in _ticks(x_lo, x_hi):
         px = sx(t)
-        tick_parts.append(f'<line x1="{px:.2f}" y1="{y0:.2f}" x2="{px:.2f}" y2="{y0 + 5:.2f}" {axis}/>')
-        tick_parts.append(f'<text x="{px:.2f}" y="{y0 + 18:.2f}" text-anchor="middle">{_fmt_tick(t)}</text>')
+        parts.append(f'<line x1="{px:.2f}" y1="{y0:.2f}" x2="{px:.2f}" y2="{y0 + 5:.2f}" {axis}/>')
+        parts.append(f'<text x="{px:.2f}" y="{y0 + 18:.2f}" text-anchor="middle">{t:g}</text>')
     for t in _ticks(y_lo, y_hi):
         py = sy(t)
-        tick_parts.append(f'<line x1="{x0 - 5:.2f}" y1="{py:.2f}" x2="{x0:.2f}" y2="{py:.2f}" {axis}/>')
-        tick_parts.append(f'<text x="{x0 - 8:.2f}" y="{py + 4:.2f}" text-anchor="end">{_fmt_tick(t)}</text>')
-    if spec.x_label:
-        tick_parts.append(f'<text x="{(x0 + x1) / 2:.2f}" y="{HEIGHT - 8:.2f}" '
-                          f'text-anchor="middle" font-size="13">{escape(spec.x_label)}</text>')
-    if spec.y_label:
+        parts.append(f'<line x1="{x0 - 5:.2f}" y1="{py:.2f}" x2="{x0:.2f}" y2="{py:.2f}" {axis}/>')
+        parts.append(f'<text x="{x0 - 8:.2f}" y="{py + 4:.2f}" text-anchor="end">{t:g}</text>')
+    if x_label:
+        parts.append(f'<text x="{(x0 + x1) / 2:.2f}" y="{HEIGHT - 8:.2f}" '
+                     f'text-anchor="middle" font-size="13">{escape(x_label)}</text>')
+    if y_label:
         cx, cy = 16.0, (y0 + y1) / 2
-        tick_parts.append(f'<text x="{cx:.2f}" y="{cy:.2f}" text-anchor="middle" font-size="13" '
-                          f'transform="rotate(-90 {cx:.2f} {cy:.2f})">{escape(spec.y_label)}</text>')
-    tick_parts.append("</g>")
-    parts.extend(tick_parts)
-    if spec.title:
+        parts.append(f'<text x="{cx:.2f}" y="{cy:.2f}" text-anchor="middle" font-size="13" '
+                     f'transform="rotate(-90 {cx:.2f} {cy:.2f})">{escape(y_label)}</text>')
+    parts.append("</g>")
+    if title:
         parts.append(f'<text x="{(x0 + x1) / 2:.2f}" y="{MARGIN_T - 14:.2f}" text-anchor="middle" '
-                     f'font-size="15" font-family="sans-serif">{escape(spec.title)}</text>')
+                     f'font-size="15" font-family="sans-serif">{escape(title)}</text>')
 
-    for idx, s in enumerate(spec.series):
+    for idx, s in enumerate(series):
         keep = np.isfinite(s.y)
         xs, ys = s.x[keep], s.y[keep]
         attrs = f'class="series" id="series-{idx}" data-label="{escape(s.label, quote=True)}"'
@@ -145,8 +129,8 @@ def render_svg(spec: PlotSpec) -> str:
 
     legend_x = WIDTH - MARGIN_R + 12
     legend = [f'<g class="legend" font-size="11" font-family="sans-serif">']
-    for idx, s in enumerate(spec.series):
-        if s.kind == "dots" and spec.series and idx and s.label == spec.series[idx - 1].label:
+    for idx, s in enumerate(series):
+        if s.kind == "dots" and idx and s.label == series[idx - 1].label:
             continue    # collapse repeated member labels
         ly = MARGIN_T + 14 * len(legend)
         marker = (f'<circle cx="{legend_x + 8:.2f}" cy="{ly - 3:.2f}" r="2.5" fill="{s.color}"/>'
@@ -161,7 +145,8 @@ def render_svg(spec: PlotSpec) -> str:
     return "\n".join(parts)
 
 
-def write_svg(spec: PlotSpec, path) -> Path:
+def write_svg(series: list[Series], path, *, title: str = "", x_label: str = "",
+              y_label: str = "") -> Path:
     path = Path(path)
-    path.write_text(render_svg(spec))
+    path.write_text(render_svg(series, title=title, x_label=x_label, y_label=y_label))
     return path

@@ -118,9 +118,8 @@ def test_svg_escape_matches_saxutils(tmp_path):
         assert svgplot.escape(text) == sax_escape(text)
         assert svgplot.escape(text, quote=True) == sax_escape(text, {'"': "&quot;"})
     label = 'AR(1) "phi" < 0.9 & > 0'
-    spec = svgplot.PlotSpec(series=(svgplot.Series(label, [0, 1], [1, 2]),),
-                            title="<T&T>", x_label="x > 0", y_label='y "u"')
-    path = svgplot.write_svg(spec, tmp_path / "e.svg")
+    path = svgplot.write_svg([svgplot.Series(label, [0, 1], [1, 2])], tmp_path / "e.svg",
+                             title="<T&T>", x_label="x > 0", y_label='y "u"')
     groups = series_groups(path)
     assert [g.get("data-label") for g in groups] == [label]
 
@@ -173,6 +172,26 @@ class TestFigure2:
             f"phi=0.99: RMS difference, limit vs kriging (RMSE curves):  {lim_krig:.6g} degC",
             f"phi=0.99: RMS difference, limit vs kriging (predictions):  {pooled:.6g} degC",
         ]
+
+    def test_layout_with_proxies_and_two_phis(self, tmp_path, y60):
+        target = pio.save_target(y60, tmp_path / "t.csv")
+        X = px.generate(px.NoiseSpec(kind="ar1", n=60, p=40, seed=33, phi=0.8))
+        proxies = pio.save_proxies(X, y60.years, tmp_path / "p.csv")
+        config = write_config(tmp_path / "c.json", target, proxy_source={"file": str(proxies)},
+                              phi_list=[0.9, 0.99])
+        assert main(["figure2", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        labels = [g.get("data-label") for g in series_groups(out / "figure2.svg")]
+        assert labels == ["white members"] * 2 + ["ar1(0.9) members"] * 2 + [
+            "ar1(0.99) members"] * 2 + [
+            "proxies", "white mean",
+            "ar1(0.9) mean", "limit ar1(0.9)", "kriging ar1(0.9)",
+            "ar1(0.99) mean", "limit ar1(0.99)", "kriging ar1(0.99)"]
+        header = (out / "figure2.csv").read_text().splitlines()[0]
+        assert header.split(",") == [
+            "block_start", "block_year", "proxies", "white_mean", "white_scatter",
+            "ar1_0_9_mean", "ar1_0_9_scatter", "limit_ar1_0_9", "kriging_ar1_0_9",
+            "ar1_0_99_mean", "ar1_0_99_scatter", "limit_ar1_0_99", "kriging_ar1_0_99"]
 
     def test_deterministic_rerun(self, tmp_path):
         target = pio.save_target(px.smooth_target(60, seed=21), tmp_path / "t.csv")

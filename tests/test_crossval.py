@@ -129,6 +129,14 @@ class TestRunExperiment:
         assert np.array_equal(a.per_block_lambda, b.per_block_lambda)
         assert a.mean_rmse == b.mean_rmse
 
+    def test_memory_order_does_not_change_results(self, y60, splits60):
+        X = px.generate(px.NoiseSpec(kind="ar1", n=60, p=300, seed=9, phi=0.9))
+        F = px.ProxyMatrix(np.asfortranarray(X.data), X.column_ids)
+        c, f = px.run_curves([px.experiment_entry("c", X), px.experiment_entry("f", F)],
+                             y60, splits60)
+        assert c.predictions.tobytes() == f.predictions.tobytes()
+        assert c.per_block_lambda.tobytes() == f.per_block_lambda.tobytes()
+
     def test_full_curve_shape(self, y60, splits60):
         X = px.generate(px.NoiseSpec(kind="white", n=60, p=5, seed=2))
         rep = px.run_curves([px.experiment_entry("shape", X)], y60, splits60)[0]
