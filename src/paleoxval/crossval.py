@@ -72,25 +72,6 @@ class ExperimentReport:
         return float(finite.mean()) if len(finite) else float("nan")
 
 
-@dataclass(frozen=True, eq=False)
-class EnsembleReport:
-    """Member RMSE curves plus their per-block mean and scatter."""
-
-    label: str
-    member_reports: tuple[ExperimentReport, ...]
-    mean_curve: np.ndarray
-    member_scatter: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "member_reports", tuple(self.member_reports))
-        for name in ("mean_curve", "member_scatter"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-
-    @property
-    def block_starts(self) -> np.ndarray:
-        return self.member_reports[0].block_starts
-
-
 def make_blocks(n: int, n_v: int) -> list[HoldoutSplit]:
     """All n - n_v + 1 contiguous holdout blocks of length n_v."""
     if not 2 <= n_v < n:
@@ -167,7 +148,7 @@ def _one_blas_thread() -> None:
     """Pin each OpenBLAS loaded in this worker to one thread, as the workers
     already use the cores; other BLAS libraries are left as they are."""
     try:
-        with open("/proc/self/maps") as maps:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as maps:
             libs = [ctypes.CDLL(path)
                     for path in {line.split()[-1] for line in maps if "openblas" in line}]
     except OSError:
@@ -305,9 +286,9 @@ def ensemble_entries(spec: NoiseSpec, m: int) -> list[Curve]:
             for i in range(m)]
 
 
-def ensemble_report(label: str, members: Sequence[ExperimentReport]) -> EnsembleReport:
-    """Member curves with their per-block mean and sample standard deviation
-    (ddof=1; zero for one member)."""
+def ensemble_stats(members: Sequence[ExperimentReport]) -> tuple[np.ndarray, np.ndarray]:
+    """The members' per-block mean RMSE and its sample standard deviation
+    (ddof=1; zero for one member), as read-only arrays."""
     curves = np.array([r.block_rmse for r in members])
     scatter = curves.std(axis=0, ddof=1) if len(members) > 1 else np.zeros(curves.shape[1])
-    return EnsembleReport(label, tuple(members), curves.mean(axis=0), scatter)
+    return _frozen_array(curves.mean(axis=0)), _frozen_array(scatter)

@@ -2,8 +2,8 @@
 
 All interchange files are plain CSV with 17-significant-digit decimal floats,
 which round-trip 64-bit values exactly while staying inspectable. Every
-command writes a JSON manifest holding the fully resolved config, so a run
-can be reproduced by pointing --config at the manifest itself.
+command writes a JSON manifest holding the fully resolved config; --config on
+it reproduces the run, byte for byte with the same BLAS kernel (see ``cli``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from ._version import __version__
 from .core import ProxyMatrix, TimeSeries
-from .crossval import EnsembleReport, ExperimentReport
+from .crossval import ExperimentReport
 from .errors import (ConfigError, NonAnnualYears, NonFiniteValue, ParseError,
                      YearMismatch)
 from .noise import NoiseSpec
@@ -167,8 +167,8 @@ def load_config(path) -> ExperimentConfig:
     """Read a config file, or a previously written manifest, into a config."""
     path = Path(path)
     try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if isinstance(obj, dict) and "config" in obj and "target" not in obj:
         obj = obj["config"]     # manifest: re-run from its embedded config
@@ -176,9 +176,16 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _open_rows(path, fh):
-    """Header line number, stripped header fields and an iterator over the
-    (line, row) pairs of the data rows (one or more); blank lines skipped."""
-    rows = ((i + 1, row) for i, row in enumerate(csv.reader(fh)) if row)
+    """Header line number, stripped header fields and the (line, row) pairs of the
+    data rows (one or more), blank lines skipped; a byte not UTF-8 is a ParseError."""
+    def numbered():
+        try:
+            yield from ((i + 1, row) for i, row in enumerate(csv.reader(fh)) if row)
+        except UnicodeDecodeError as exc:   # raised for a read-ahead chunk, not for a line
+            text = Path(path).read_bytes().decode("utf-8", "surrogateescape")
+            line = len(re.split("\r\n?|\n", re.split("[\udc80-\udcff]", text)[0]))
+            raise ParseError(path, line, f"not UTF-8 text ({exc.reason})") from None
+    rows = numbered()
     head = list(itertools.islice(rows, 2))
     if len(head) < 2:
         raise ParseError(Path(path), len(head), "expected a header and at least one data row")
@@ -210,7 +217,7 @@ def _check_annual(path, years: list[int]):
 
 def load_target(path) -> TimeSeries:
     """Read a target series CSV with header ``year,value``."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         header_line, header, rows = _open_rows(path, fh)
         if header != ["year", "value"]:
             raise ParseError(path, header_line, f"expected header 'year,value', got {header}")
@@ -235,7 +242,7 @@ def load_proxies(path, expected_years=None) -> ProxyMatrix:
     """
     with open(path, "rb") as fh:
         lines = sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 16), b""))
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         header_line, header, rows = _open_rows(path, fh)
         if len(header) < 2 or header[0] != "year":
             raise ParseError(path, header_line,
@@ -266,7 +273,7 @@ def load_proxies(path, expected_years=None) -> ProxyMatrix:
 def write_csv(path, header, rows) -> Path:
     """Write a header line and the rows as CSV with "\\n" line ends."""
     path = Path(path)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(header)
         out.writerows(rows)
@@ -300,18 +307,19 @@ def write_block_table(path, block_starts, years, curves) -> Path:
     return write_csv(path, header, zip(*columns))
 
 
-def write_report(report: ExperimentReport | EnsembleReport, out_dir, years) -> Path:
-    """Write a report's CSV, one row per block, dated by the target's years."""
-    if isinstance(report, ExperimentReport):
-        name = f"blocks_{_slug(report.label)}.csv"
-        curves = [("block_rmse", report.block_rmse), ("lambda", report.per_block_lambda)]
-    elif isinstance(report, EnsembleReport):
-        name = f"ensemble_{_slug(report.label)}.csv"
-        curves = [(f"member_{i:03d}", m.block_rmse) for i, m in enumerate(report.member_reports)]
-        curves += [("mean", report.mean_curve), ("scatter", report.member_scatter)]
-    else:
-        raise TypeError(f"cannot write a {type(report).__name__}")
-    return write_block_table(Path(out_dir) / name, report.block_starts, years, curves)
+def write_report(report: ExperimentReport, out_dir, years) -> Path:
+    """Write blocks_<label>.csv: each block's RMSE and lambda."""
+    curves = [("block_rmse", report.block_rmse), ("lambda", report.per_block_lambda)]
+    return write_block_table(Path(out_dir) / f"blocks_{_slug(report.label)}.csv",
+                             report.block_starts, years, curves)
+
+
+def write_ensemble(label: str, members, mean, scatter, out_dir, years) -> Path:
+    """Write ensemble_<label>.csv: each member's block RMSE, then their mean and scatter."""
+    curves = [(f"member_{i:03d}", m.block_rmse) for i, m in enumerate(members)]
+    curves += [("mean", mean), ("scatter", scatter)]
+    return write_block_table(Path(out_dir) / f"ensemble_{_slug(label)}.csv",
+                             members[0].block_starts, years, curves)
 
 
 def write_manifest(out_dir, command: str, config: ExperimentConfig,
@@ -327,5 +335,5 @@ def write_manifest(out_dir, command: str, config: ExperimentConfig,
         "outputs": sorted(p.name for p in outputs),
     }
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path

@@ -147,6 +147,6 @@ def render_svg(series: list[Series], *, title: str = "", x_label: str = "",
 
 def write_svg(series: list[Series], path, *, title: str = "", x_label: str = "",
               y_label: str = "") -> Path:
-    path = Path(path)
-    path.write_text(render_svg(series, title=title, x_label=x_label, y_label=y_label))
-    return path
+    svg = render_svg(series, title=title, x_label=x_label, y_label=y_label)
+    Path(path).write_text(svg, encoding="utf-8")
+    return Path(path)

@@ -83,11 +83,10 @@ def test_a3_figure1_ordering(capsys, target, splits):
     ar1_spec = px.NoiseSpec(kind="ar1", n=N, p=p, seed=20_000_000, phi=0.99)
     done = px.run_curves([*px.ensemble_entries(white_spec, m),
                           *px.ensemble_entries(ar1_spec, m)], target, splits)
-    white = px.ensemble_report(white_spec.label, done[:m])
-    ar1 = px.ensemble_report(ar1_spec.label, done[m:])
-    assert white.member_scatter.min() > 0 and ar1.member_scatter.min() > 0
-    white_means = np.array([r.mean_rmse for r in white.member_reports])
-    ar1_means = np.array([r.mean_rmse for r in ar1.member_reports])
+    white, ar1 = done[:m], done[m:]
+    assert px.ensemble_stats(white)[1].min() > 0 and px.ensemble_stats(ar1)[1].min() > 0
+    white_means = np.array([r.mean_rmse for r in white])
+    ar1_means = np.array([r.mean_rmse for r in ar1])
     gap = white_means.mean() - ar1_means.mean()
     se = np.sqrt(white_means.var(ddof=1) / m + ar1_means.var(ddof=1) / m)
     assert ar1_means.mean() < white_means.mean()
@@ -107,11 +106,11 @@ def test_a4_probability_limit_convergence(capsys, target, splits):
     limit_rep, *done = px.run_curves(curves, target, splits)
 
     scatters, median_diffs = {}, {}
-    for k, (p, spec) in enumerate(zip(ladder, specs)):
-        ens = px.ensemble_report(spec.label, done[m * k:m * (k + 1)])
-        scatters[p] = ens.member_scatter
+    for k, p in enumerate(ladder):
+        ens = done[m * k:m * (k + 1)]
+        scatters[p] = px.ensemble_stats(ens)[1]
         median_diffs[p] = float(np.median(
-            [px.rmse(rep.block_rmse, limit_rep.block_rmse) for rep in ens.member_reports]))
+            [px.rmse(rep.block_rmse, limit_rep.block_rmse) for rep in ens]))
 
     monotone = (scatters[100] > scatters[1000]) & (scatters[1000] > scatters[10_000])
     frac = float(np.mean(monotone))

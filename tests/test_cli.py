@@ -1,5 +1,8 @@
 import json
 import logging
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -255,6 +258,24 @@ class TestOverridesAndErrors:
         bad.write_text("{not json")
         assert main(["crossval", "--config", str(bad)]) == 1
         assert "JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["config", "target", "proxies"])
+    def test_file_not_utf8_is_an_error_without_traceback(self, tmp_path, y60, bad):
+        target = pio.save_target(y60, tmp_path / "t.csv")
+        X = px.generate(px.NoiseSpec(kind="white", n=60, p=3, seed=5))
+        proxies = pio.save_proxies(X, y60.years, tmp_path / "p.csv")
+        config = write_config(tmp_path / "c.json", target, proxy_source={"file": str(proxies)})
+        path = {"config": config, "target": target, "proxies": proxies}[bad]
+        data = path.read_bytes()
+        path.write_bytes(data[:1] + b"\xe9" + data[1:])
+        src = str(Path(px.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run([sys.executable, "-m", "paleoxval", "crossval", "--config",
+                               str(config)], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 1
+        assert done.stderr.startswith(f"error: {path}")
+        assert "Traceback" not in done.stderr
 
     def test_negative_seed_override_is_an_error(self, small_config, capsys):
         assert main(["crossval", "--config", str(small_config), "--seed", "-1"]) == 1

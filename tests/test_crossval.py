@@ -162,9 +162,17 @@ class TestRunEnsemble:
     def test_single_member(self, y60, splits60):
         spec = px.NoiseSpec(kind="white", n=60, p=6, seed=40)
         done = px.run_curves(px.ensemble_entries(spec, 1), y60, splits60)
-        ens = px.ensemble_report(spec.label, done)
-        assert np.array_equal(ens.mean_curve, ens.member_reports[0].block_rmse)
-        assert np.all(ens.member_scatter == 0.0)
+        mean, scatter = px.ensemble_stats(done)
+        assert np.array_equal(mean, done[0].block_rmse)
+        assert np.all(scatter == 0.0)
+
+    def test_stats_are_read_only_arrays(self):
+        members = [px.ExperimentReport(f"m{i}", [0, 1], [0.1 * (i + 1), 0.2], [1.0, 1.0],
+                                       [[0.0], [0.0]]) for i in range(2)]
+        mean, scatter = px.ensemble_stats(members)
+        assert not mean.flags.writeable and not scatter.flags.writeable
+        np.testing.assert_allclose(mean, [0.15, 0.2], rtol=1e-15)
+        np.testing.assert_allclose(scatter, [np.sqrt(0.005), 0.0], rtol=1e-15)
 
     def test_member_seeds_are_consecutive(self, y60, splits60):
         spec = px.NoiseSpec(kind="white", n=60, p=6, seed=40)
@@ -178,10 +186,10 @@ class TestRunEnsemble:
     def test_scatter_positive_and_mean_consistent(self, y60, splits60):
         spec = px.NoiseSpec(kind="white", n=60, p=6, seed=50)
         done = px.run_curves(px.ensemble_entries(spec, 20), y60, splits60)
-        ens = px.ensemble_report(spec.label, done)
-        assert np.all(ens.member_scatter > 0)
-        curves = np.array([r.block_rmse for r in ens.member_reports])
-        np.testing.assert_allclose(ens.mean_curve, curves.mean(axis=0), rtol=1e-15)
+        mean, scatter = px.ensemble_stats(done)
+        assert np.all(scatter > 0)
+        curves = np.array([r.block_rmse for r in done])
+        np.testing.assert_allclose(mean, curves.mean(axis=0), rtol=1e-15)
 
     def test_mean_curve_stable_across_base_seeds(self, y60, splits60):
         spec_a = px.NoiseSpec(kind="white", n=60, p=30, seed=600)
@@ -200,9 +208,9 @@ class TestRunEnsemble:
         big = px.NoiseSpec(kind="ar1", n=60, p=300, seed=70, phi=0.99)
         done = px.run_curves([*px.ensemble_entries(small, 8),
                               *px.ensemble_entries(big, 8)], y60, splits60)
-        e_small = px.ensemble_report("small", done[:8])
-        e_big = px.ensemble_report("big", done[8:])
-        frac = np.mean(e_big.member_scatter < e_small.member_scatter)
+        scatter_small = px.ensemble_stats(done[:8])[1]
+        scatter_big = px.ensemble_stats(done[8:])[1]
+        frac = np.mean(scatter_big < scatter_small)
         assert frac >= 0.9
 
 

@@ -179,6 +179,44 @@ class TestLoadProxies:
         assert [float(t) for t in texts] == list(vals)
 
 
+class TestNotUtf8:
+    """A byte that is not UTF-8 is a typed error naming the file (and the line)."""
+
+    def test_proxy_header(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_bytes(b"year,caf\xe9\n1850,1.0\n1851,2.0\n")
+        with pytest.raises(ParseError) as info:
+            pio.load_proxies(f)
+        assert info.value.line_no == 1
+        assert str(info.value).startswith(f"{f}:1: not UTF-8")
+
+    def test_target_value_row(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_bytes(b"year,value\n1850,0.1\n1851,0.2\xff\n1852,0.3\n")
+        with pytest.raises(ParseError) as info:
+            pio.load_target(f)
+        assert info.value.line_no == 3
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_line_past_the_first_read_chunk(self, tmp_path, end):
+        # the decoder fails on a whole read-ahead chunk; the error still names the line
+        header = "year," + ",".join(f"c{j}" for j in range(20))
+        rows = [f"{1850 + r}," + ",".join(["0.123456789"] * 20) for r in range(400)]
+        lines = [line.encode() for line in [header, *rows]]     # about 96 kB
+        lines[301] = lines[301].replace(b"0.1", b"0.\xe91", 1)
+        f = tmp_path / "p.csv"
+        f.write_bytes(end.encode().join(lines) + end.encode())
+        with pytest.raises(ParseError) as info:
+            pio.load_proxies(f)
+        assert info.value.line_no == 302
+
+    def test_config(self, tmp_path):
+        f = tmp_path / "c.json"
+        f.write_bytes(b'{"target": "t\xe9.csv", "proxy_source": {"noise": {"kind": "white"}}}')
+        with pytest.raises(ConfigError, match="c.json"):
+            pio.load_config(f)
+
+
 class TestReports:
     def _report(self, starts, label="demo"):
         starts = np.asarray(starts)
@@ -220,10 +258,8 @@ class TestReports:
                                      block_rmse=[0.3, 0.5, 1 / 3],
                                      per_block_lambda=[1.0, 1.0, 1.0],
                                      predictions=[[0.0], [0.0], [0.0]])
-        ens = px.EnsembleReport(label="White", member_reports=(rep, member),
-                                mean_curve=[0.2, np.nan, 7 / 24],
-                                member_scatter=[0.5, np.nan, 2e-17])
-        ens_path = pio.write_report(ens, tmp_path, [1850, 1851, 1852])
+        ens_path = pio.write_ensemble("White", [rep, member], [0.2, np.nan, 7 / 24],
+                                      [0.5, np.nan, 2e-17], tmp_path, [1850, 1851, 1852])
         assert ens_path.name == "ensemble_white.csv"
         assert ens_path.read_text() == (
             "block_start,block_year,member_000,member_001,mean,scatter\n"
@@ -242,8 +278,9 @@ class TestReports:
     def test_ensemble_csv_layout(self, tmp_path, y60, splits60):
         spec = px.NoiseSpec(kind="white", n=60, p=4, seed=3)
         done = px.run_curves(px.ensemble_entries(spec, 2), y60, splits60[:4])
-        ens = px.ensemble_report(spec.label, done)
-        cols = read_report(pio.write_report(ens, tmp_path, y60.years))
+        mean, scatter = px.ensemble_stats(done)
+        cols = read_report(pio.write_ensemble(spec.label, done, mean, scatter, tmp_path,
+                                              y60.years))
         assert set(cols) == {"block_start", "block_year", "member_000", "member_001", "mean",
                              "scatter"}
         assert len(cols["mean"]) == 4
