@@ -76,6 +76,10 @@ def cmd_crossval(config: io.ExperimentConfig, y: TimeSeries, splits: list[Holdou
 
 def cmd_figure2(config: io.ExperimentConfig, y: TimeSeries, splits: list[HoldoutSplit],
                 out_dir: Path) -> list[Path]:
+    mean, std = float(y.values.mean()), float(y.values.std())
+    if std > 0 and abs(mean) > 0.1 * std:
+        log.warning("target mean %.4g is large next to its std %.4g; the kriging "
+                    "curve assumes a zero-mean target", mean, std)
     m = config.ensemble_size
     starts = np.array([s.block_start for s in splits])
     x_years = y.years[starts].astype(float)
@@ -201,12 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override ensemble size")
         cmd.add_argument("--phi", dest="phi_list", type=float, nargs=1, metavar="PHI",
                          help="override phi_list with one value")
-        cmd.add_argument("--mc-columns", dest="psi_mc_columns", type=int,
-                         help="deprecated and ignored: Psi is computed exactly")
         cmd.add_argument("--drop-degenerate", action="store_const", const=True,
                          help="drop zero-variance proxy columns instead of failing")
-        cmd.add_argument("--center-target", action="store_const", const=True,
-                         help="subtract the target's overall mean before running")
         cmd.add_argument("--out", dest="output_dir", type=lambda path: str(Path(path).resolve()),
                          help="override the output directory")
     return parser
@@ -223,16 +223,8 @@ def main(argv=None) -> int:
     try:
         config = _apply_overrides(io.load_config(args.config), args)
         if config.psi_mc_columns is not None:
-            log.warning("psi_mc_columns (--mc-columns) is deprecated and ignored: "
-                        "Psi is computed exactly")
+            log.warning("psi_mc_columns is deprecated and ignored: Psi is computed exactly")
         y = io.load_target(config.target)
-        mean, std = float(y.values.mean()), float(y.values.std())
-        if config.center_target:
-            y = TimeSeries(years=y.years, values=y.values - mean)
-        elif args.command == "figure2" and std > 0 and abs(mean) > 0.1 * std:
-            log.warning("target mean %.4g is large next to its std %.4g; the kriging "
-                        "curve assumes a zero-mean target (consider --center-target)",
-                        mean, std)
         splits = make_blocks(y.n, config.n_v)
         out_dir = Path(config.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -178,10 +178,11 @@ def _run_range(c: int, lo: int, hi: int, task: tuple | None = None) -> list[tupl
             quad_error = columns.quad_error
             result, error = reconstruct_with_gcv(columns, y, split), None
         except Exception as exc:
-            result, error = None, exc
-            try:    # in a pool worker, an error the parent cannot rebuild breaks the pool
-                if task is None:
-                    pickle.loads(pickle.dumps(exc))
+            result = None
+            try:    # the parent gets the error as the pool sends it, one pickle round trip
+                    # away, at any CPU count; one it cannot rebuild would break the pool
+                rebuilt = pickle.loads(pickle.dumps(exc)).with_traceback(exc.__traceback__)
+                error = rebuilt if task is not None else exc   # the pool pickles exc itself
             except Exception:
                 error = RuntimeError(f"{type(exc).__module__}.{type(exc).__qualname__}: {exc}\n"
                                      "worker traceback:\n" + "".join(traceback.format_exception(exc)))

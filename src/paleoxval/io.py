@@ -93,7 +93,6 @@ class ExperimentConfig:
     limit_repeats: int = 10
     mode: str = "strict"
     drop_degenerate: bool = False
-    center_target: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "noise_experiments", tuple(self.noise_experiments))
@@ -108,9 +107,9 @@ class ExperimentConfig:
             _require_int(f"p_ladder[{i}]", p, 1)
         if len(set(self.p_ladder)) != len(self.p_ladder):
             raise ConfigError(f"p_ladder entries must be distinct, got {list(self.p_ladder)}")
-        for name in ("drop_degenerate", "center_target"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not isinstance(self.drop_degenerate, bool):
+            raise ConfigError("drop_degenerate must be true or false, "
+                              f"got {self.drop_degenerate!r}")
         if self.mode not in ("strict", "permissive"):
             raise ConfigError(f"mode must be 'strict' or 'permissive', got {self.mode!r}")
         if not self.phi_list:
@@ -194,9 +193,12 @@ def _open_rows(path, fh):
 
 def _parse_year(path, line_no, text: str) -> int:
     try:
-        return int(text)
+        year = int(text)
     except ValueError:
-        raise ParseError(path, line_no, f"bad year {text!r}") from None
+        year = None
+    if year is None or not -2**63 <= year < 2**63:     # years are held as int64
+        raise ParseError(path, line_no, f"bad year {text!r}")
+    return year
 
 
 def _parse_value(path, line_no, text: str) -> float:

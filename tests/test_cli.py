@@ -19,6 +19,14 @@ def read_csv_bytes(out_dir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}
 
 
+def run_cli_process(argv: list[str]) -> subprocess.CompletedProcess:
+    """paleo-xval in a child interpreter, so that a traceback reaches its stderr."""
+    src = str(Path(px.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-m", "paleoxval", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
 def series_groups(svg_path: Path) -> list:
     tree = ET.parse(svg_path)     # also proves the SVG is well-formed XML
     return [g for g in tree.iter() if g.tag.endswith("g") and g.get("class") == "series"]
@@ -268,13 +276,18 @@ class TestOverridesAndErrors:
         path = {"config": config, "target": target, "proxies": proxies}[bad]
         data = path.read_bytes()
         path.write_bytes(data[:1] + b"\xe9" + data[1:])
-        src = str(Path(px.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        done = subprocess.run([sys.executable, "-m", "paleoxval", "crossval", "--config",
-                               str(config)], capture_output=True, text=True, env=env,
-                              timeout=120)
+        done = run_cli_process(["crossval", "--config", str(config)])
         assert done.returncode == 1
         assert done.stderr.startswith(f"error: {path}")
+        assert "Traceback" not in done.stderr
+
+    def test_year_outside_int64_is_an_error_without_traceback(self, tmp_path):
+        target = tmp_path / "t.csv"
+        target.write_text("year,value\n99999999999999999998,0.1\n99999999999999999999,0.2\n")
+        config = write_config(tmp_path / "c.json", target)
+        done = run_cli_process(["crossval", "--config", str(config)])
+        assert done.returncode == 1
+        assert done.stderr.startswith(f"error: {target}:2: bad year")
         assert "Traceback" not in done.stderr
 
     def test_negative_seed_override_is_an_error(self, small_config, capsys):
@@ -289,9 +302,9 @@ class TestOverridesAndErrors:
 
     def test_string_flag_in_config_is_an_error(self, tmp_path, y60, capsys):
         target = pio.save_target(y60, tmp_path / "t.csv")
-        config = write_config(tmp_path / "c.json", target, center_target="false")
+        config = write_config(tmp_path / "c.json", target, drop_degenerate="false")
         assert main(["crossval", "--config", str(config)]) == 1
-        assert capsys.readouterr().err.startswith("error: center_target must be true or false")
+        assert capsys.readouterr().err.startswith("error: drop_degenerate must be true or false")
 
     def test_string_phi_in_config_is_an_error(self, tmp_path, y60, capsys):
         target = pio.save_target(y60, tmp_path / "t.csv")
@@ -318,15 +331,11 @@ class TestOverridesAndErrors:
         assert manifest["config"]["phi_list"] == [0.5]
         assert manifest["config"]["output_dir"] == str(out.resolve())
 
-    @pytest.mark.parametrize("route", ["config", "flag"])
     def test_mc_columns_is_ignored_with_one_deprecation_line(self, small_config, tmp_path,
-                                                             caplog, route):
+                                                             caplog):
         argv = ["figure2", "--config", str(small_config)]
         assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
-        if route == "config":
-            write_config(small_config, tmp_path / "target.csv", psi_mc_columns=5000)
-        else:
-            argv += ["--mc-columns", "5000"]
+        write_config(small_config, tmp_path / "target.csv", psi_mc_columns=5000)
         caplog.clear()
         assert main(argv + ["--out", str(tmp_path / "set")]) == 0
         deprecated = [r for r in caplog.records if "deprecated" in r.getMessage()]
@@ -335,20 +344,10 @@ class TestOverridesAndErrors:
         manifest = json.loads((tmp_path / "set" / "manifest.json").read_text())
         assert manifest["config"]["psi_mc_columns"] == 5000
 
-    def test_mc_columns_is_still_validated(self, small_config, capsys):
-        assert main(["figure2", "--config", str(small_config), "--mc-columns", "999"]) == 1
+    def test_mc_columns_is_still_validated(self, small_config, tmp_path, capsys):
+        write_config(small_config, tmp_path / "target.csv", psi_mc_columns=999)
+        assert main(["figure2", "--config", str(small_config)]) == 1
         assert capsys.readouterr().err.startswith("error: psi_mc_columns must be at least 1000")
-
-    def test_center_target_override(self, tmp_path):
-        y = px.smooth_target(40, seed=3)
-        shifted = px.TimeSeries(years=y.years, values=y.values + 5.0)
-        target = pio.save_target(shifted, tmp_path / "t.csv")
-        config = write_config(tmp_path / "c.json", target, n_v=10)
-        out = tmp_path / "centered"
-        assert main(["crossval", "--config", str(config),
-                     "--center-target", "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["center_target"] is True
 
     def test_target_mean_warning_only_where_kriging_runs(self, tmp_path, y60, caplog):
         # ridge with an intercept scores a shifted target alike, so only

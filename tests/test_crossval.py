@@ -282,3 +282,36 @@ def test_run_curves_matches_oracles_over_noise_and_block_lengths(kind, n, narrow
         S_cc = S[np.ix_(calib, calib)]
         v_grid = min(oracles.gcv_value(S_cc, g, w, y_c) for g in COARSE_GRID)
         assert oracles.gcv_value(S_cc, lam, w, y_c) <= v_grid * (1 + 1e-6)
+
+
+def shift_entries(y: px.TimeSeries) -> dict[str, px.crossval.Curve]:
+    """Every kind of curve: proxies that carry the target, three noise members,
+    and the exact AR(1) limit and kriging."""
+    Phi = px.ar1_covariance(y.n, 0.9)
+    noise = px.generate(px.NoiseSpec(kind="white", n=y.n, p=50, seed=4))
+    X = px.ProxyMatrix(y.values[:, None] + noise.data, noise.column_ids)
+    members = [px.NoiseSpec(kind="white", n=y.n, p=300, seed=5),
+               px.NoiseSpec(kind="ar1", n=y.n, p=300, seed=6, phi=0.9),
+               px.NoiseSpec(kind="brownian", n=y.n, p=300, seed=7)]
+    return dict([px.experiment_entry("proxies", X),
+                 *(px.experiment_entry(spec.kind, spec) for spec in members),
+                 px.limit_entry("limit", Phi), px.kriging_entry("kriging", Phi)])
+
+
+@pytest.mark.parametrize("shift", [0.5, 5.0])
+@pytest.mark.parametrize("curve", [
+    "proxies", "white", "ar1", "brownian", "limit",
+    pytest.param("kriging", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 6: simple kriging predicts about a zero mean, "
+               "not about the calibration mean")),
+])
+def test_predictions_follow_a_shift_of_the_target(y60, splits60, curve, shift):
+    # ridge with an intercept is shift-equivariant: a constant added to the
+    # target moves every prediction by that constant and leaves lambda alone
+    shifted = px.TimeSeries(years=y60.years, values=y60.values + shift)
+    entry = (curve, shift_entries(y60)[curve])
+    (base,) = px.run_curves([entry], y60, splits60)
+    (moved,) = px.run_curves([entry], shifted, splits60)
+    assert np.abs(moved.predictions - base.predictions - shift).max() <= 1e-12
+    np.testing.assert_allclose(moved.per_block_lambda, base.per_block_lambda, rtol=1e-12, atol=0)

@@ -48,6 +48,13 @@ class TestLoadTarget:
         with pytest.raises(ParseError):
             pio.load_target(f)
 
+    def test_year_outside_int64_is_a_parse_error(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_text("year,value\n99999999999999999998,0.1\n99999999999999999999,0.2\n")
+        with pytest.raises(ParseError, match="bad year") as info:
+            pio.load_target(f)
+        assert info.value.line_no == 2
+
     def test_round_trip_is_exact(self, tmp_path):
         ts = px.smooth_target(40, seed=2)
         back = pio.load_target(pio.save_target(ts, tmp_path / "t.csv"))
@@ -332,7 +339,7 @@ class TestConfig:
         {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "p_ladder": [100, 1.5]},
         {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "limit_repeats": 2.5},
         {"target": "t.csv", "proxy_source": {"noise": {"kind": "white", "p": 1.5}}},
-        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "center_target": "false"},
+        {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "n_v": 1},
         {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "drop_degenerate": "no"},
         {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "drop_degenerate": 1},
         {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "phi_list": ["0.5"]},
@@ -395,14 +402,13 @@ class TestConfig:
             "n_v": 12, "ensemble_size": 3, "seed": 99, "phi_list": [0.5, 0.99],
             "psi_mc_columns": 8000, "noise_columns": 40, "p_ladder": [20, 100],
             "limit_repeats": 2, "mode": "permissive", "drop_degenerate": True,
-            "center_target": False, "output_dir": "/data/out",
+            "output_dir": "/data/out",
         }))
         manifest = pio.write_manifest(tmp_path / "out", "figure2", pio.load_config(f),
                                       [tmp_path / "figure2.csv", tmp_path / "figure2.svg"])
         assert manifest.read_text() == """{
   "command": "figure2",
   "config": {
-    "center_target": false,
     "drop_degenerate": true,
     "ensemble_size": 3,
     "limit_repeats": 2,
@@ -469,7 +475,6 @@ class TestConfig:
             limit_repeats=st.integers(1, 100),
             mode=st.sampled_from(["strict", "permissive"]),
             drop_degenerate=st.booleans(),
-            center_target=st.booleans(),
         ))
         with tempfile.TemporaryDirectory() as out:
             assert pio.load_config(pio.write_manifest(out, "limit", config, [])) == config

@@ -39,11 +39,20 @@ class Unrebuildable(Exception):
         super().__init__(f"{a}{b}")
 
 
+class FormatsItsMessage(errors.PaleoXvalError):
+    """Its constructor formats its message, so pickle rebuilds it formatted twice."""
+
+    def __init__(self, start):
+        super().__init__(f"block source failed at {start}")
+
+
 def all_error_classes():
+    """The package's error classes, not those the tests derive from them."""
     out, todo = [], [errors.PaleoXvalError]
     while todo:
         cls = todo.pop()
-        out.append(cls)
+        if cls.__module__ == errors.__name__:
+            out.append(cls)
         todo += cls.__subclasses__()
     return out
 
@@ -234,16 +243,30 @@ class TestRunCurve:
             if split.block_start == 30:
                 raise Unrebuildable("bad ", "block")
             return px.kriging_columns(Phi, split)
-        cpus(1)
-        with pytest.raises(Unrebuildable, match="bad block"):
-            px.run_curves([("x", block)], y60, splits60)
-        cpus(2)
-        with pytest.raises(RuntimeError) as exc:
-            px.run_curves([("x", block)], y60, splits60)
-        message = str(exc.value)
+        messages = []
+        for w in (1, 2):
+            cpus(w)
+            with pytest.raises(RuntimeError) as exc:
+                px.run_curves([("x", block)], y60, splits60)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        message = messages[1]
         assert f"{__name__}.Unrebuildable: bad block" in message
         assert "worker traceback" in message and 'raise Unrebuildable("bad ", "block")' in message
         assert multiprocessing.active_children() == []
+
+    def test_custom_block_error_reads_the_same_at_any_worker_count(self, y60, splits60,
+                                                                     caplog, cpus):
+        # the pool hands the parent a pickled copy of the error; so does one CPU
+        Phi = px.ar1_covariance(60, 0.9)
+
+        def block(split):
+            if split.block_start == 3:
+                raise FormatsItsMessage(split.block_start)
+            return px.kriging_columns(Phi, split)
+        logs = permissive_log(("k", block), y60, splits60, caplog, cpus)
+        assert len(logs) == 1
+        assert logs[0][1].startswith("dropping block 3 (k): block source failed at ")
 
     def test_strict_failure_in_a_later_curve_is_the_same_for_any_worker_count(self):
         # every block from 30 on fails in the second of three curves, so the
