@@ -47,18 +47,16 @@ log = logging.getLogger("paleoxval")
 
 def cmd_crossval(config: io.ExperimentConfig, y: TimeSeries, splits: list[HoldoutSplit],
                  out_dir: Path) -> list[Path]:
-    if isinstance(config.proxy_source, io.FileSource):
-        X = io.load_proxies(config.proxy_source.file, expected_years=y.years)
-        curves = [experiment_entry("proxies", X, drop_degenerate=config.drop_degenerate)]
-    else:
-        spec = config.proxy_source.spec(y.n, config.seed, config.noise_columns)
-        curves = [experiment_entry(spec.label, spec, drop_degenerate=config.drop_degenerate)]
-    seen = {curves[0][0]}
-    for k, src in enumerate(config.noise_experiments):
-        spec = src.spec(y.n, config.seed + SEED_STRIDE * (k + 1), config.noise_columns)
-        label = spec.label if spec.label not in seen else f"{spec.label}_{k + 1}"
-        seen.add(label)
-        curves.append(experiment_entry(label, spec, drop_degenerate=config.drop_degenerate))
+    curves = []
+    for k, src in enumerate((config.proxy_source, *config.noise_experiments)):
+        if isinstance(src, str):
+            label, source = "proxies", io.load_proxies(src, expected_years=y.years)
+        else:
+            source = src.spec(y.n, config.seed + SEED_STRIDE * k, config.noise_columns)
+            label = source.label
+        if label in (c[0] for c in curves):
+            label = f"{label}_{k}"
+        curves.append(experiment_entry(label, source, drop_degenerate=config.drop_degenerate))
     reports = run_curves(curves, y, splits, mode=config.mode)
     outputs = [io.write_report(report, out_dir, y.years) for report in reports]
 
@@ -90,8 +88,8 @@ def cmd_figure2(config: io.ExperimentConfig, y: TimeSeries, splits: list[Holdout
                         seed=config.seed + SEED_STRIDE * (2 + i))
               for i, phi in enumerate(config.phi_list)]
     curves = []
-    if with_proxies := isinstance(config.proxy_source, io.FileSource):
-        X = io.load_proxies(config.proxy_source.file, expected_years=y.years)
+    if with_proxies := isinstance(config.proxy_source, str):
+        X = io.load_proxies(config.proxy_source, expected_years=y.years)
         curves.append(experiment_entry("proxies", X, drop_degenerate=config.drop_degenerate))
     for spec in specs:
         curves += ensemble_entries(spec, m)

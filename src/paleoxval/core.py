@@ -55,9 +55,6 @@ class TimeSeries:
     def n(self) -> int:
         return len(self.values)
 
-    def __len__(self) -> int:
-        return self.n
-
 
 @dataclass(frozen=True, eq=False)
 class ProxyMatrix:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ShiftedSystem
-from .errors import DegenerateTrace
+from .errors import DegenerateTrace, NonFiniteValue
 
 SEARCH_DOMAIN = (1e-8, 1e8)
 COARSE_GRID_POINTS = 25
@@ -52,10 +52,6 @@ class GcvResult:
     n_evals: int
     flat: bool = False
     at_boundary: bool = False
-
-    def __post_init__(self):
-        if not np.isfinite(self.score):
-            raise ValueError("score must be finite")
 
 
 def gcv_scores(system: ShiftedSystem, lams) -> np.ndarray:
@@ -88,6 +84,8 @@ def minimize_gcv(system: ShiftedSystem) -> GcvResult:
     """
     grid = COARSE_GRID
     scores = gcv_scores(system, grid)
+    if not np.isfinite(scores).all():   # else the refined minimum is finite too
+        raise NonFiniteValue("GCV score not finite on the coarse grid: target values too large")
     evaluated = [(float(lam), float(v)) for lam, v in zip(grid, scores)]
 
     def f(lam: float) -> float:

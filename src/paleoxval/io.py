@@ -1,6 +1,8 @@
 """CSV ingestion, report output, and experiment configs.
 
-All interchange files are plain CSV with 17-significant-digit decimal floats,
+Both input files, the target (``year,value``) and a proxy matrix
+(``year,<id>,...``), go through one streaming reader and one writer. All
+interchange files are plain CSV with 17-significant-digit decimal floats,
 which round-trip 64-bit values exactly while staying inspectable. Every
 command writes a JSON manifest holding the fully resolved config; --config on
 it reproduces the run, byte for byte with the same BLAS kernel (see ``cli``).
@@ -42,13 +44,6 @@ def _require_int(name: str, value, minimum: int) -> None:
 
 
 @dataclass(frozen=True)
-class FileSource:
-    """Proxies read from a CSV file."""
-
-    file: str
-
-
-@dataclass(frozen=True)
 class NoiseSource:
     """Proxies generated as noise; n and default p are filled at run time."""
 
@@ -72,6 +67,7 @@ class NoiseSource:
 class ExperimentConfig:
     """Resolved settings for one batch run; the field names are the config keys.
 
+    ``proxy_source`` is a proxy CSV's resolved path or a NoiseSource.
     Defaults reproduce the reference experimental design: 30-year holdout
     blocks and 100-member ensembles. ``psi_mc_columns`` sized the Monte Carlo
     Psi that exact Psi replaced; it is still validated, then ignored. Every
@@ -80,7 +76,7 @@ class ExperimentConfig:
     """
 
     target: str
-    proxy_source: FileSource | NoiseSource
+    proxy_source: str | NoiseSource
     output_dir: str
     noise_experiments: tuple[NoiseSource, ...] = ()
     n_v: int = 30
@@ -98,6 +94,9 @@ class ExperimentConfig:
         object.__setattr__(self, "noise_experiments", tuple(self.noise_experiments))
         object.__setattr__(self, "phi_list", tuple(self.phi_list))
         object.__setattr__(self, "p_ladder", tuple(self.p_ladder))
+        if not isinstance(self.proxy_source, (str, NoiseSource)):
+            raise ConfigError("proxy_source must be a path string or a NoiseSource, "
+                              f"got {self.proxy_source!r}")
         for name, minimum in (("n_v", 2), ("ensemble_size", 1), ("seed", 0),
                               ("noise_columns", 1), ("limit_repeats", 1)):
             _require_int(name, getattr(self, name), minimum)
@@ -145,7 +144,7 @@ def config_from_dict(obj: dict, base_dir: Path | None = None) -> ExperimentConfi
         return ExperimentConfig(**{
             **obj,
             "target": resolve(obj["target"]),
-            "proxy_source": (FileSource(resolve(source["file"])) if "file" in source
+            "proxy_source": (resolve(source["file"]) if "file" in source
                              else NoiseSource(**source["noise"])),
             "output_dir": resolve(obj.get("output_dir", "out")),
             "noise_experiments": [NoiseSource(**e) for e in obj.get("noise_experiments", ())],
@@ -157,8 +156,8 @@ def config_from_dict(obj: dict, base_dir: Path | None = None) -> ExperimentConfi
 def config_to_dict(config: ExperimentConfig) -> dict:
     """The inverse of config_from_dict: every field, None values left out."""
     out = asdict(config, dict_factory=lambda items: {k: v for k, v in items if v is not None})
-    if isinstance(config.proxy_source, NoiseSource):
-        out["proxy_source"] = {"noise": out["proxy_source"]}
+    key = "noise" if isinstance(config.proxy_source, NoiseSource) else "file"
+    out["proxy_source"] = {key: out["proxy_source"]}
     return out
 
 
@@ -172,23 +171,6 @@ def load_config(path) -> ExperimentConfig:
     if isinstance(obj, dict) and "config" in obj and "target" not in obj:
         obj = obj["config"]     # manifest: re-run from its embedded config
     return config_from_dict(obj, base_dir=path.parent)
-
-
-def _open_rows(path, fh):
-    """Header line number, stripped header fields and the (line, row) pairs of the
-    data rows (one or more), blank lines skipped; a byte not UTF-8 is a ParseError."""
-    def numbered():
-        try:
-            yield from ((i + 1, row) for i, row in enumerate(csv.reader(fh)) if row)
-        except UnicodeDecodeError as exc:   # raised for a read-ahead chunk, not for a line
-            text = Path(path).read_bytes().decode("utf-8", "surrogateescape")
-            line = len(re.split("\r\n?|\n", re.split("[\udc80-\udcff]", text)[0]))
-            raise ParseError(path, line, f"not UTF-8 text ({exc.reason})") from None
-    rows = numbered()
-    head = list(itertools.islice(rows, 2))
-    if len(head) < 2:
-        raise ParseError(Path(path), len(head), "expected a header and at least one data row")
-    return head[0][0], [h.strip() for h in head[0][1]], itertools.chain(head[1:], rows)
 
 
 def _parse_year(path, line_no, text: str) -> int:
@@ -217,40 +199,36 @@ def _check_annual(path, years: list[int]):
             raise NonAnnualYears(f"{path}: years jump from {prev} to {cur}")
 
 
-def load_target(path) -> TimeSeries:
-    """Read a target series CSV with header ``year,value``."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        header_line, header, rows = _open_rows(path, fh)
-        if header != ["year", "value"]:
-            raise ParseError(path, header_line, f"expected header 'year,value', got {header}")
-        years, values = [], []
-        for line_no, row in rows:
-            if len(row) != 2:
-                raise ParseError(path, line_no, f"expected 2 fields, got {len(row)}")
-            years.append(_parse_year(path, line_no, row[0]))
-            values.append(_parse_value(path, line_no, row[1]))
-    if len(years) < 2:
-        raise ParseError(path, line_no, "need at least 2 data rows")
-    _check_annual(path, years)
-    return TimeSeries(years=np.array(years), values=np.array(values))
-
-
-def load_proxies(path, expected_years=None) -> ProxyMatrix:
-    """Read a proxy matrix CSV: first column ``year``, one column per proxy.
+def _read_table(path, ids=None) -> tuple[list[int], ProxyMatrix]:
+    """The one CSV reader: the years and the matrix of a file with header
+    ``year,<id>,...`` (exactly ``year,*ids`` when ids is given) and at least 2
+    annual data rows, blank lines skipped.
 
     Rows are converted as they are read into one array, sized by the line
     count and shrunk in place, so at most one row of text is held at a time.
-    When expected_years is given, the file's years must match them exactly.
+    A byte that is not UTF-8 is a ParseError naming its line.
     """
     with open(path, "rb") as fh:
         lines = sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 16), b""))
     with open(path, newline="", encoding="utf-8") as fh:
-        header_line, header, rows = _open_rows(path, fh)
-        if len(header) < 2 or header[0] != "year":
-            raise ParseError(path, header_line,
-                             "expected header 'year,<id>,...' with at least one proxy column")
+        def numbered():
+            try:
+                yield from ((i + 1, row) for i, row in enumerate(csv.reader(fh)) if row)
+            except UnicodeDecodeError as exc:   # raised for a read-ahead chunk, not for a line
+                text = Path(path).read_bytes().decode("utf-8", "surrogateescape")
+                line = len(re.split("\r\n?|\n", re.split("[\udc80-\udcff]", text)[0]))
+                raise ParseError(path, line, f"not UTF-8 text ({exc.reason})") from None
+        rows = numbered()
+        head = list(itertools.islice(rows, 2))
+        if len(head) < 2:
+            raise ParseError(path, len(head), "expected a header and at least one data row")
+        header_line, header = head[0][0], [h.strip() for h in head[0][1]]
+        if (len(header) < 2 or header[0] != "year"
+                or ids is not None and header[1:] != list(ids)):
+            wanted = ",".join(("year", *ids)) if ids is not None else "year,<id>,..."
+            raise ParseError(path, header_line, f"expected header {wanted!r}, got {header}")
         years, data = [], np.empty((max(lines, 1), len(header) - 1))
-        for line_no, row in rows:
+        for line_no, row in itertools.chain(head[1:], rows):
             if len(row) != len(header):
                 raise ParseError(path, line_no, f"expected {len(header)} fields, got {len(row)}")
             years.append(_parse_year(path, line_no, row[0]))
@@ -264,12 +242,27 @@ def load_proxies(path, expected_years=None) -> ProxyMatrix:
             if len(years) > len(data):      # only lone "\r" line ends count short
                 data.resize((2 * len(data), data.shape[1]), refcheck=False)
             data[len(years) - 1] = values
+    if len(years) < 2:
+        raise ParseError(path, line_no, "need at least 2 data rows")
     _check_annual(path, years)
-    if expected_years is not None and not np.array_equal(np.array(years), expected_years):
-        raise YearMismatch(f"{path}: proxy years do not match the target years")
     data.resize((len(years), data.shape[1]), refcheck=False)
     data.flags.writeable = False
-    return ProxyMatrix(data=data, column_ids=tuple(header[1:]))
+    return years, ProxyMatrix(data=data, column_ids=tuple(header[1:]))
+
+
+def load_target(path) -> TimeSeries:
+    """Read a target series CSV with header ``year,value``."""
+    years, table = _read_table(path, ids=("value",))
+    return TimeSeries(years=years, values=table.data[:, 0])
+
+
+def load_proxies(path, expected_years=None) -> ProxyMatrix:
+    """Read a proxy matrix CSV: first column ``year``, one column per proxy.
+    When expected_years is given, the file's years must match them exactly."""
+    years, X = _read_table(path)
+    if expected_years is not None and not np.array_equal(np.array(years), expected_years):
+        raise YearMismatch(f"{path}: proxy years do not match the target years")
+    return X
 
 
 def write_csv(path, header, rows) -> Path:

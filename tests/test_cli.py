@@ -290,6 +290,18 @@ class TestOverridesAndErrors:
         assert done.stderr.startswith(f"error: {target}:2: bad year")
         assert "Traceback" not in done.stderr
 
+    def test_overflowing_target_is_an_error_without_traceback(self, tmp_path):
+        # a target near 1e300 overflows the GCV score of every block
+        years = np.arange(1, 41)
+        target = pio.save_target(px.TimeSeries(years, np.sin(years) * 1e300), tmp_path / "t.csv")
+        config = write_config(tmp_path / "c.json", target, n_v=10, noise_columns=50)
+        done = run_cli_process(["crossval", "--config", str(config)])
+        assert done.returncode == 1
+        assert done.stderr.splitlines()[-1] == (
+            "error: block at start 0 failed: GCV score not finite on the coarse grid: target "
+            "values too large")
+        assert "Traceback" not in done.stderr
+
     def test_negative_seed_override_is_an_error(self, small_config, capsys):
         assert main(["crossval", "--config", str(small_config), "--seed", "-1"]) == 1
         assert capsys.readouterr().err.startswith("error: seed must be at least 0")

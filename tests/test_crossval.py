@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import oracles
 import paleoxval as px
-from paleoxval.errors import BlockFailure, DegenerateColumn, InvalidBlockLength, LengthMismatch
+from paleoxval.errors import (BlockFailure, DegenerateColumn, InvalidBlockLength,
+                              LengthMismatch, NonFiniteValue)
 from paleoxval.gcv import COARSE_GRID, SEARCH_DOMAIN, minimize_gcv
 
 
@@ -241,6 +242,24 @@ def test_target_of_another_length_fails_once_before_any_block(y60, splits60, cap
                 px.run_curves([("short", columns)], y50, splits60, mode=mode)
         assert caplog.records == []
     assert ran == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_target_near_1e300_is_a_typed_block_error(caplog):
+    # the GCV score overflows: permissive mode drops and logs every block,
+    # strict mode stops at the first
+    years = np.arange(1, 41)
+    y = px.TimeSeries(years, np.sin(years) * 1e300)
+    entry = px.experiment_entry("w", px.NoiseSpec(kind="white", n=40, p=50, seed=1))
+    splits = px.make_blocks(40, 10)
+    with caplog.at_level(logging.WARNING, logger="paleoxval"):
+        (rep,) = px.run_curves([entry], y, splits, mode="permissive")
+    assert np.all(np.isnan(rep.block_rmse))
+    assert len(caplog.records) == len(splits)
+    assert "GCV score not finite" in caplog.records[0].getMessage()
+    with pytest.raises(BlockFailure) as exc:
+        px.run_curves([entry], y, splits)
+    assert exc.value.block_start == 0 and isinstance(exc.value.cause, NonFiniteValue)
 
 
 NOISE_KINDS = [("white", None), ("ar1", 0.9), ("brownian", None)]

@@ -14,6 +14,17 @@ from paleoxval.errors import (ConfigError, NonAnnualYears, NonFiniteValue,
 from conftest import read_report
 
 
+def reader_cases(proxy_cases, target_cases):
+    """Parametrize values (*case, read) for the reader behind both loaders: read
+    returns the proxy data or the target values. A proxy case's id is its values,
+    a target case's id starts with "target-"."""
+    def params(cases, read, prefix):
+        return [pytest.param(*case, read, id=prefix + "-".join(map(str, case)))
+                for case in cases]
+    return (params(proxy_cases, lambda f: pio.load_proxies(f).data, "")
+            + params(target_cases, lambda f: pio.load_target(f).values, "target-"))
+
+
 class TestLoadTarget:
     def test_minimal(self, tmp_path):
         f = tmp_path / "t.csv"
@@ -124,17 +135,24 @@ class TestLoadProxies:
             pio.load_proxies(f)
         assert f"{f}:4: non-finite value {token!r}" in str(info.value)
 
-    @pytest.mark.parametrize("body, line_no", [
+    @pytest.mark.parametrize("body, line_no, read", reader_cases([
         ("year,a,b\n1850,1.0,2.0\n1851,1.0\n", 3),   # ragged
         ("year,a,b\n", 1),                              # header only
         ("", 0),                                        # empty
         ("\n\n", 0),                                    # blank lines only
-    ])
-    def test_ragged_header_only_and_empty_files(self, tmp_path, body, line_no):
+        ("year,a,b\n\n1850,1.0,2.0\n", 3),             # one data row
+    ], [
+        ("year,value\n1850,1.0\n1851,1.0,2.0\n", 3),
+        ("year,value\n", 1),
+        ("", 0),
+        ("\n\n", 0),
+        ("year,valu\udce9\n1850,1.0\n1851,2.0\n", 1),  # a header byte that is not UTF-8
+    ]))
+    def test_ragged_header_only_and_empty_files(self, tmp_path, body, line_no, read):
         f = tmp_path / "p.csv"
-        f.write_text(body)
+        f.write_bytes(body.encode("utf-8", "surrogateescape"))
         with pytest.raises(ParseError) as info:
-            pio.load_proxies(f)
+            read(f)
         assert info.value.line_no == line_no
 
     def test_quoted_numeric_field(self, tmp_path):
@@ -144,16 +162,21 @@ class TestLoadProxies:
         assert X.column_ids == ("a", "b")
         assert np.array_equal(X.data, [[1.5, 2.0], [-0.03, 4.0]])
 
-    @pytest.mark.parametrize("body", [
-        "year,a,b\n\n1850,1.5,2\n\n\n1851,-3,4\n\n",     # fewer rows than lines
-        "year,a,b\r1850,1.5,2\r1851,-3,4\r",              # no "\n" to count
-        "year,a,b\r\n1850,1.5,2\r\n1851,-3,4",            # no final line end
-    ])
-    def test_row_count_differs_from_line_count(self, tmp_path, body):
+    @pytest.mark.parametrize("body, read", reader_cases([
+        ("year,a,b\n\n1850,1.5,2\n\n\n1851,-3,4\n\n",),     # fewer rows than lines
+        ("year,a,b\r1850,1.5,2\r1851,-3,4\r",),              # no "\n" to count
+        ("year,a,b\r\n1850,1.5,2\r\n1851,-3,4",),            # no final line end
+    ], [
+        ("year,value\n\n1850,1.5\n\n\n1851,-3\n\n",),
+        ("year,value\r1850,1.5\r1851,-3\r",),
+        ("year,value\r\n1850,1.5\r\n1851,-3",),
+    ]))
+    def test_row_count_differs_from_line_count(self, tmp_path, body, read):
         f = tmp_path / "p.csv"
         f.write_bytes(body.encode())
-        data = pio.load_proxies(f).data
-        assert np.array_equal(data, [[1.5, 2.0], [-3.0, 4.0]])
+        data = read(f)
+        expected = np.array([[1.5, 2.0], [-3.0, 4.0]])
+        assert np.array_equal(data, expected if data.ndim == 2 else expected[:, 0])
         assert data.flags.owndata and not data.flags.writeable
 
     def test_result_is_owned_and_read_only(self, tmp_path, y60):
@@ -317,7 +340,7 @@ class TestConfig:
                                  "output_dir": "results"}))
         config = pio.load_config(f)
         assert config.target == str(sub / "t.csv")
-        assert config.proxy_source.file == str(sub / "p.csv")
+        assert config.proxy_source == str(sub / "p.csv")
         assert config.output_dir == str(sub / "results")
 
     @pytest.mark.parametrize("body", [
@@ -361,6 +384,11 @@ class TestConfig:
         f.write_text(json.dumps(body))
         with pytest.raises(ConfigError):
             pio.load_config(f)
+
+    def test_proxy_source_is_a_path_string_or_noise(self, tmp_path):
+        with pytest.raises(ConfigError, match="proxy_source must be"):
+            pio.ExperimentConfig(target="t.csv", proxy_source=tmp_path / "p.csv",
+                                 output_dir="out")
 
     def test_deprecated_mc_columns_key_is_kept(self, tmp_path):
         body = {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}}
@@ -462,7 +490,7 @@ class TestConfig:
         config = data.draw(st.builds(
             pio.ExperimentConfig,
             target=paths,
-            proxy_source=st.builds(pio.FileSource, file=paths) | noise,
+            proxy_source=paths | noise,
             output_dir=paths,
             noise_experiments=st.lists(noise, max_size=3),
             n_v=st.integers(2, 10**4),
