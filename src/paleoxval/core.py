@@ -162,8 +162,8 @@ def gram_matrix(Xs: np.ndarray) -> np.ndarray:
     Returns the n x n matrix (Xs Xs^T) / p, exactly symmetric and positive
     semidefinite up to rounding.
     """
-    S = Xs @ Xs.T / Xs.shape[1]
-    return (S + S.T) / 2.0
+    # numpy forms Xs @ Xs.T with syrk and mirrors one triangle, so S equals S.T
+    return Xs @ Xs.T / Xs.shape[1]
 
 
 class ShiftedSystem:

@@ -128,19 +128,18 @@ _TASK = None
 _MEMBER: dict[NoiseSpec, ProxyMatrix] = {}
 
 
-def _adopt(task: tuple, parent: int | None = None) -> None:
+def _adopt(task: tuple, parent: int) -> None:
     """Start a pool worker. It dies with ``parent``: the kernel kills it when
     the parent dies (Linux), and it exits now if the parent is already gone,
     as a worker of a killed command would run on, then block on the queue."""
     global _TASK
     _TASK = task
-    if parent is not None:
-        if sys.platform == "linux":
-            prctl = ctypes.CDLL(None).prctl
-            prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-            prctl(1, signal.SIGKILL)    # PR_SET_PDEATHSIG; fails only for a bad signal
-        if os.getppid() != parent:
-            os._exit(1)
+    if sys.platform == "linux":
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(1, signal.SIGKILL)    # PR_SET_PDEATHSIG; fails only for a bad signal
+    if os.getppid() != parent:
+        os._exit(1)
     _one_blas_thread()
 
 

@@ -65,13 +65,13 @@ def gcv_scores(system: ShiftedSystem, lams) -> np.ndarray:
     sig = system.sig
     shrink = sig / (sig + lams)                 # f_i
     damp = lams / (sig + lams)                  # 1 - f_i, formed directly
-    resid_sq = damp**2 @ system.u**2
     trace_ih = system.n_c - shrink.sum(axis=1) + shrink @ system.wq_1q - system.w_sum
     low = np.flatnonzero(trace_ih < TRACE_FLOOR)
     if len(low):
         i = low[0]
         raise DegenerateTrace(f"tr(I - H) = {trace_ih[i]:.3e} at lam = {lams[i, 0]:.3e}")
-    return system.n_c * resid_sq / trace_ih**2
+    with np.errstate(over="ignore"):    # a huge target: minimize_gcv raises NonFiniteValue
+        return system.n_c * (damp**2 @ system.u**2) / trace_ih**2
 
 
 def minimize_gcv(system: ShiftedSystem) -> GcvResult:

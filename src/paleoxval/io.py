@@ -94,6 +94,9 @@ class ExperimentConfig:
         object.__setattr__(self, "noise_experiments", tuple(self.noise_experiments))
         object.__setattr__(self, "phi_list", tuple(self.phi_list))
         object.__setattr__(self, "p_ladder", tuple(self.p_ladder))
+        for name in ("target", "output_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a path string, got {getattr(self, name)!r}")
         if not isinstance(self.proxy_source, (str, NoiseSource)):
             raise ConfigError("proxy_source must be a path string or a NoiseSource, "
                               f"got {self.proxy_source!r}")
@@ -122,7 +125,7 @@ class ExperimentConfig:
         object.__setattr__(self, "phi_list", tuple(float(x) for x in self.phi_list))
 
 
-def config_from_dict(obj: dict, base_dir: Path | None = None) -> ExperimentConfig:
+def config_from_dict(obj: dict, base_dir: Path) -> ExperimentConfig:
     """Build a config from parsed JSON whose keys are ExperimentConfig's
     fields; relative paths resolve against base_dir."""
     if not isinstance(obj, dict):
@@ -135,10 +138,9 @@ def config_from_dict(obj: dict, base_dir: Path | None = None) -> ExperimentConfi
     source = obj.get("proxy_source")
     if not isinstance(source, dict) or source.keys() not in ({"file"}, {"noise"}):
         raise ConfigError("proxy_source must be exactly one of {'file': ...} or {'noise': ...}")
-    base = Path(base_dir) if base_dir is not None else Path(".")
 
     def resolve(p: str) -> str:
-        return str((base / p).resolve()) if not Path(p).is_absolute() else p
+        return str((base_dir / p).resolve()) if not Path(p).is_absolute() else p
 
     try:
         return ExperimentConfig(**{
@@ -193,12 +195,6 @@ def _parse_value(path, line_no, text: str) -> float:
     return v
 
 
-def _check_annual(path, years: list[int]):
-    for prev, cur in zip(years, years[1:]):
-        if cur != prev + 1:
-            raise NonAnnualYears(f"{path}: years jump from {prev} to {cur}")
-
-
 def _read_table(path, ids=None) -> tuple[list[int], ProxyMatrix]:
     """The one CSV reader: the years and the matrix of a file with header
     ``year,<id>,...`` (exactly ``year,*ids`` when ids is given) and at least 2
@@ -231,7 +227,10 @@ def _read_table(path, ids=None) -> tuple[list[int], ProxyMatrix]:
         for line_no, row in itertools.chain(head[1:], rows):
             if len(row) != len(header):
                 raise ParseError(path, line_no, f"expected {len(header)} fields, got {len(row)}")
-            years.append(_parse_year(path, line_no, row[0]))
+            year = _parse_year(path, line_no, row[0])
+            if years and year != years[-1] + 1:
+                raise NonAnnualYears(f"{path}:{line_no}: year {year} does not follow {years[-1]}")
+            years.append(year)
             try:
                 values = np.array(row[1:], dtype=np.float64)   # float()'s conversion
             except ValueError:
@@ -244,7 +243,6 @@ def _read_table(path, ids=None) -> tuple[list[int], ProxyMatrix]:
             data[len(years) - 1] = values
     if len(years) < 2:
         raise ParseError(path, line_no, "need at least 2 data rows")
-    _check_annual(path, years)
     data.resize((len(years), data.shape[1]), refcheck=False)
     data.flags.writeable = False
     return years, ProxyMatrix(data=data, column_ids=tuple(header[1:]))

@@ -45,8 +45,6 @@ class Series:
 
 
 def _ticks(lo: float, hi: float, count: int = 6) -> np.ndarray:
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / (count - 1)
     mag = 10.0 ** np.floor(np.log10(raw))
     step = min(s * mag for s in (1.0, 2.0, 2.5, 5.0, 10.0) if s * mag >= raw)
@@ -54,9 +52,8 @@ def _ticks(lo: float, hi: float, count: int = 6) -> np.ndarray:
     return np.arange(start, hi + step / 2, step)
 
 
-def render_svg(series: list[Series], *, title: str = "", x_label: str = "",
-               y_label: str = "") -> str:
-    """A titled chart of several series sharing one x-domain."""
+def write_svg(series: list[Series], path, *, title: str, x_label: str, y_label: str) -> Path:
+    """Write a titled chart of several series sharing one x-domain to path."""
     if not series:
         raise ValueError("a plot needs at least one series")
     finite_x = np.concatenate([s.x[np.isfinite(s.y)] for s in series])
@@ -101,17 +98,14 @@ def render_svg(series: list[Series], *, title: str = "", x_label: str = "",
         py = sy(t)
         parts.append(f'<line x1="{x0 - 5:.2f}" y1="{py:.2f}" x2="{x0:.2f}" y2="{py:.2f}" {axis}/>')
         parts.append(f'<text x="{x0 - 8:.2f}" y="{py + 4:.2f}" text-anchor="end">{t:g}</text>')
-    if x_label:
-        parts.append(f'<text x="{(x0 + x1) / 2:.2f}" y="{HEIGHT - 8:.2f}" '
-                     f'text-anchor="middle" font-size="13">{escape(x_label)}</text>')
-    if y_label:
-        cx, cy = 16.0, (y0 + y1) / 2
-        parts.append(f'<text x="{cx:.2f}" y="{cy:.2f}" text-anchor="middle" font-size="13" '
-                     f'transform="rotate(-90 {cx:.2f} {cy:.2f})">{escape(y_label)}</text>')
+    parts.append(f'<text x="{(x0 + x1) / 2:.2f}" y="{HEIGHT - 8:.2f}" '
+                 f'text-anchor="middle" font-size="13">{escape(x_label)}</text>')
+    cx, cy = 16.0, (y0 + y1) / 2
+    parts.append(f'<text x="{cx:.2f}" y="{cy:.2f}" text-anchor="middle" font-size="13" '
+                 f'transform="rotate(-90 {cx:.2f} {cy:.2f})">{escape(y_label)}</text>')
     parts.append("</g>")
-    if title:
-        parts.append(f'<text x="{(x0 + x1) / 2:.2f}" y="{MARGIN_T - 14:.2f}" text-anchor="middle" '
-                     f'font-size="15" font-family="sans-serif">{escape(title)}</text>')
+    parts.append(f'<text x="{(x0 + x1) / 2:.2f}" y="{MARGIN_T - 14:.2f}" text-anchor="middle" '
+                 f'font-size="15" font-family="sans-serif">{escape(title)}</text>')
 
     for idx, s in enumerate(series):
         keep = np.isfinite(s.y)
@@ -142,11 +136,5 @@ def render_svg(series: list[Series], *, title: str = "", x_label: str = "",
     legend.append("</g>")
     parts.extend(legend)
     parts.append("</svg>")
-    return "\n".join(parts)
-
-
-def write_svg(series: list[Series], path, *, title: str = "", x_label: str = "",
-              y_label: str = "") -> Path:
-    svg = render_svg(series, title=title, x_label=x_label, y_label=y_label)
-    Path(path).write_text(svg, encoding="utf-8")
+    Path(path).write_text("\n".join(parts), encoding="utf-8")
     return Path(path)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -212,11 +212,21 @@ class TestGramMatrix:
         np.testing.assert_allclose(px.gram_matrix(data), oracles.gram_by_accumulation(data),
                                    rtol=1e-13, atol=1e-15)
 
-    @given(st.integers(0, 2**32), st.integers(3, 9), st.integers(1, 6))
-    def test_psd_and_symmetric(self, seed, n, p):
-        rng = np.random.default_rng(seed)
-        data = rng.standard_normal((n, p))
-        S = px.gram_matrix(data)
+    @given(st.integers(0, 2**32), st.integers(3, 9), st.integers(1, 6), st.booleans())
+    # production blocks: the reference design, strict and with one flat column
+    # dropped, and the widest limit rung
+    @example(seed=8, n=149, p=1138, flat=False)
+    @example(seed=8, n=149, p=1138, flat=True)
+    @example(seed=8, n=149, p=10000, flat=False)
+    def test_psd_and_symmetric(self, seed, n, p, flat):
+        # gram_matrix relies on numpy's Xs @ Xs.T being exactly symmetric
+        data = px.generate(px.NoiseSpec(kind="ar1", n=n, p=p, seed=seed, phi=0.9)).data
+        if flat:
+            data = np.hstack([np.full((n, 1), 1.5), data])
+        X = px.ProxyMatrix(data, tuple(f"c{j}" for j in range(data.shape[1])))
+        Xs = px.standardize(X, px.HoldoutSplit(n, 0, min(30, n - 2)), drop_degenerate=flat)
+        assert Xs.shape == (n, p)
+        S = px.gram_matrix(Xs)
         assert np.array_equal(S, S.T)
         eigs = np.linalg.eigvalsh(S)
         assert eigs.min() >= -1e-10 * max(1.0, np.abs(eigs).max())

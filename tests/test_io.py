@@ -1,6 +1,7 @@
 import json
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ class TestLoadTarget:
     def test_missing_year_rejected(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("year,value\n1850,-0.3\n1852,-0.2\n")
-        with pytest.raises(NonAnnualYears):
+        with pytest.raises(NonAnnualYears, match=r"t\.csv:3: year 1852 does not follow 1850$"):
             pio.load_target(f)
 
     def test_nan_value_rejected(self, tmp_path):
@@ -86,6 +87,12 @@ class TestLoadProxies:
         path = pio.save_proxies(X, y60.years[:59], tmp_path / "p.csv")
         with pytest.raises(YearMismatch):
             pio.load_proxies(path, expected_years=y60.years)
+
+    def test_year_out_of_order_names_its_line(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text("year,a,b\n1850,1,2\n1851,3,4\n\n1851,5,6\n1852,7,8\n")
+        with pytest.raises(NonAnnualYears, match=r"p\.csv:5: year 1851 does not follow 1851$"):
+            pio.load_proxies(f)
 
     def test_non_finite_rejected(self, tmp_path):
         f = tmp_path / "p.csv"
@@ -389,6 +396,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="proxy_source must be"):
             pio.ExperimentConfig(target="t.csv", proxy_source=tmp_path / "p.csv",
                                  output_dir="out")
+
+    @pytest.mark.parametrize("field", ["target", "output_dir"])
+    @pytest.mark.parametrize("value", [Path("t.csv"), 7], ids=["path", "int"])
+    def test_target_and_output_dir_are_path_strings(self, field, value):
+        fields = {"target": "t.csv", "output_dir": "out", field: value}
+        with pytest.raises(ConfigError, match=f"{field} must be a path string"):
+            pio.ExperimentConfig(proxy_source=pio.NoiseSource("white"), **fields)
 
     def test_deprecated_mc_columns_key_is_kept(self, tmp_path):
         body = {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}}

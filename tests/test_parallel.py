@@ -349,7 +349,7 @@ def test_worker_start_pins_openblas_to_one_thread():
         "    print('no openblas')\n"
         "else:\n"
         "    before = get()\n"
-        "    crossval._adopt(None)\n"
+        "    crossval._one_blas_thread()\n"
         "    print(before, get())\n",
         env={"OPENBLAS_NUM_THREADS": "2"})
     if out.strip() == "no openblas":
