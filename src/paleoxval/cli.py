@@ -56,7 +56,7 @@ def cmd_crossval(config: io.ExperimentConfig, y: TimeSeries, splits: list[Holdou
             label = source.label
         if label in (c[0] for c in curves):
             label = f"{label}_{k}"
-        curves.append(experiment_entry(label, source, drop_degenerate=config.drop_degenerate))
+        curves.append(experiment_entry(label, source))
     reports = run_curves(curves, y, splits, mode=config.mode)
     outputs = [io.write_report(report, out_dir, y.years) for report in reports]
 
@@ -90,7 +90,7 @@ def cmd_figure2(config: io.ExperimentConfig, y: TimeSeries, splits: list[Holdout
     curves = []
     if with_proxies := isinstance(config.proxy_source, str):
         X = io.load_proxies(config.proxy_source, expected_years=y.years)
-        curves.append(experiment_entry("proxies", X, drop_degenerate=config.drop_degenerate))
+        curves.append(experiment_entry("proxies", X))
     for spec in specs:
         curves += ensemble_entries(spec, m)
         if spec.kind == "ar1":      # only AR(1) has a covariance yet, for limit and kriging
@@ -203,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override ensemble size")
         cmd.add_argument("--phi", dest="phi_list", type=float, nargs=1, metavar="PHI",
                          help="override phi_list with one value")
-        cmd.add_argument("--drop-degenerate", action="store_const", const=True,
-                         help="drop zero-variance proxy columns instead of failing")
         cmd.add_argument("--out", dest="output_dir", type=lambda path: str(Path(path).resolve()),
                          help="override the output directory")
     return parser

@@ -2,9 +2,9 @@
 reconstruction operator on one factored calibration system.
 
 Everything here is a pure function of immutable inputs. Arrays stored on the
-value types are float64 (or int64 for indices), read-only and row-major,
-copied unless already owned, read-only and row-major, so instances are safe
-to share across threads and results do not depend on the caller's memory order.
+value types are float64 (or int64 for indices), read-only and row-major
+(copied unless already owned in that form), so instances are safe to share
+across threads and results do not depend on the caller's memory order.
 """
 
 from __future__ import annotations
@@ -115,8 +115,7 @@ class HoldoutSplit:
         return self.n - self.n_v
 
 
-def standardize(X: ProxyMatrix, split: HoldoutSplit, *,
-                drop_degenerate: bool = False) -> np.ndarray:
+def standardize(X: ProxyMatrix, split: HoldoutSplit) -> np.ndarray:
     """Standardize every column using calibration-period statistics only.
 
     Each column's mean and sample standard deviation (denominator n_c - 1)
@@ -124,18 +123,8 @@ def standardize(X: ProxyMatrix, split: HoldoutSplit, *,
     included, is then transformed by (x - mean) / std. The two calibration
     segments around the block are read as views, and a new array is centred
     before the squares are summed, so large offsets cancel first. Returns a
-    read-only n x p float64 array, narrower when degenerate columns are
-    dropped.
-
-    Parameters
-    ----------
-    X : ProxyMatrix
-    split : HoldoutSplit
-    drop_degenerate : bool
-        When False (strict, the default) a calibration std <= 1e-12 raises
-        DegenerateColumn naming those columns. When True they are silently
-        removed from the centred array; raises, naming every column, only if
-        nothing is left.
+    read-only n x p float64 array. A calibration std at or below
+    DEGENERATE_STD raises DegenerateColumn naming those columns.
     """
     data = X.data
     if data.shape[0] != split.n:
@@ -148,9 +137,7 @@ def standardize(X: ProxyMatrix, split: HoldoutSplit, *,
     stds = np.sqrt(sum_sq / max(split.n_c - 1, 1))
     bad = stds <= DEGENERATE_STD
     if bad.any():
-        if not drop_degenerate or bad.all():
-            raise DegenerateColumn([X.column_ids[j] for j in np.flatnonzero(bad)])
-        out, stds = out[:, ~bad], stds[~bad]
+        raise DegenerateColumn([X.column_ids[j] for j in np.flatnonzero(bad)])
     out /= stds
     out.flags.writeable = False
     return out

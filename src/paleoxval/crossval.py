@@ -91,10 +91,9 @@ class Columns(NamedTuple):
     quad_error: float = float("nan")
 
 
-def proxy_columns(X: ProxyMatrix, split: HoldoutSplit, *,
-                  drop_degenerate: bool = False) -> Columns:
+def proxy_columns(X: ProxyMatrix, split: HoldoutSplit) -> Columns:
     """The Gram columns of X standardized over the split's calibration rows."""
-    S = gram_matrix(standardize(X, split, drop_degenerate=drop_degenerate))
+    S = gram_matrix(standardize(X, split))
     return Columns(S[:, split.calib_rows])
 
 
@@ -264,8 +263,7 @@ def run_curves(curves: Sequence[Curve], y: TimeSeries, splits: Sequence[HoldoutS
     return done
 
 
-def experiment_entry(label: str, source: ProxyMatrix | NoiseSpec, *,
-                     drop_degenerate: bool = False) -> Curve:
+def experiment_entry(label: str, source: ProxyMatrix | NoiseSpec) -> Curve:
     """proxy_columns of a proxy matrix, or of a NoiseSpec's member, drawn where it runs."""
     def columns(split: HoldoutSplit) -> Columns:
         X = source
@@ -274,7 +272,7 @@ def experiment_entry(label: str, source: ProxyMatrix | NoiseSpec, *,
                 _MEMBER.clear()     # drop the previous member before drawing the next
                 _MEMBER[source] = generate(source)
             X = _MEMBER[source]
-        return proxy_columns(X, split, drop_degenerate=drop_degenerate)
+        return proxy_columns(X, split)
     return label, columns
 
 

@@ -45,22 +45,20 @@ def _require_int(name: str, value, minimum: int) -> None:
 
 @dataclass(frozen=True)
 class NoiseSource:
-    """Proxies generated as noise; n and default p are filled at run time."""
+    """Proxies generated as noise; n, p (``noise_columns``) and seed are filled at run time."""
 
     kind: str
     phi: float | None = None
-    p: int | None = None
 
     def __post_init__(self):
-        try:    # n and seed are known at run time; these stand-ins pass NoiseSpec's checks
-            self.spec(n=2, seed=0, default_p=1)
+        try:    # these stand-ins for the run-time values pass NoiseSpec's checks
+            self.spec(n=2, seed=0, p=1)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def spec(self, n: int, seed: int, default_p: int) -> NoiseSpec:
-        """The recipe for this source's n-row matrix; p defaults to default_p."""
-        return NoiseSpec(kind=self.kind, n=n, p=default_p if self.p is None else self.p,
-                         seed=seed, phi=self.phi)
+    def spec(self, n: int, seed: int, p: int) -> NoiseSpec:
+        """The recipe for this source's n x p matrix."""
+        return NoiseSpec(kind=self.kind, n=n, p=p, seed=seed, phi=self.phi)
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,6 @@ class ExperimentConfig:
     p_ladder: tuple[int, ...] = (100, 1000, 10000)
     limit_repeats: int = 10
     mode: str = "strict"
-    drop_degenerate: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "noise_experiments", tuple(self.noise_experiments))
@@ -109,9 +106,6 @@ class ExperimentConfig:
             _require_int(f"p_ladder[{i}]", p, 1)
         if len(set(self.p_ladder)) != len(self.p_ladder):
             raise ConfigError(f"p_ladder entries must be distinct, got {list(self.p_ladder)}")
-        if not isinstance(self.drop_degenerate, bool):
-            raise ConfigError("drop_degenerate must be true or false, "
-                              f"got {self.drop_degenerate!r}")
         if self.mode not in ("strict", "permissive"):
             raise ConfigError(f"mode must be 'strict' or 'permissive', got {self.mode!r}")
         if not self.phi_list:
@@ -123,6 +117,16 @@ class ExperimentConfig:
         if len(set(labels)) != len(labels):
             raise ConfigError(f"phi_list entries must have distinct :g labels, got {labels}")
         object.__setattr__(self, "phi_list", tuple(float(x) for x in self.phi_list))
+
+
+def _noise_source(entry, where: str) -> NoiseSource:
+    """A noise entry of a config, checked like its top-level keys."""
+    if not isinstance(entry, dict) or "kind" not in entry:
+        raise ConfigError(f"{where}: expected an object with a 'kind', got {entry!r}")
+    extra = set(entry) - {f.name for f in fields(NoiseSource)}
+    if extra:
+        raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
+    return NoiseSource(**entry)
 
 
 def config_from_dict(obj: dict, base_dir: Path) -> ExperimentConfig:
@@ -147,9 +151,10 @@ def config_from_dict(obj: dict, base_dir: Path) -> ExperimentConfig:
             **obj,
             "target": resolve(obj["target"]),
             "proxy_source": (resolve(source["file"]) if "file" in source
-                             else NoiseSource(**source["noise"])),
+                             else _noise_source(source["noise"], "proxy_source.noise")),
             "output_dir": resolve(obj.get("output_dir", "out")),
-            "noise_experiments": [NoiseSource(**e) for e in obj.get("noise_experiments", ())],
+            "noise_experiments": [_noise_source(e, f"noise_experiments[{i}]")
+                                  for i, e in enumerate(obj.get("noise_experiments", ()))],
         })
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

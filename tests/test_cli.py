@@ -67,15 +67,16 @@ class TestCrossval:
         assert main(["crossval", "--config", str(config)]) == 0
         assert (tmp_path / "out" / "blocks_proxies.csv").exists()
 
-    def test_drop_degenerate_flag(self, tmp_path, y60):
-        target = pio.save_target(y60, tmp_path / "t.csv")
-        data = np.column_stack([y60.values, np.full(60, 2.0)])
-        proxies = pio.save_proxies(px.ProxyMatrix(data, ("sig", "flat")),
-                                   y60.years, tmp_path / "p.csv")
-        config = write_config(tmp_path / "c.json", target,
-                              proxy_source={"file": str(proxies)})
-        assert main(["crossval", "--config", str(config)]) == 1
-        assert main(["crossval", "--config", str(config), "--drop-degenerate"]) == 0
+    def test_drop_degenerate_flag_is_a_usage_error(self, small_config, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["crossval", "--config", str(small_config), "--drop-degenerate"])
+        assert done.value.code == 2
+        assert "unrecognized arguments: --drop-degenerate" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["crossval", "--help"])
+        flags = [word for word in capsys.readouterr().out.split() if word.startswith("--")]
+        assert sorted(set(flags)) == ["--config", "--ensemble", "--help", "--nv", "--out",
+                                      "--phi", "--seed"]
 
     def test_failed_curve_ranks_last(self, tmp_path, y60, capsys):
         # a constant proxy column fails every block, so the proxy curve's mean
@@ -316,11 +317,16 @@ class TestOverridesAndErrors:
         assert main(["crossval", "--config", str(config)]) == 1
         assert capsys.readouterr().err.startswith("error: seed must be an integer")
 
-    def test_string_flag_in_config_is_an_error(self, tmp_path, y60, capsys):
-        target = pio.save_target(y60, tmp_path / "t.csv")
-        config = write_config(tmp_path / "c.json", target, drop_degenerate="false")
-        assert main(["crossval", "--config", str(config)]) == 1
-        assert capsys.readouterr().err.startswith("error: drop_degenerate must be true or false")
+    def test_manifest_with_drop_degenerate_is_an_error(self, small_config, tmp_path):
+        # every manifest written while drop_degenerate was a key holds it as false
+        assert main(["crossval", "--config", str(small_config)]) == 0
+        manifest = tmp_path / "out" / "manifest.json"
+        blob = json.loads(manifest.read_text())
+        blob["config"]["drop_degenerate"] = False
+        manifest.write_text(json.dumps(blob, indent=2, sort_keys=True) + "\n")
+        done = run_cli_process(["crossval", "--config", str(manifest)])
+        assert done.returncode == 1
+        assert done.stderr == "error: unknown config keys ['drop_degenerate']\n"
 
     def test_string_phi_in_config_is_an_error(self, tmp_path, y60, capsys):
         target = pio.save_target(y60, tmp_path / "t.csv")

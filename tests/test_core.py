@@ -142,7 +142,7 @@ class TestStandardize:
     def test_column_flat_only_over_calibration_rows(self, start):
         # "step" is constant outside the holdout block and varies inside it,
         # so only a reduction over exactly the calibration rows finds it
-        # degenerate; the kept columns then check both segments' statistics
+        # degenerate; the other two columns then check both segments' statistics
         n, n_v = 12, 4
         rng = np.random.default_rng(2)
         step = np.full(n, 3.0)
@@ -153,7 +153,7 @@ class TestStandardize:
         with pytest.raises(DegenerateColumn) as err:
             px.standardize(X, split)
         assert err.value.column_ids == ("step",)
-        out = px.standardize(X, split, drop_degenerate=True)
+        out = px.standardize(px.ProxyMatrix(data[:, [0, 2]], ("a", "b")), split)
         np.testing.assert_allclose(out, oracles.standardize_by_loop(data[:, [0, 2]],
                                                                     split.calib_rows),
                                    rtol=1e-12, atol=1e-12)
@@ -163,39 +163,23 @@ class TestStandardize:
         with pytest.raises(LengthMismatch):
             px.standardize(X, px.HoldoutSplit(6, 2, 2))
 
-    def test_drop_degenerate(self):
-        data = np.column_stack([np.arange(4.0), np.full(4, 7.0)])
-        X = px.ProxyMatrix(data, ("good", "flat"))
-        out = px.standardize(X, px.HoldoutSplit(4, 2, 1), drop_degenerate=True)
-        # only "good" is left: calibration rows {0, 1, 3} hold 0, 1, 3
-        assert out.shape == (4, 1)
-        np.testing.assert_allclose(out[:, 0], (np.arange(4.0) - 4 / 3) / np.sqrt(7 / 3),
-                                   rtol=1e-14)
-        all_flat = px.ProxyMatrix(np.full((4, 2), 7.0), ("f1", "f2"))
-        with pytest.raises(DegenerateColumn) as err:
-            px.standardize(all_flat, px.HoldoutSplit(4, 2, 1), drop_degenerate=True)
-        assert err.value.column_ids == ("f1", "f2")
-
-    def test_drop_matches_strict_on_kept_columns(self):
+    def test_flat_outside_a_few_rows_fails_exactly_the_blocks_holding_them(self):
         # reference design, 120 blocks; column 0 is flat outside rows 40-45,
         # so it is degenerate exactly on the blocks that hold all six rows
         X = px.generate(px.NoiseSpec(kind="ar1", n=149, p=1138, seed=8, phi=0.9))
         data = X.data.copy()
         data[:40, 0] = data[46:, 0] = 1.5
         X = px.ProxyMatrix(data, X.column_ids)
-        kept = px.ProxyMatrix(data[:, 1:], X.column_ids[1:])
-        dropped = 0
+        failed = 0
         for split in px.make_blocks(149, 30):
-            out = px.standardize(X, split, drop_degenerate=True)
             if split.block_start <= 40 and split.block_start + 30 >= 46:
-                dropped += 1
-                # the means and stds are sums over a wider array, so they may
-                # differ from the kept columns' own in the last bits
-                np.testing.assert_allclose(out, px.standardize(kept, split),
-                                           rtol=0, atol=4e-15)
+                failed += 1
+                with pytest.raises(DegenerateColumn) as err:
+                    px.standardize(X, split)
+                assert err.value.column_ids == (X.column_ids[0],)
             else:
-                assert np.array_equal(out, px.standardize(X, split))
-        assert dropped == 25
+                assert px.standardize(X, split).shape == (149, 1138)
+        assert failed == 25
 
 
 class TestGramMatrix:
@@ -212,19 +196,14 @@ class TestGramMatrix:
         np.testing.assert_allclose(px.gram_matrix(data), oracles.gram_by_accumulation(data),
                                    rtol=1e-13, atol=1e-15)
 
-    @given(st.integers(0, 2**32), st.integers(3, 9), st.integers(1, 6), st.booleans())
-    # production blocks: the reference design, strict and with one flat column
-    # dropped, and the widest limit rung
-    @example(seed=8, n=149, p=1138, flat=False)
-    @example(seed=8, n=149, p=1138, flat=True)
-    @example(seed=8, n=149, p=10000, flat=False)
-    def test_psd_and_symmetric(self, seed, n, p, flat):
+    @given(st.integers(0, 2**32), st.integers(3, 9), st.integers(1, 6))
+    # production blocks: the reference design and the widest limit rung
+    @example(seed=8, n=149, p=1138)
+    @example(seed=8, n=149, p=10000)
+    def test_psd_and_symmetric(self, seed, n, p):
         # gram_matrix relies on numpy's Xs @ Xs.T being exactly symmetric
-        data = px.generate(px.NoiseSpec(kind="ar1", n=n, p=p, seed=seed, phi=0.9)).data
-        if flat:
-            data = np.hstack([np.full((n, 1), 1.5), data])
-        X = px.ProxyMatrix(data, tuple(f"c{j}" for j in range(data.shape[1])))
-        Xs = px.standardize(X, px.HoldoutSplit(n, 0, min(30, n - 2)), drop_degenerate=flat)
+        X = px.generate(px.NoiseSpec(kind="ar1", n=n, p=p, seed=seed, phi=0.9))
+        Xs = px.standardize(X, px.HoldoutSplit(n, 0, min(30, n - 2)))
         assert Xs.shape == (n, p)
         S = px.gram_matrix(Xs)
         assert np.array_equal(S, S.T)

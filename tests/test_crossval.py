@@ -154,9 +154,6 @@ class TestRunExperiment:
                             mode="permissive")[0]
         assert np.all(np.isnan(rep.block_rmse))
         assert np.isnan(rep.mean_rmse)
-        rep2 = px.run_curves([px.experiment_entry("ok", X, drop_degenerate=True)],
-                             y60, splits60)[0]
-        assert np.all(np.isfinite(rep2.block_rmse))
 
 
 class TestRunEnsemble:

@@ -1,6 +1,7 @@
 import json
 import tempfile
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +371,7 @@ class TestConfig:
         {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "limit_repeats": 2.5},
         {"target": "t.csv", "proxy_source": {"noise": {"kind": "white", "p": 1.5}}},
         {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "n_v": 1},
+        # an unknown key, whatever its value
         {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "drop_degenerate": "no"},
         {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "drop_degenerate": 1},
         {"target": "t.csv", "proxy_source": {"noise": {"kind": "white"}}, "phi_list": ["0.5"]},
@@ -391,6 +393,39 @@ class TestConfig:
         f.write_text(json.dumps(body))
         with pytest.raises(ConfigError):
             pio.load_config(f)
+
+    @pytest.mark.parametrize("body, message", [
+        ({"proxy_source": {"noise": {"kind": "white", "sigma": 1}}},
+         "proxy_source.noise: unknown keys ['sigma']"),
+        ({"proxy_source": {"noise": {"kind": "ar1", "phi": 0.9, "p": 17}}},
+         "proxy_source.noise: unknown keys ['p']"),
+        ({"proxy_source": {"noise": {"phi": 0.9}}},
+         "proxy_source.noise: expected an object with a 'kind', got {'phi': 0.9}"),
+        ({"proxy_source": {"noise": "white"}},
+         "proxy_source.noise: expected an object with a 'kind', got 'white'"),
+        ({"noise_experiments": ["white"]},
+         "noise_experiments[0]: expected an object with a 'kind', got 'white'"),
+        ({"noise_experiments": [{"kind": "white"}, {"kind": "white", "colour": "pink"}]},
+         "noise_experiments[1]: unknown keys ['colour']"),
+    ], ids=["sigma", "p", "no-kind", "string-source", "string-entry", "colour"])
+    def test_bad_noise_entry_names_its_place_and_key(self, tmp_path, body, message):
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({"target": "t.csv",
+                                 "proxy_source": {"noise": {"kind": "white"}}, **body}))
+        with pytest.raises(ConfigError) as err:
+            pio.load_config(f)
+        assert str(err.value) == message
+
+    def test_readme_config_example_shows_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        schema = readme.split("### Config schema", 1)[1]
+        obj = json.loads(schema.split("```json\n", 1)[1].split("```", 1)[0])
+        config = pio.config_from_dict(obj, tmp_path)
+        defaults = pio.ExperimentConfig(target="t.csv", proxy_source="p.csv", output_dir="o")
+        named = {"target", "proxy_source", "output_dir", "noise_experiments", "psi_mc_columns"}
+        assert set(obj) == {f.name for f in fields(pio.ExperimentConfig)}
+        for key in set(obj) - named:
+            assert getattr(config, key) == getattr(defaults, key), key
 
     def test_proxy_source_is_a_path_string_or_noise(self, tmp_path):
         with pytest.raises(ConfigError, match="proxy_source must be"):
@@ -421,7 +456,7 @@ class TestConfig:
         f = tmp_path / "c.json"
         f.write_text(json.dumps({
             "target": str(tmp_path / "t.csv"),
-            "proxy_source": {"noise": {"kind": "ar1", "phi": 0.9, "p": 17}},
+            "proxy_source": {"noise": {"kind": "ar1", "phi": 0.9}},
             "noise_experiments": [{"kind": "brownian"}],
             "seed": 99, "n_v": 12, "output_dir": str(tmp_path / "out"),
         }))
@@ -440,10 +475,10 @@ class TestConfig:
         f.write_text(json.dumps({
             "target": "/data/target.csv",
             "proxy_source": {"file": "/data/proxies.csv"},
-            "noise_experiments": [{"kind": "white"}, {"kind": "ar1", "phi": 0.9, "p": 17}],
+            "noise_experiments": [{"kind": "white"}, {"kind": "ar1", "phi": 0.9}],
             "n_v": 12, "ensemble_size": 3, "seed": 99, "phi_list": [0.5, 0.99],
             "psi_mc_columns": 8000, "noise_columns": 40, "p_ladder": [20, 100],
-            "limit_repeats": 2, "mode": "permissive", "drop_degenerate": True,
+            "limit_repeats": 2, "mode": "permissive",
             "output_dir": "/data/out",
         }))
         manifest = pio.write_manifest(tmp_path / "out", "figure2", pio.load_config(f),
@@ -451,7 +486,6 @@ class TestConfig:
         assert manifest.read_text() == """{
   "command": "figure2",
   "config": {
-    "drop_degenerate": true,
     "ensemble_size": 3,
     "limit_repeats": 2,
     "mode": "permissive",
@@ -463,7 +497,6 @@ class TestConfig:
       },
       {
         "kind": "ar1",
-        "p": 17,
         "phi": 0.9
       }
     ],
@@ -496,9 +529,8 @@ class TestConfig:
     def test_every_field_round_trips_through_a_manifest(self, data):
         paths = st.lists(st.text("abc_.-", min_size=1, max_size=4), min_size=1,
                          max_size=3).map(lambda parts: "/" + "/".join(parts))
-        p = st.none() | st.integers(1, 10**6)
-        noise = (st.builds(pio.NoiseSource, kind=st.sampled_from(["white", "brownian"]), p=p)
-                 | st.builds(pio.NoiseSource, kind=st.just("ar1"), p=p,
+        noise = (st.builds(pio.NoiseSource, kind=st.sampled_from(["white", "brownian"]))
+                 | st.builds(pio.NoiseSource, kind=st.just("ar1"),
                              phi=st.floats(0, 1, exclude_max=True)))
         phi = st.floats(0, 1, exclude_min=True, exclude_max=True)
         config = data.draw(st.builds(
@@ -516,7 +548,6 @@ class TestConfig:
             p_ladder=st.lists(st.integers(1, 10**5), max_size=4, unique=True),
             limit_repeats=st.integers(1, 100),
             mode=st.sampled_from(["strict", "permissive"]),
-            drop_degenerate=st.booleans(),
         ))
         with tempfile.TemporaryDirectory() as out:
             assert pio.load_config(pio.write_manifest(out, "limit", config, [])) == config

@@ -302,3 +302,30 @@ class TestCurves:
         (report,) = px.run_curves([entry], y60, splits60)
         baseline = [oracles.constant_baseline_rmse(y60.values, s) for s in splits60]
         np.testing.assert_allclose(report.block_rmse, baseline, rtol=0, atol=1e-12)
+
+
+def linear_interpolation(y, split):
+    """Brownian motion pinned at 0 at row -1, conditioned on the calibration
+    rows: the straight line across the block from the row before it to the
+    row after it, flat after the last row."""
+    s, e = split.block_start, split.block_start + split.n_v
+    left = y[s - 1] if s > 0 else 0.0
+    if e == len(y):
+        return np.full(split.n_v, left)
+    return left + (y[e] - left) * (np.arange(s, e) - s + 1) / (e - s + 1)
+
+
+@pytest.mark.parametrize("seed", [77, 78])
+def test_noise_nulls_are_the_calibration_mean_and_linear_interpolation(seed):
+    # the white limit's Psi_vc is 0, so it predicts the calibration mean at
+    # every lambda; simple kriging on the Brownian covariance min(i, j) + 1 is
+    # linear interpolation, up to the GCV search's floor nugget
+    y = px.smooth_target(149, seed)
+    rows = np.arange(149)
+    brownian = np.minimum.outer(rows, rows) + 1.0
+    for split in px.make_blocks(149, 30):
+        white = px.reconstruct_with_gcv(px.psi_columns(np.eye(149), split), y, split)[0]
+        assert np.abs(white - y.values[split.calib_rows].mean()).max() <= 1e-13
+        kriged = kriging(brownian, y, split)[0]
+        np.testing.assert_allclose(kriged, linear_interpolation(y.values, split),
+                                   rtol=0, atol=1e-8)
