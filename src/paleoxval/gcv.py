@@ -12,14 +12,14 @@ which is the form used for kriging nugget selection.
 V is scored only through a ``core.ShiftedSystem``: the eigendecomposition of
 S_cc it holds is the one the prediction later reuses, and it turns every
 candidate lam into O(n_c) sums. ``gcv_scores`` evaluates a whole vector of
-candidates at once; ``minimize_gcv`` scores its coarse grid in one such call
-and refines the grid minimum by golden section. Every block runs it once,
-in the one block tail, ``crossval.reconstruct_with_gcv``.
+candidates at once, and ``minimize_gcv`` makes one such call per log grid:
+the coarse grid, then finer grids between the best point's neighbours.
+Every block runs it once, in the one block tail,
+``crossval.reconstruct_with_gcv``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +32,9 @@ COARSE_GRID_POINTS = 25
 COARSE_GRID = np.geomspace(*SEARCH_DOMAIN, COARSE_GRID_POINTS)
 COARSE_GRID.flags.writeable = False
 LOG_LAMBDA_TOL = 1e-4        # relative precision of the refined lambda
-TIE_REL = 1e-14              # grid scores closer than this are ties
+REFINE_POINTS = 17           # each refining grid is (17 - 1) / 2 = 8x narrower
+TIE_REL = 1e-14              # coarse grid scores closer than this are ties
 TRACE_FLOOR = 1e-12
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -77,50 +76,33 @@ def gcv_scores(system: ShiftedSystem, lams) -> np.ndarray:
 def minimize_gcv(system: ShiftedSystem) -> GcvResult:
     """Find the GCV-minimizing ridge parameter.
 
-    The coarse logarithmic grid over SEARCH_DOMAIN, COARSE_GRID, encloses the
-    minimizer, then golden-section refinement on log(lam) narrows it to
-    relative precision LOG_LAMBDA_TOL. Grid scores tying within TIE_REL resolve to the largest
-    lam (strongest regularization). Deterministic for fixed inputs.
+    Stage 0 scores the coarse logarithmic grid over SEARCH_DOMAIN,
+    COARSE_GRID; coarse scores tying within TIE_REL resolve to the largest lam
+    (strongest regularization). A flat objective returns the largest grid lam,
+    and a minimum at a grid end returns that end. Otherwise each later stage
+    scores REFINE_POINTS log-spaced lams between the previous best point's two
+    neighbours, until those neighbours are within LOG_LAMBDA_TOL in log(lam).
+    The result is the lowest score over every evaluated point, ties going to
+    the largest lam. Deterministic for fixed inputs.
     """
-    grid = COARSE_GRID
-    scores = gcv_scores(system, grid)
-    if not np.isfinite(scores).all():   # else the refined minimum is finite too
+    lams = COARSE_GRID
+    scores = gcv_scores(system, lams)
+    if not np.isfinite(scores).all():   # else every refined score is finite too
         raise NonFiniteValue("GCV score not finite on the coarse grid: target values too large")
-    evaluated = [(float(lam), float(v)) for lam, v in zip(grid, scores)]
-
-    def f(lam: float) -> float:
-        v = float(gcv_scores(system, [lam])[0])
-        evaluated.append((lam, v))
-        return v
-
-    def finish(lam, score, *, flat=False, at_boundary=False):
-        return GcvResult(lambda_min=float(lam), score=float(score),
-                         n_evals=len(evaluated), flat=flat, at_boundary=at_boundary)
-
-    vmax = float(scores.max())
-    vmin = float(scores.min())
+    vmax, vmin = float(scores.max()), float(scores.min())
     if vmax - vmin < TIE_REL * vmax or vmax == 0.0:
-        return finish(grid[-1], scores[-1], flat=True)
+        return GcvResult(float(lams[-1]), float(scores[-1]), len(lams), flat=True)
+    i = int(np.flatnonzero(scores <= vmin + TIE_REL * abs(vmin)).max())
+    if i == 0 or i == len(lams) - 1:
+        return GcvResult(float(lams[i]), float(scores[i]), len(lams), at_boundary=True)
 
-    ties = np.flatnonzero(scores <= vmin + TIE_REL * abs(vmin))
-    best = int(ties.max())
-    if best == 0 or best == len(grid) - 1:
-        return finish(grid[best], scores[best], at_boundary=True)
-
-    # Golden-section refinement on t = log(lam) between the grid neighbours.
-    a, b = math.log(grid[best - 1]), math.log(grid[best + 1])
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = f(math.exp(x1)), f(math.exp(x2))
-    while b - a > LOG_LAMBDA_TOL:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = f(math.exp(x1))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = f(math.exp(x2))
-
-    best_lam, best_score = min(evaluated, key=lambda e: (e[1], -e[0]))
-    return finish(best_lam, best_score)
+    j = int(np.flatnonzero(scores == vmin).max())
+    n_evals, best = len(lams), (vmin, -float(lams[j]))  # (score, -lam): ties go to the largest lam
+    while np.log(lams[i + 1] / lams[i - 1]) > LOG_LAMBDA_TOL:
+        lams = np.geomspace(lams[i - 1], lams[i + 1], REFINE_POINTS)
+        scores = gcv_scores(system, lams)
+        n_evals += len(lams)
+        j = int(np.flatnonzero(scores == scores.min()).max())
+        best = min(best, (float(scores[j]), -float(lams[j])))
+        i = min(max(j, 1), len(lams) - 2)     # a refining grid's best may sit at its end
+    return GcvResult(lambda_min=-best[1], score=best[0], n_evals=n_evals)

@@ -29,6 +29,8 @@ from .errors import (ConfigError, NonAnnualYears, NonFiniteValue, ParseError,
 from .noise import NoiseSpec
 
 DEFAULT_NOISE_COLUMNS = 1138
+_JSON_TYPES = {bool: "boolean", int: "number", float: "number", str: "string",
+               list: "array", dict: "object", type(None): "null"}
 
 
 def format_float(x: float) -> str:
@@ -142,17 +144,22 @@ def config_from_dict(obj: dict, base_dir: Path) -> ExperimentConfig:
     source = obj.get("proxy_source")
     if not isinstance(source, dict) or source.keys() not in ({"file"}, {"noise"}):
         raise ConfigError("proxy_source must be exactly one of {'file': ...} or {'noise': ...}")
+    for key in ("noise_experiments", "phi_list", "p_ladder"):
+        if not isinstance(obj.get(key, []), list):
+            raise ConfigError(f"{key} must be an array, got {_JSON_TYPES[type(obj[key])]}")
 
-    def resolve(p: str) -> str:
+    def resolve(key: str, p) -> str:
+        if not isinstance(p, str):
+            raise ConfigError(f"{key} must be a path string, got {_JSON_TYPES[type(p)]}")
         return str((base_dir / p).resolve()) if not Path(p).is_absolute() else p
 
     try:
         return ExperimentConfig(**{
             **obj,
-            "target": resolve(obj["target"]),
-            "proxy_source": (resolve(source["file"]) if "file" in source
+            "target": resolve("target", obj["target"]),
+            "proxy_source": (resolve("proxy_source.file", source["file"]) if "file" in source
                              else _noise_source(source["noise"], "proxy_source.noise")),
-            "output_dir": resolve(obj.get("output_dir", "out")),
+            "output_dir": resolve("output_dir", obj.get("output_dir", "out")),
             "noise_experiments": [_noise_source(e, f"noise_experiments[{i}]")
                                   for i, e in enumerate(obj.get("noise_experiments", ()))],
         })
@@ -182,7 +189,7 @@ def load_config(path) -> ExperimentConfig:
 
 def _parse_year(path, line_no, text: str) -> int:
     try:
-        year = int(text)
+        year = int(text) if "_" not in text else None   # int() takes 18_50 as 1850
     except ValueError:
         year = None
     if year is None or not -2**63 <= year < 2**63:     # years are held as int64
@@ -192,6 +199,8 @@ def _parse_year(path, line_no, text: str) -> int:
 
 def _parse_value(path, line_no, text: str) -> float:
     try:
+        if "_" in text:     # float() takes 1_0.5 as 10.5
+            raise ValueError
         v = float(text)
     except ValueError:
         raise ParseError(path, line_no, f"bad value {text!r}") from None
@@ -207,7 +216,9 @@ def _read_table(path, ids=None) -> tuple[list[int], ProxyMatrix]:
 
     Rows are converted as they are read into one array, sized by the line
     count and shrunk in place, so at most one row of text is held at a time.
-    A byte that is not UTF-8 is a ParseError naming its line.
+    A byte that is not UTF-8 is a ParseError naming its line, and so is an
+    underscore in a year or value, which int() and float() would read as a
+    digit-group separator (header ids may hold underscores).
     """
     with open(path, "rb") as fh:
         lines = sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 16), b""))
@@ -240,7 +251,7 @@ def _read_table(path, ids=None) -> tuple[list[int], ProxyMatrix]:
                 values = np.array(row[1:], dtype=np.float64)   # float()'s conversion
             except ValueError:
                 values = None
-            if values is None or not np.isfinite(values).all():
+            if values is None or not np.isfinite(values).all() or "_" in "".join(row):
                 # token by token, so that the error names the first bad value
                 values = np.array([_parse_value(path, line_no, text) for text in row[1:]])
             if len(years) > len(data):      # only lone "\r" line ends count short

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +9,8 @@ import oracles
 import paleoxval as px
 from paleoxval import gcv
 from paleoxval.errors import DegenerateTrace
-from paleoxval.gcv import SEARCH_DOMAIN, minimize_gcv
+from paleoxval.gcv import (COARSE_GRID, LOG_LAMBDA_TOL, REFINE_POINTS, SEARCH_DOMAIN,
+                           minimize_gcv)
 
 def random_instance(seed, n_max=8):
     rng = np.random.default_rng(seed)
@@ -97,7 +100,7 @@ class TestGcvScore:
         assert np.all(np.isfinite(v)) and np.all(v >= 0.0)
 
     def test_vector_and_single_scores_agree(self):
-        # minimize_gcv scores its grid in one call and refines one lam at a time
+        # minimize_gcv rescores the ends of each bracket inside the next, finer grid
         S_cc, y_c = random_instance(7)
         system = px.ShiftedSystem(S_cc, y_c)
         lams = np.geomspace(*SEARCH_DOMAIN, 25)
@@ -158,6 +161,47 @@ class TestMinimizeGcv:
             res = search(S_cc, y_c)
             assert len(tr) == res.n_evals
             assert all(res.score <= v for _, v in tr)
+
+    def test_interior_search_call_count(self, monkeypatch):
+        # each refining grid is (REFINE_POINTS - 1) / 2 times narrower than the last
+        calls, real = [], gcv.gcv_scores
+
+        def counted(system, lams):
+            calls.append(len(lams))
+            return real(system, lams)
+        monkeypatch.setattr(gcv, "gcv_scores", counted)
+        bracket = math.log(COARSE_GRID[2] / COARSE_GRID[0])
+        most = 1 + math.ceil(math.log(bracket / LOG_LAMBDA_TOL)
+                             / math.log((REFINE_POINTS - 1) / 2))
+        interior = 0
+        for seed in range(12):
+            calls.clear()
+            res = search(*random_instance(seed))
+            if not (res.flat or res.at_boundary):
+                interior += 1
+                assert len(calls) <= most, seed
+        assert interior >= 3
+
+    def test_matches_brute_force_grid_in_the_coarse_bracket(self):
+        # the production scores on a log grid with spacing LOG_LAMBDA_TOL / 10
+        # between the coarse minimum's neighbours
+        interior = 0
+        for seed in range(12):
+            S_cc, y_c = random_instance(seed)
+            system = px.ShiftedSystem(S_cc, y_c)
+            res = minimize_gcv(system)
+            if res.flat or res.at_boundary:
+                continue
+            interior += 1
+            i = int(np.argmin(px.gcv_scores(system, COARSE_GRID)))
+            lo, hi = COARSE_GRID[i - 1], COARSE_GRID[i + 1]
+            points = math.ceil(10 * math.log(hi / lo) / LOG_LAMBDA_TOL) + 1
+            lams = np.geomspace(lo, hi, points)
+            scores = np.concatenate([px.gcv_scores(system, part)
+                                     for part in np.array_split(lams, 16)])
+            brute = lams[np.argmin(scores)]
+            assert abs(math.log(res.lambda_min / brute)) <= LOG_LAMBDA_TOL, seed
+        assert interior >= 3
 
     def test_scaling_target_by_power_of_two(self):
         # V scales exactly by a^2 for a = 4, so the search path is identical

@@ -163,6 +163,23 @@ class TestLoadProxies:
             read(f)
         assert info.value.line_no == line_no
 
+    @pytest.mark.parametrize("body, line_no, read", reader_cases([
+        ("year,ar1_0.9_00000,b\n18_50,1.0,2.0\n1851,1.0,2.0\n", 2),
+        ("year,ar1_0.9_00000,b\n1850,1.0,2.0\n1851,1.0,1_0.5\n", 3),
+    ], [
+        ("year,value\n18_50,0.1\n1851,1_0.5\n", 2),
+        ("year,value\n1850,0.1\n1851,1_0.5\n", 3),
+    ]))
+    def test_digit_group_underscore_names_its_line(self, tmp_path, body, line_no, read):
+        # int() and float() read 18_50 as 1850 and 1_0.5 as 10.5; header ids keep theirs
+        f = tmp_path / "p.csv"
+        f.write_text(body)
+        with pytest.raises(ParseError, match=r"bad (year '18_50'|value '1_0\.5')") as info:
+            read(f)
+        assert info.value.line_no == line_no
+        f.write_text(body.replace("18_50", "1850").replace("1_0.5", "10.5"))
+        assert len(read(f)) == 2
+
     def test_quoted_numeric_field(self, tmp_path):
         f = tmp_path / "p.csv"
         f.write_text('year,a,"b"\n1850,"1.5",2\n1851," -3e-2 ",4\n')
@@ -409,6 +426,25 @@ class TestConfig:
          "noise_experiments[1]: unknown keys ['colour']"),
     ], ids=["sigma", "p", "no-kind", "string-source", "string-entry", "colour"])
     def test_bad_noise_entry_names_its_place_and_key(self, tmp_path, body, message):
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({"target": "t.csv",
+                                 "proxy_source": {"noise": {"kind": "white"}}, **body}))
+        with pytest.raises(ConfigError) as err:
+            pio.load_config(f)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("body, message", [
+        ({"noise_experiments": 5}, "noise_experiments must be an array, got number"),
+        ({"noise_experiments": {"kind": "white"}},
+         "noise_experiments must be an array, got object"),
+        ({"phi_list": 0.5}, "phi_list must be an array, got number"),
+        ({"p_ladder": 7}, "p_ladder must be an array, got number"),
+        ({"target": 7}, "target must be a path string, got number"),
+        ({"output_dir": ["out"]}, "output_dir must be a path string, got array"),
+        ({"proxy_source": {"file": None}}, "proxy_source.file must be a path string, got null"),
+    ], ids=["noise-scalar", "noise-object", "phi-scalar", "ladder-scalar", "target-number",
+            "output-array", "file-null"])
+    def test_wrong_json_type_names_the_key_and_type(self, tmp_path, body, message):
         f = tmp_path / "c.json"
         f.write_text(json.dumps({"target": "t.csv",
                                  "proxy_source": {"noise": {"kind": "white"}}, **body}))
