@@ -29,13 +29,14 @@ from .errors import (ConfigError, NonAnnualYears, NonFiniteValue, ParseError,
 from .noise import NoiseSpec
 
 DEFAULT_NOISE_COLUMNS = 1138
+FLOAT_FORMAT = "%.17g"  # the 17-significant-digit decimal every CSV holds: exact for float64
 _JSON_TYPES = {bool: "boolean", int: "number", float: "number", str: "string",
                list: "array", dict: "object", type(None): "null"}
 
 
 def format_float(x: float) -> str:
-    """The 17-significant-digit decimal every CSV holds: exact for float64."""
-    return format(float(x), ".17g")
+    """One float as every CSV writes it (``FLOAT_FORMAT``)."""
+    return FLOAT_FORMAT % float(x)
 
 
 def _require_int(name: str, value, minimum: int) -> None:
@@ -290,11 +291,17 @@ def write_csv(path, header, rows) -> Path:
 
 
 def save_proxies(X: ProxyMatrix, years, path) -> Path:
+    """Write ``year,<id>,...`` through csv (an id with a comma is quoted), then
+    each row as one ``%`` on its ``tolist()``, one row of floats at a time."""
     if len(years) != X.n:
         raise YearMismatch(f"{len(years)} years for {X.n} rows")
-    return write_csv(path, ["year", *X.column_ids],
-                     ([int(year), *map(format_float, row.tolist())]
-                      for year, row in zip(years, X.data)))
+    row_format = ",".join(["%d", *[FLOAT_FORMAT] * X.p]) + "\n"
+    path = Path(path)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(["year", *X.column_ids])
+        for year, row in zip(years, X.data):
+            fh.write(row_format % (int(year), *row.tolist()))
+    return path
 
 
 def save_target(series: TimeSeries, path) -> Path:
